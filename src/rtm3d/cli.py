@@ -20,7 +20,7 @@ from .solver import (
     EnergyWeights,
     InsufficientConstraints,
     SolverConfig,
-    solve,
+    solve_batch,
 )
 
 log = logging.getLogger("rtm3d")
@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# Objects per solve_batch call; bounds the solver's working memory.
+SOLVE_CHUNK = 64
 
 
 class InputError(Exception):
@@ -114,49 +117,37 @@ def cmd_synth(args) -> int:
 # solve
 
 
-def _solve_frame(task):
-    frame, priors_path, kp_path, calib_path, cfg_dict = task
+def _solve_chunk(task):
+    """Solve one chunk of objects.  Returns, per object, its result line (None
+    when it has no result), its log entry and whether it failed; the number of
+    objects fitted (not skipped for too few keypoints); and the chunk's solve
+    wall time."""
+    kps, cams, priors, cfg_dict = task
     cfg = RunConfig(**cfg_dict)
-    camera = kitti.to_camera_model(kitti.parse_calib_file(calib_path))
-    objects = synth.parse_scene_objects(
-        Path(priors_path).read_text(), Path(kp_path).read_text()
-    )
     weights = EnergyWeights(w_d=cfg.w_d, w_r=cfg.w_r)
     solver_cfg = SolverConfig(max_iter=cfg.max_iter, g_tol=cfg.g_tol, step_tol=cfg.step_tol)
-    labels = []
-    lines = []
-    times = []
-    for i, (kps, priors) in enumerate(objects):
-        t0 = time.perf_counter()
-        try:
-            report = solve(kps, camera, priors, weights, solver_cfg)
-        except InsufficientConstraints as e:
-            lines.append(f"{frame} object {i}: skipped ({e})")
+    t0 = time.perf_counter()
+    reports = solve_batch(kps, cams, priors, weights, solver_cfg)
+    elapsed = time.perf_counter() - t0
+    rows = []
+    for k, report in zip(kps, reports):
+        if isinstance(report, Exception):
+            failed = not isinstance(report, InsufficientConstraints)
+            rows.append((None, f"{'failed' if failed else 'skipped'} ({report})", failed))
             continue
-        times.append(time.perf_counter() - t0)
         box = report.box
-        score = float(kps.conf[kps.visible].mean()) if kps.n_visible else 0.0
-        vis = kps.pts[kps.visible] if kps.n_visible else kps.pts
-        bbox = (
-            float(vis[:, 0].min()),
-            float(vis[:, 1].min()),
-            float(vis[:, 0].max()),
-            float(vis[:, 1].max()),
+        score = float(k.conf[k.visible].mean()) if k.n_visible else 0.0
+        vis = k.pts[k.visible] if k.n_visible else k.pts
+        bbox = (*map(float, vis.min(axis=0)), *map(float, vis.max(axis=0)))
+        label = kitti.box3d_to_label(
+            box, category="Car", alpha=yaw_to_alpha(box.yaw, box.t), bbox=bbox, score=score
         )
-        labels.append(
-            kitti.box3d_to_label(
-                box,
-                category="Car",
-                alpha=yaw_to_alpha(box.yaw, box.t),
-                bbox=bbox,
-                score=score,
-            )
+        entry = (
+            f"iters={report.iterations} cost={report.final_cost:.3e} converged={report.converged}"
         )
-        lines.append(
-            f"{frame} object {i}: iters={report.iterations} cost={report.final_cost:.3e} "
-            f"converged={report.converged}"
-        )
-    return frame, kitti.write_result_file(labels), lines, times
+        rows.append((kitti.format_label(label), entry, False))
+    fitted = sum(not isinstance(r, InsufficientConstraints) for r in reports)
+    return rows, fitted, elapsed
 
 
 def cmd_solve(args) -> int:
@@ -172,7 +163,10 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out)
     (out / "data").mkdir(parents=True, exist_ok=True)
-    tasks = []
+    # Parse every frame once, then solve all objects in fixed-size chunks.
+    frames = []  # (frame id, number of objects)
+    kps, cams, priors = [], [], []
+    cameras = {}  # calib path -> camera, so a shared --calib file is parsed once
     for priors_path in sorted(priors_dir.glob("*.txt")):
         frame = _frame_id(priors_path)
         kp_path = kp_dir / f"{frame}.txt"
@@ -181,24 +175,49 @@ def cmd_solve(args) -> int:
         calib_path = calib_dir if calib_dir.is_file() else calib_dir / f"{frame}.txt"
         if not calib_path.exists():
             raise InputError(f"missing calibration for frame {frame}")
-        tasks.append((frame, str(priors_path), str(kp_path), str(calib_path), cfg.__dict__))
-    if not tasks:
+        if calib_path not in cameras:
+            cameras[calib_path] = kitti.to_camera_model(kitti.parse_calib_file(calib_path))
+        objects = synth.parse_scene_objects(priors_path.read_text(), kp_path.read_text())
+        frames.append((frame, len(objects)))
+        for k, p in objects:
+            kps.append(k)
+            cams.append(cameras[calib_path])
+            priors.append(p)
+    if not frames:
         raise InputError(f"no frames found under {priors_dir}")
 
-    all_times = []
-    log_lines = []
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_solve_frame, tasks))
+    tasks = [
+        (*(seq[i : i + SOLVE_CHUNK] for seq in (kps, cams, priors)), cfg.__dict__)
+        for i in range(0, len(kps), SOLVE_CHUNK)
+    ]
+    if args.jobs and args.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
+            chunks = list(pool.map(_solve_chunk, tasks))
     else:
-        results = [_solve_frame(t) for t in tasks]
-    for frame, text, lines, times in results:
-        (out / "data" / f"{frame}.txt").write_text(text)
-        log_lines.extend(lines)
-        all_times.extend(times)
+        chunks = [_solve_chunk(t) for t in tasks]
+    rows = [row for rs, _, _ in chunks for row in rs]
+    all_times = [elapsed / fitted for _, fitted, elapsed in chunks for _ in range(fitted)]
+
+    log_lines = []
+    start = 0
+    for frame, count in frames:
+        lines = []
+        for i, (line, entry, _) in enumerate(rows[start : start + count]):
+            if line is not None:
+                lines.append(line + "\n")
+            log_lines.append(f"{frame} object {i}: {entry}")
+        start += count
+        (out / "data" / f"{frame}.txt").write_text("".join(lines))
     (out / "solve_log.txt").write_text("".join(line + "\n" for line in log_lines))
     median_ms = statistics.median(all_times) * 1000.0 if all_times else 0.0
-    print(f"solved {len(tasks)} frame(s); median solve time {median_ms:.3f} ms/object")
+    print(
+        f"solved {len(frames)} frame(s); solve time {median_ms:.3f} ms/object "
+        "(median of per-chunk means over fitted objects)"
+    )
+    failed = sum(row[2] for row in rows)
+    if failed:
+        print(f"rtm3d: input error: {failed} object(s) failed; see solve_log.txt", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 

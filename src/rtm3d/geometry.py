@@ -32,7 +32,9 @@ __all__ = [
     "project_points",
     "rot_y",
     "so3_exp",
+    "so3_left_jacobian_inv",
     "so3_log",
+    "so3_log_parts",
     "wrap_to_pi",
     "yaw_to_alpha",
 ]
@@ -204,35 +206,55 @@ def cor_matrix() -> np.ndarray:
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrices (..., 3, 3) of (..., 3) vectors."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2], out[..., 1, 2] = -v[..., 2], v[..., 1], -v[..., 0]
+    return out - np.swapaxes(out, -1, -2)
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation from an axis-angle vector."""
-    w = np.asarray(w, dtype=float).reshape(3)
-    theta = float(np.linalg.norm(w))
+    """Rodrigues rotations (..., 3, 3) of (..., 3) axis-angle vectors."""
+    w = np.asarray(w, dtype=float)
+    theta = np.sqrt(np.sum(w * w, axis=-1))[..., None, None]
+    small = theta < _TAYLOR_EPS
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 - theta**2 / 6.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - np.cos(safe)) / safe**2)
     wx = _skew(w)
-    if theta < _TAYLOR_EPS:
-        a = 1.0 - theta**2 / 6.0
-        b = 0.5 - theta**2 / 24.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta**2
     return np.eye(3) + a * wx + b * (wx @ wx)
 
 
+def so3_log_parts(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axis-angle vectors (..., 3) of (..., 3, 3) rotations, their angles, and
+    where the angle is within 1e-6 of pi, so that the vector is ambiguous."""
+    r = np.asarray(r, dtype=float)
+    cos_theta = (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0) / 2.0
+    theta = np.arccos(np.minimum(np.maximum(cos_theta, -1.0), 1.0))
+    vee = 0.5 * (r[..., [2, 0, 1], [1, 2, 0]] - r[..., [1, 2, 0], [2, 0, 1]])
+    small = theta < _TAYLOR_EPS
+    scale = np.where(small, 1.0 + theta**2 / 6.0, theta / np.sin(np.where(small, 1.0, theta)))
+    return vee * scale[..., None], theta, math.pi - theta < 1e-6
+
+
 def so3_log(r: np.ndarray) -> np.ndarray:
-    """Axis-angle vector of a rotation matrix; angle must be below pi."""
-    r = np.asarray(r, dtype=float).reshape(3, 3)
-    cos_theta = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    theta = math.acos(cos_theta)
-    if math.pi - theta < 1e-6:
+    """Axis-angle vectors of rotations; every angle must be below pi."""
+    w, _, near_pi = so3_log_parts(r)
+    if np.any(near_pi):
         raise AngleNearPi("rotation angle within 1e-6 of pi")
-    vee = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if theta < _TAYLOR_EPS:
-        return vee * (1.0 + theta**2 / 6.0)
-    return vee * theta / math.sin(theta)
+    return w
+
+
+def so3_left_jacobian_inv(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Inverse left Jacobians J_l^{-1} (..., 3, 3) of SO(3) at (..., 3)
+    axis-angle vectors whose angles are ``theta``."""
+    small = theta < _TAYLOR_EPS
+    safe = np.where(small, 1.0, theta)
+    coeff = np.where(
+        small, 1.0 / 12.0, 1.0 / safe**2 - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe))
+    )
+    wx = _skew(w)
+    return np.eye(3) - 0.5 * wx + coeff[..., None, None] * (wx @ wx)
 
 
 def exp_se3(xi: Twist) -> PoseSE3:
@@ -254,20 +276,15 @@ def exp_se3(xi: Twist) -> PoseSE3:
 def log_se3(pose: PoseSE3) -> Twist:
     """Inverse of :func:`exp_se3`; raises :class:`AngleNearPi` near pi."""
     w = so3_log(pose.r)
-    theta = float(np.linalg.norm(w))
-    wx = _skew(w)
-    if theta < _TAYLOR_EPS:
-        v_inv = np.eye(3) - 0.5 * wx + (1.0 / 12.0) * (wx @ wx)
-    else:
-        coeff = 1.0 / theta**2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta))
-        v_inv = np.eye(3) - 0.5 * wx + coeff * (wx @ wx)
-    return Twist(v=v_inv @ pose.t, w=w)
+    return Twist(v=so3_left_jacobian_inv(w, np.linalg.norm(w)) @ pose.t, w=w)
 
 
-def rot_y(yaw: float) -> np.ndarray:
-    """Rotation about the camera y (vertical) axis."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def rot_y(yaw) -> np.ndarray:
+    """Rotations (..., 3, 3) about the camera y (vertical) axis."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    out = np.zeros(np.shape(yaw) + (3, 3))
+    out[..., 0, 0], out[..., 0, 2], out[..., 1, 1], out[..., 2, 0], out[..., 2, 2] = c, s, 1, -s, c
+    return out
 
 
 def corner_offsets(dims: np.ndarray) -> np.ndarray:

@@ -2,33 +2,37 @@
 
 The objective stacks a confidence-weighted reprojection term over the
 nine keypoints with soft priors on dimensions and orientation, and is
-minimized by Levenberg-Marquardt over a full se(3) twist plus the three
-dimensions.  Pose updates are applied multiplicatively on the left, and
-yaw is extracted from the final rotation.
+minimized by Levenberg-Marquardt over a left-multiplied SE(3) pose
+perturbation plus the three dimensions.  Yaw is extracted from the final
+rotation.
+
+One LM loop serves every caller: :func:`solve_batch` fits N objects at
+once, with residuals (N, 24), Jacobians (N, 24, 9) and normal equations
+(N, 9, 9) stacked along the first axis; :func:`solve` is its N = 1 case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import (
     _TEMPLATE_TO_CAM,
+    AngleNearPi,
     BehindCamera,
     Box3D,
     CameraModel,
     KeypointSet,
-    PoseSE3,
-    Twist,
-    corner_offsets,
+    _skew,
     cor_matrix,
-    exp_se3,
-    log_se3,
     rot_y,
     so3_exp,
+    so3_left_jacobian_inv,
     so3_log,
+    so3_log_parts,
     wrap_to_pi,
 )
 
@@ -47,11 +51,20 @@ __all__ = [
     "residual_dimension",
     "residual_rotation",
     "solve",
+    "solve_batch",
     "total_energy",
 ]
 
 # Dataset mean car dimensions (h, w, l) used when no dimension prior exists.
 MEAN_CAR_DIMS = np.array([1.53, 1.62, 3.89])
+
+# Camera axis scaled by each dimension (h, w, l), the dimension scaling each
+# camera axis, and the (9, 3) camera-frame offsets of the unit box.  Built by
+# indexing, not matmul, so that importing the package makes no BLAS call.
+_AXIS_OF_DIM = _TEMPLATE_TO_CAM.argmax(axis=0)
+_DIM_OF_AXIS = _TEMPLATE_TO_CAM.argmax(axis=1)
+_UNIT_OFFSETS = cor_matrix()[_DIM_OF_AXIS].T.copy()
+_I3 = np.eye(3)
 
 
 class InsufficientConstraints(ValueError):
@@ -99,6 +112,7 @@ class SolverConfig:
     step_tol: float = 1e-10
     lm_lambda0: float = 1e-3
     lm_lambda_max: float = 1e12
+    # Start box for every object of a solve; None starts from the priors.
     init_box: Box3D | None = None
 
 
@@ -109,8 +123,12 @@ class SolveReport:
     final_cost: float
     converged: bool
     term_costs: dict
-    # Residual rotation (axis-angle) left after removing yaw; diagnostics only.
-    off_yaw: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+
+def _softmax_rows(conf: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of (..., 9) confidences, repeated per u/v row."""
+    e = np.exp(conf - conf.max(axis=-1, keepdims=True))
+    return np.repeat(e / e.sum(axis=-1, keepdims=True), 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -127,98 +145,157 @@ class ConfidenceWeight:
 
     @staticmethod
     def from_confidences(conf: np.ndarray) -> "ConfidenceWeight":
-        conf = np.asarray(conf, dtype=float).reshape(9)
-        e = np.exp(conf - conf.max())
-        w9 = e / e.sum()
-        return ConfidenceWeight(sigma_diag=np.repeat(w9, 2))
+        return ConfidenceWeight(sigma_diag=_softmax_rows(np.asarray(conf, dtype=float).reshape(9)))
 
 
-def _pose_of_box(box: Box3D) -> tuple[np.ndarray, np.ndarray]:
-    return rot_y(box.yaw), box.t.copy()
+class _Batch(NamedTuple):
+    """Inputs of N objects stacked along the first axis."""
+
+    f: np.ndarray  # (N, 1, 2) focal lengths
+    c: np.ndarray  # (N, 1, 2) principal points
+    t_cam: np.ndarray  # (N, 1, 3) projection-matrix offsets
+    kp: np.ndarray  # (N, 9, 2) measured keypoints
+    vis: np.ndarray  # (N, 9) keypoint visibility
+    sqrt_w: np.ndarray  # (N, 18) root confidence weights, zero on invisible rows
+    d_hat: np.ndarray  # (N, 3) dimension priors, zero where absent
+    theta_hat: np.ndarray  # (N,) yaw priors, zero where absent
+    use_r: np.ndarray  # (N,) whether the rotation term is on
+    sqrt_wd: np.ndarray  # (N, 1) root dimension weights, zero where the term is off
+    sqrt_wr: np.ndarray  # (N, 1) root rotation weights, zero where the term is off
+
+    @staticmethod
+    def stack(kps, cams, priors, weights: EnergyWeights) -> "_Batch":
+        vis = np.array([k.visible for k in kps])
+        sigma = _softmax_rows(np.array([k.conf for k in kps]))
+        use_d = np.array([p.d_hat is not None for p in priors]) & (weights.w_d > 0)
+        use_r = np.array([p.theta_hat is not None for p in priors]) & (weights.w_r > 0)
+        return _Batch(
+            f=np.array([[(c.fx, c.fy)] for c in cams], dtype=float),
+            c=np.array([[(c.cx, c.cy)] for c in cams], dtype=float),
+            t_cam=np.array([c.t_cam for c in cams])[:, None, :],
+            kp=np.array([k.pts for k in kps]),
+            vis=vis,
+            sqrt_w=np.sqrt(sigma) * np.repeat(vis, 2, axis=1),
+            d_hat=np.array([np.zeros(3) if p.d_hat is None else p.d_hat for p in priors]),
+            theta_hat=np.array([p.theta_hat or 0.0 for p in priors], dtype=float),
+            use_r=use_r,
+            sqrt_wd=(math.sqrt(weights.w_d) * use_d)[:, None],
+            sqrt_wr=(math.sqrt(weights.w_r) * use_r)[:, None],
+        )
+
+    def take(self, idx: np.ndarray) -> "_Batch":
+        """Rows ``idx`` (sorted, unique) of every input."""
+        return self if len(idx) == len(self.kp) else _Batch(*(a[idx] for a in self))
 
 
-def _points_cam(r: np.ndarray, t: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    return corner_offsets(dims) @ r.T + t
+def _rotation_prior_jacobian(r: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
+    """Jacobian -J_l^{-1}(e) R^T of e = Log(R^T R_y(theta_hat)) w.r.t. a left
+    perturbation Exp(dw) R, for N rotations.
+
+    From R^T Exp(-dw) = Exp(-R^T dw) R^T and Log(Exp(a) Exp(e)) ~ e + J_l^{-1}(e) a
+    (Sola et al., arXiv:1812.01537, eq. 146).
+    """
+    r_t = r.transpose(0, 2, 1)
+    e, theta, _ = so3_log_parts(r_t @ rot_y(theta_hat))
+    return -so3_left_jacobian_inv(e, theta) @ r_t
 
 
-def _residual_cp(
-    r: np.ndarray,
-    t: np.ndarray,
-    dims: np.ndarray,
-    kps: KeypointSet,
-    cam: CameraModel,
-) -> np.ndarray:
-    """Stacked measured-minus-projected keypoint residual, invisible rows zeroed."""
-    pts = _points_cam(r, t, dims)
-    res = np.zeros(18)
-    for j in range(9):
-        if not kps.visible[j]:
-            continue
-        p = pts[j] + cam.t_cam
-        if p[2] <= 1e-6:
-            raise BehindCamera(f"keypoint {j} projects behind camera")
-        u = cam.fx * p[0] / p[2] + cam.cx
-        v = cam.fy * p[1] / p[2] + cam.cy
-        res[2 * j] = kps.pts[j, 0] - u
-        res[2 * j + 1] = kps.pts[j, 1] - v
-    return res
+# ---------------------------------------------------------------------------
+# Stacked residuals and Jacobians
 
 
-def _jacobian_cp(
-    r: np.ndarray, t: np.ndarray, dims: np.ndarray, cam: CameraModel
-) -> np.ndarray:
-    """Analytic 18x9 Jacobian of the reprojection residual.
+def _camera_points(r: np.ndarray, t: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """(N, 9, 3) camera-frame corners and center of N boxes."""
+    offs = _UNIT_OFFSETS * dims[:, None, _DIM_OF_AXIS]
+    return offs @ r.transpose(0, 2, 1) + t[:, None, :]
+
+
+def _residual_cp(f, c, t_cam, kp, vis, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Measured-minus-projected residuals (N, 18) with invisible rows zeroed,
+    and which objects have a visible keypoint behind the camera."""
+    p = pts + t_cam
+    z = p[..., 2:]
+    res = np.where(vis[..., None], kp - (f * p[..., :2] / z + c), 0.0)
+    return res.reshape(len(p), 18), np.any(vis & (z[..., 0] <= 1e-6), axis=1)
+
+
+def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Analytic (N, 18, 9) Jacobian of the reprojection residual.
 
     Columns 0-5 differentiate w.r.t. a left-multiplied twist (v, w); columns
-    6-8 w.r.t. the dimensions.  Each 2x6 pose block is
-    -J_pinhole @ [I, -skew(P)] with P the camera-frame point before the
-    projection-matrix offset; each 2x3 dimension block chains the pinhole
-    Jacobian through the rotated corner template column.
+    6-8 w.r.t. the dimensions.  Each keypoint's 2x9 block is
+    -J_pinhole @ [I, -skew(P), R T diag(c_j)], with P the camera-frame point
+    before the projection-matrix offset, T the template-to-camera axis map
+    and c_j the keypoint's corner template column.
     """
-    offs = corner_offsets(dims)
-    cor3 = cor_matrix()[:3, :]
-    # d(corner offset)/d(dims) = R @ axes_map @ diag(template column)
-    jac = np.zeros((18, 9))
-    pts = offs @ r.T + t
-    for j in range(9):
-        p = pts[j] + cam.t_cam
-        x, y, z = p
-        jp = np.array(
-            [
-                [cam.fx / z, 0.0, -cam.fx * x / z**2],
-                [0.0, cam.fy / z, -cam.fy * y / z**2],
-            ]
-        )
-        px, py, pz = pts[j]
-        skew_p = np.array([[0.0, -pz, py], [pz, 0.0, -px], [-py, px, 0.0]])
-        jac[2 * j : 2 * j + 2, 0:3] = -jp
-        jac[2 * j : 2 * j + 2, 3:6] = -jp @ (-skew_p)
-        d_off = r @ _TEMPLATE_TO_CAM @ np.diag(cor3[:, j])
-        jac[2 * j : 2 * j + 2, 6:9] = -jp @ d_off
+    p = pts + t_cam
+    z = p[..., 2]
+    jp = np.zeros(z.shape + (2, 3))
+    jp[..., 0, 0], jp[..., 1, 1] = f[..., 0] / z, f[..., 1] / z
+    jp[..., 2] = -f * p[..., :2] / z[..., None] ** 2
+    m = np.empty(pts.shape + (9,))
+    m[..., 0:3] = _I3
+    m[..., 3:6] = _skew(-pts)
+    m[..., 6:9] = r[:, None, :, _AXIS_OF_DIM] * _UNIT_OFFSETS[None, :, None, _AXIS_OF_DIM]
+    return ((-jp) @ m).reshape(len(p), 18, 9)
+
+
+def _residuals(b: _Batch, r, t, dims):
+    """Weighted residuals (N, 24), and where they are undefined: a visible
+    keypoint behind the camera, or a rotation residual near pi."""
+    res = np.empty((len(r), 24))
+    res_cp, behind = _residual_cp(b.f, b.c, b.t_cam, b.kp, b.vis, _camera_points(r, t, dims))
+    res[:, :18] = b.sqrt_w * res_cp
+    res[:, 18:21] = b.sqrt_wd * (b.d_hat - dims)
+    e_r, _, near_pi = so3_log_parts(r.transpose(0, 2, 1) @ rot_y(b.theta_hat))
+    res[:, 21:24] = b.sqrt_wr * np.where(b.use_r[:, None], e_r, 0.0)
+    return res, behind, near_pi & b.use_r
+
+
+def _jacobians(b: _Batch, r, t, dims) -> np.ndarray:
+    """Weighted (N, 24, 9) Jacobian of :func:`_residuals`."""
+    jac = np.zeros((len(r), 24, 9))
+    jac[:, :18] = b.sqrt_w[..., None] * _jacobian_cp(b.f, b.t_cam, r, _camera_points(r, t, dims))
+    jac[:, 18:21, 6:9] = -b.sqrt_wd[..., None] * _I3
+    j_r = np.where(b.use_r[:, None, None], _rotation_prior_jacobian(r, b.theta_hat), 0.0)
+    jac[:, 21:24, 3:6] = b.sqrt_wr[..., None] * j_r
     return jac
 
 
+# ---------------------------------------------------------------------------
+# Public single-object energy terms
+
+
 def residual_camera_point(box: Box3D, kps: KeypointSet, cam: CameraModel) -> np.ndarray:
-    r, t = _pose_of_box(box)
-    return _residual_cp(r, t, box.dims, kps, cam)
+    """Stacked measured-minus-projected keypoint residual, invisible rows zeroed."""
+    pts = _camera_points(rot_y(box.yaw)[None], box.t[None], box.dims[None])
+    f, c = np.array([cam.fx, cam.fy]), np.array([cam.cx, cam.cy])
+    res, behind = _residual_cp(f, c, cam.t_cam, kps.pts[None], kps.visible[None], pts)
+    if behind[0]:
+        raise BehindCamera("a visible keypoint projects behind the camera")
+    return res[0]
 
 
 def jacobian_camera_point(box: Box3D, cam: CameraModel) -> np.ndarray:
-    r, t = _pose_of_box(box)
-    return _jacobian_cp(r, t, box.dims, cam)
+    """Analytic 18x9 Jacobian of :func:`residual_camera_point`."""
+    r = rot_y(box.yaw)[None]
+    pts = _camera_points(r, box.t[None], box.dims[None])
+    return _jacobian_cp(np.array([cam.fx, cam.fy]), cam.t_cam, r, pts)[0]
 
 
 def residual_dimension(dims: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
     return np.asarray(d_hat, dtype=float).reshape(3) - np.asarray(dims, dtype=float).reshape(3)
 
 
-def _residual_rot(r: np.ndarray, theta_hat: float) -> np.ndarray:
-    return so3_log(r.T @ rot_y(theta_hat))
-
-
 def residual_rotation(yaw: float, theta_hat: float) -> np.ndarray:
     """Axis-angle of the relative rotation between yaw and its prior."""
-    return _residual_rot(rot_y(yaw), theta_hat)
+    return so3_log(rot_y(yaw).T @ rot_y(theta_hat))
+
+
+def _term_costs(res: np.ndarray) -> list:
+    """Camera-point, dimension and rotation costs of weighted residuals (N, 24)."""
+    sums = np.add.reduceat(res * res, [0, 18, 21], axis=1)
+    return [dict(zip(("camera_point", "dimension", "rotation"), map(float, row))) for row in sums]
 
 
 def total_energy(
@@ -229,26 +306,29 @@ def total_energy(
     weights: EnergyWeights,
     confw: ConfidenceWeight | None = None,
 ) -> tuple[float, dict]:
-    """Weighted sum of squared residual terms plus a per-term breakdown."""
-    if confw is None:
-        confw = ConfidenceWeight.from_confidences(kps.conf)
-    r, t = _pose_of_box(box)
-    e_cp = _residual_cp(r, t, box.dims, kps, cam)
-    cost_cp = float(e_cp @ (confw.sigma_diag * e_cp))
-    cost_d = 0.0
-    if priors.d_hat is not None and weights.w_d > 0:
-        e_d = residual_dimension(box.dims, priors.d_hat)
-        cost_d = weights.w_d * float(e_d @ e_d)
-    cost_r = 0.0
-    if priors.theta_hat is not None and weights.w_r > 0:
-        e_r = _residual_rot(r, priors.theta_hat)
-        cost_r = weights.w_r * float(e_r @ e_r)
-    terms = {"camera_point": cost_cp, "dimension": cost_d, "rotation": cost_r}
-    return cost_cp + cost_d + cost_r, terms
+    """Weighted sum of squared residual terms plus a per-term breakdown.
+
+    ``confw`` replaces the softmax of the keypoint confidences."""
+    b = _Batch.stack([kps], [cam], [priors], weights)
+    if confw is not None:
+        b = b._replace(sqrt_w=np.sqrt(confw.sigma_diag) * np.repeat(b.vis, 2, axis=1))
+    res, behind, near_pi = _residuals(b, rot_y(box.yaw)[None], box.t[None], box.dims[None])
+    if behind[0]:
+        raise BehindCamera("a visible keypoint projects behind the camera")
+    if near_pi[0]:
+        raise AngleNearPi("rotation angle within 1e-6 of pi")
+    (terms,) = _term_costs(res)
+    return sum(terms.values()), terms
 
 
-def initialize(priors: Priors, kps: KeypointSet, cam: CameraModel) -> tuple[Twist, np.ndarray]:
-    """Initial twist and dimensions from priors and keypoint geometry.
+# ---------------------------------------------------------------------------
+# Levenberg-Marquardt
+
+
+def initialize(
+    priors: Priors, kps: KeypointSet, cam: CameraModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial rotation, bottom-center translation and dimensions.
 
     Depth comes from the prior when present, otherwise from a
     similar-triangles estimate using the vertical keypoint extent; the box
@@ -280,9 +360,7 @@ def initialize(priors: Priors, kps: KeypointSet, cam: CameraModel) -> tuple[Twis
     )
     # Center sits half a height above the bottom-face anchor (y points down).
     t0 = center + np.array([0.0, d0[0] / 2.0, 0.0])
-    pose = rot_y(yaw0)
-    # Recover the twist whose exponential is (pose, t0).
-    return log_se3(PoseSE3(r=pose, t=t0)), d0
+    return rot_y(yaw0), t0, d0
 
 
 def _required_visible(priors: Priors) -> int:
@@ -291,17 +369,134 @@ def _required_visible(priors: Priors) -> int:
     return 5
 
 
-def _rot_prior_jacobian(r: np.ndarray, theta_hat: float, h: float = 1e-7) -> np.ndarray:
-    """Central finite differences of the rotation-prior residual w.r.t. the
-    left-perturbation rotation components."""
-    jac = np.zeros((3, 3))
-    for k in range(3):
-        dw = np.zeros(3)
-        dw[k] = h
-        rp = so3_exp(dw) @ r
-        rm = so3_exp(-dw) @ r
-        jac[:, k] = (_residual_rot(rp, theta_hat) - _residual_rot(rm, theta_hat)) / (2 * h)
-    return jac
+def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Damped Gauss-Newton steps (N, 9); NaN rows where the system is singular."""
+    a, b = jtj + lam[:, None, None] * np.eye(9), -grad[..., None]
+    try:
+        return np.linalg.solve(a, b)[..., 0]
+    except np.linalg.LinAlgError:
+        # One singular system fails the whole stack: solve each on its own.
+        steps = np.full(grad.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                steps[i] = np.linalg.solve(a[i], b[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def solve_batch(
+    kps: Sequence[KeypointSet],
+    cams: Sequence[CameraModel],
+    priors: Sequence[Priors],
+    weights: EnergyWeights = EnergyWeights(),
+    config: SolverConfig = SolverConfig(),
+) -> list:
+    """Levenberg-Marquardt over (pose, dims) for N objects in one loop.
+
+    Each object keeps its own damping, iteration count and done flag, and
+    follows the same sequence of trials as it would alone: a rejected trial
+    multiplies its damping by 10 and is retried on the next pass with the
+    same Jacobian.  A trial is rejected when its cost is not lower or not
+    finite, when it puts a visible keypoint behind the camera, and when it
+    brings the rotation residual near pi.
+
+    Returns one entry per object: a :class:`SolveReport`, or the exception
+    that ended that object's solve (:class:`InsufficientConstraints`;
+    :class:`DivergedError` for a non-finite cost; :class:`BehindCamera` or
+    :class:`AngleNearPi` for an undefined start).
+    """
+    out: list = [
+        InsufficientConstraints(f"{k.n_visible} visible keypoints with priors {p} are not enough")
+        if k.n_visible < _required_visible(p)
+        else None
+        for k, p in zip(kps, priors)
+    ]
+    idx = [i for i, o in enumerate(out) if o is None]
+    if not idx:
+        return out
+    n = len(idx)
+    kps, cams, priors = ([seq[i] for i in idx] for seq in (kps, cams, priors))
+    b = _Batch.stack(kps, cams, priors, weights)
+    if config.init_box is None:
+        r, t, dims = (np.array(a) for a in zip(*map(initialize, priors, kps, cams)))
+    else:
+        box = config.init_box
+        r, t, dims = (np.array([a] * n) for a in (rot_y(box.yaw), box.t, box.dims))
+
+    with np.errstate(all="ignore"):
+        res, behind, near_pi = _residuals(b, r, t, dims)
+        cost = np.sum(res * res, axis=1)
+        errors = [
+            BehindCamera("a visible keypoint starts behind the camera") if bc
+            else AngleNearPi("start rotation is within 1e-6 of pi from the prior") if pi
+            else None
+            for bc, pi in zip(behind, near_pi)
+        ]
+        lam = np.full(n, config.lm_lambda0)
+        iters = np.zeros(n, dtype=int)
+        converged = np.zeros(n, dtype=bool)
+        fresh = np.ones(n, dtype=bool)  # the state moved, so its Jacobian is due
+        jtj, grad = np.empty((n, 9, 9)), np.empty((n, 9))
+        live = np.flatnonzero(~(behind | near_pi))
+        while live.size:
+            on = np.zeros(n, dtype=bool)  # still iterating after this pass
+            on[live] = True
+            # Objects whose state moved begin an iteration.
+            new = live[fresh[live]]
+            on[new[iters[new] >= config.max_iter]] = False
+            new = new[iters[new] < config.max_iter]
+            iters[new] += 1
+            for j in new[~np.isfinite(cost[new])]:
+                errors[j] = DivergedError("non-finite cost")
+                on[j] = False
+            new = new[np.isfinite(cost[new])]
+            if new.size:
+                jac = _jacobians(b.take(new), r[new], t[new], dims[new])
+                jac_t = jac.transpose(0, 2, 1)
+                jtj[new], grad[new] = jac_t @ jac, (jac_t @ res[new][..., None])[..., 0]
+                fresh[new] = False
+                flat = new[np.abs(grad[new]).max(axis=1) < config.g_tol]
+                iters[flat] -= 1
+                converged[flat], on[flat] = True, False
+            # Damping exhausted: at a (numerical) local minimum.
+            ex = live[on[live] & (lam[live] > config.lm_lambda_max)]
+            converged[ex] = np.abs(grad[ex]).max(axis=1) < math.sqrt(config.g_tol)
+            on[ex] = False
+            # The others try a damped step.  A singular system gives a NaN step,
+            # whose cost is not finite.
+            i = live[on[live]]
+            if i.size:
+                step = _lm_steps(jtj[i], grad[i], lam[i])
+                dr = so3_exp(step[:, 3:6])
+                r_new, t_new = dr @ r[i], (dr @ t[i][..., None])[..., 0] + step[:, :3]
+                d_new = np.maximum(dims[i] + step[:, 6:9], 1e-2)
+                res_new, behind, near_pi = _residuals(b.take(i), r_new, t_new, d_new)
+                cost_new = np.sum(res_new * res_new, axis=1)
+                ok = ~behind & ~near_pi & np.isfinite(cost_new) & (cost_new < cost[i])
+                lam[i] = np.where(ok, np.maximum(lam[i] / 10.0, 1e-12), lam[i] * 10.0)
+                acc = i[ok]
+                r[acc], t[acc], dims[acc] = r_new[ok], t_new[ok], d_new[ok]
+                res[acc], cost[acc], fresh[acc] = res_new[ok], cost_new[ok], True
+                small = acc[np.linalg.norm(step[ok], axis=1) < config.step_tol]
+                converged[small], on[small] = True, False
+            live = live[on[live]]
+
+        yaw = np.array([wrap_to_pi(math.atan2(m[0, 2], m[2, 2])) for m in r])
+        # Camera-point, dimension and rotation costs of the box as written: yaw only.
+        terms = _term_costs(_residuals(b, rot_y(yaw), t, dims)[0])
+    for j, i in enumerate(idx):
+        if errors[j] is not None:
+            out[i] = errors[j]
+            continue
+        out[i] = SolveReport(
+            box=Box3D(dims=dims[j].copy(), t=t[j].copy(), yaw=yaw[j]),
+            iterations=int(iters[j]),
+            final_cost=float(cost[j]),
+            converged=bool(converged[j]),
+            term_costs=terms[j],
+        )
+    return out
 
 
 def solve(
@@ -311,111 +506,9 @@ def solve(
     weights: EnergyWeights = EnergyWeights(),
     config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
-    """Levenberg-Marquardt over (twist, dims) minimizing the full energy."""
-    n_vis = kps.n_visible
-    if n_vis < _required_visible(priors):
-        raise InsufficientConstraints(
-            f"{n_vis} visible keypoints with priors {priors} are not enough"
-        )
-
-    if config.init_box is not None:
-        r = rot_y(config.init_box.yaw)
-        t = config.init_box.t.copy()
-        dims = config.init_box.dims.copy()
-    else:
-        xi0, dims = initialize(priors, kps, cam)
-        pose0 = exp_se3(xi0)
-        r, t = pose0.r, pose0.t.copy()
-
-    confw = ConfidenceWeight.from_confidences(kps.conf)
-    sqrt_w_cp = np.sqrt(confw.sigma_diag)
-    use_d = priors.d_hat is not None and weights.w_d > 0
-    use_r = priors.theta_hat is not None and weights.w_r > 0
-    sqrt_wd = math.sqrt(weights.w_d) if use_d else 0.0
-    sqrt_wr = math.sqrt(weights.w_r) if use_r else 0.0
-    mask = np.repeat(kps.visible, 2).astype(float)
-
-    def residual_vector(r_, t_, d_):
-        rows = [sqrt_w_cp * mask * _residual_cp(r_, t_, d_, kps, cam)]
-        if use_d:
-            rows.append(sqrt_wd * residual_dimension(d_, priors.d_hat))
-        if use_r:
-            rows.append(sqrt_wr * _residual_rot(r_, priors.theta_hat))
-        return np.concatenate(rows)
-
-    def jacobian_matrix(r_, t_, d_):
-        blocks = [(sqrt_w_cp * mask)[:, None] * _jacobian_cp(r_, t_, d_, cam)]
-        if use_d:
-            jd = np.zeros((3, 9))
-            jd[:, 6:9] = -np.eye(3)
-            blocks.append(sqrt_wd * jd)
-        if use_r:
-            jr = np.zeros((3, 9))
-            jr[:, 3:6] = _rot_prior_jacobian(r_, priors.theta_hat)
-            blocks.append(sqrt_wr * jr)
-        return np.vstack(blocks)
-
-    res = residual_vector(r, t, dims)
-    cost = float(res @ res)
-    lam = config.lm_lambda0
-    converged = False
-    iters = 0
-    for iters in range(1, config.max_iter + 1):
-        if not math.isfinite(cost):
-            raise DivergedError("non-finite cost")
-        jac = jacobian_matrix(r, t, dims)
-        grad = jac.T @ res
-        if np.abs(grad).max() < config.g_tol:
-            converged = True
-            iters -= 1
-            break
-        jtj = jac.T @ jac
-        accepted = False
-        while lam <= config.lm_lambda_max:
-            try:
-                step = np.linalg.solve(jtj + lam * np.eye(9), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            dr = so3_exp(step[3:6])
-            r_new = dr @ r
-            t_new = dr @ t + step[:3]
-            d_new = np.maximum(dims + step[6:9], 1e-2)
-            try:
-                res_new = residual_vector(r_new, t_new, d_new)
-            except BehindCamera:
-                lam *= 10.0
-                continue
-            cost_new = float(res_new @ res_new)
-            if math.isfinite(cost_new) and cost_new < cost:
-                r, t, dims = r_new, t_new, d_new
-                res, cost = res_new, cost_new
-                lam = max(lam / 10.0, 1e-12)
-                accepted = True
-                step_norm = float(np.linalg.norm(step))
-                break
-            lam *= 10.0
-        if not accepted:
-            # Damping exhausted: at a (numerical) local minimum.
-            converged = bool(np.abs(grad).max() < math.sqrt(config.g_tol))
-            break
-        if step_norm < config.step_tol:
-            converged = True
-            break
-
-    yaw = math.atan2(r[0, 2], r[2, 2])
-    try:
-        off_yaw = so3_log(rot_y(yaw).T @ r)
-    except Exception:
-        off_yaw = np.full(3, np.nan)
-    box = Box3D(dims=dims, t=t, yaw=wrap_to_pi(yaw))
-    _, terms = total_energy(box, kps, cam, priors, weights, confw)
-    # Report the cost of the optimized (possibly non-yaw-only) state.
-    return SolveReport(
-        box=box,
-        iterations=iters,
-        final_cost=cost,
-        converged=converged,
-        term_costs=terms,
-        off_yaw=off_yaw,
-    )
+    """Levenberg-Marquardt over (pose, dims) for one object; raises the
+    exception :func:`solve_batch` reports for it."""
+    (report,) = solve_batch([kps], [cam], [priors], weights, config)
+    if isinstance(report, Exception):
+        raise report
+    return report

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from rtm3d import kitti
+from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, SOLVE_CHUNK, main
 from rtm3d.config import RunConfig, load_config, parse_config_text
 from rtm3d.geometry import wrap_to_pi
 from rtm3d.kitti import parse_label_file
@@ -56,15 +57,51 @@ def test_solve_noiseless_matches_ground_truth(dataset, tmp_path):
     assert (out / "solve_log.txt").exists()
 
 
-def test_solve_is_deterministic_and_parallel_consistent(dataset, tmp_path):
+def test_solve_is_deterministic_and_parallel_consistent(tmp_path):
+    # More objects than one solve chunk, so --jobs 2 splits chunks across workers.
+    frames = SOLVE_CHUNK // 4 + 1
+    spec = tmp_path / "scenes.cfg"
+    spec.write_text(f"frames={frames}\nn_objects=4\npixel_sigma=1.0\ndropout=0.1\nseed=11\n")
+    dataset = tmp_path / "data"
+    assert main(["synth", str(spec), str(dataset)]) == EXIT_OK
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["solve", str(dataset), str(a)]) == EXIT_OK
     assert main(["solve", str(dataset), str(b)]) == EXIT_OK
     assert main(["solve", str(dataset), str(c), "--jobs", "2"]) == EXIT_OK
-    for frame in ("000000", "000001", "000002"):
-        text = (a / "data" / f"{frame}.txt").read_bytes()
-        assert (b / "data" / f"{frame}.txt").read_bytes() == text
-        assert (c / "data" / f"{frame}.txt").read_bytes() == text
+    names = sorted(p.name for p in (a / "data").glob("*.txt"))
+    assert len(names) == frames
+    assert sum(len(parse_label_file(a / "data" / n)) for n in names) > SOLVE_CHUNK
+    for name in names:
+        text = (a / "data" / name).read_bytes()
+        assert (b / "data" / name).read_bytes() == text
+        assert (c / "data" / name).read_bytes() == text
+
+
+def test_solve_nan_keypoint_fails_one_object_and_writes_the_rest(dataset, tmp_path):
+    kp_file = dataset / "keypoints" / "000001.txt"
+    lines = kp_file.read_text().splitlines()
+    values = lines[0].split()
+    values[0] = "nan"
+    lines[0] = " ".join(values)
+    kp_file.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "results"
+    assert main(["solve", str(dataset), str(out)]) == EXIT_INPUT
+    for frame, count in (("000000", 2), ("000001", 1), ("000002", 2)):
+        assert len(parse_label_file(out / "data" / f"{frame}.txt")) == count
+    log = (out / "solve_log.txt").read_text()
+    assert "000001 object 0: failed (non-finite cost)" in log
+    assert "000001 object 1: iters=" in log
+
+
+def test_solve_parses_each_calibration_file_once(dataset, tmp_path, monkeypatch):
+    calls = []
+    parse = kitti.parse_calib_file
+    monkeypatch.setattr(kitti, "parse_calib_file", lambda path: calls.append(path) or parse(path))
+    calib = dataset / "calib" / "000000.txt"
+    assert main(["solve", str(dataset), str(tmp_path / "a"), "--calib", str(calib)]) == EXIT_OK
+    assert len(calls) == 1
+    assert main(["solve", str(dataset), str(tmp_path / "b")]) == EXIT_OK
+    assert len(calls) == 1 + 3
 
 
 def test_solve_missing_input_is_input_error(tmp_path):

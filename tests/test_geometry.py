@@ -24,6 +24,7 @@ from rtm3d.geometry import (
     rot_y,
     so3_exp,
     so3_log,
+    so3_log_parts,
     wrap_to_pi,
     yaw_to_alpha,
 )
@@ -70,6 +71,26 @@ def _skew(w):
 def test_so3_log_near_pi_raises():
     with pytest.raises(AngleNearPi):
         so3_log(rot_y(math.pi))
+
+
+def test_rotation_maps_accept_stacks():
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(4, 5, 3))
+    w[0, 0] = [1e-10, -2e-10, 5e-11]
+    r = so3_exp(w)
+    yaws = rng.uniform(-3.0, 3.0, size=6)
+    np.testing.assert_array_equal(rot_y(yaws), [rot_y(y) for y in yaws])
+    for i in range(4):
+        for j in range(5):
+            np.testing.assert_array_equal(r[i, j], so3_exp(w[i, j]))
+            np.testing.assert_array_equal(so3_log(r)[i, j], so3_log(r[i, j]))
+    stack = np.array([np.eye(3), rot_y(math.pi), rot_y(0.5)])
+    with pytest.raises(AngleNearPi):
+        so3_log(stack)
+    vec, theta, near_pi = so3_log_parts(stack)
+    assert near_pi.tolist() == [False, True, False]
+    np.testing.assert_allclose(vec[2], [0.0, 0.5, 0.0], atol=1e-15)
+    np.testing.assert_allclose(theta[[0, 2]], [0.0, 0.5], atol=1e-15)
 
 
 @given(

@@ -7,22 +7,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtm3d.geometry import Box3D, CameraModel, KeypointSet, box_points_3d, project_points, wrap_to_pi
+from rtm3d.geometry import (
+    Box3D,
+    CameraModel,
+    KeypointSet,
+    box_points_3d,
+    project_points,
+    rot_y,
+    so3_exp,
+    so3_log,
+    so3_log_parts,
+    wrap_to_pi,
+)
 from rtm3d.solver import (
     MEAN_CAR_DIMS,
     ConfidenceWeight,
+    DivergedError,
     EnergyWeights,
     InsufficientConstraints,
     Priors,
     SolverConfig,
+    _lm_steps,
+    _rotation_prior_jacobian,
     initialize,
     jacobian_camera_point,
     residual_camera_point,
     residual_dimension,
     residual_rotation,
     solve,
+    solve_batch,
     total_energy,
 )
+from rtm3d.synth import NoiseSpec, SceneSpec, apply_noise, default_camera, generate_scene
 
 CAM = CameraModel(fx=721.5377, fy=721.5377, cx=609.5593, cy=172.854)
 
@@ -125,13 +141,10 @@ def test_initialize_backprojects_center():
     for _ in range(10):
         box = _random_box(rng)
         priors = Priors(d_hat=box.dims.copy(), theta_hat=box.yaw, z_hat=box.t[2])
-        xi, dims = initialize(priors, _keypoints_of(box), CAM)
+        r, t, dims = initialize(priors, _keypoints_of(box), CAM)
         np.testing.assert_allclose(dims, box.dims)
-        from rtm3d.geometry import exp_se3
-
-        pose = exp_se3(xi)
         center = box.t - [0.0, box.h / 2.0, 0.0]
-        start = pose.r @ np.zeros(3) + pose.t - [0.0, dims[0] / 2.0, 0.0]
+        start = r @ np.zeros(3) + t - [0.0, dims[0] / 2.0, 0.0]
         np.testing.assert_allclose(start[2], center[2], atol=1e-9)
         np.testing.assert_allclose(start[:2], center[:2], atol=1e-6)
 
@@ -140,11 +153,10 @@ def test_initialize_without_depth_prior_uses_vertical_extent():
     rng = np.random.default_rng(5)
     box = _random_box(rng)
     priors = Priors(d_hat=box.dims.copy())
-    xi, dims = initialize(priors, _keypoints_of(box), CAM)
-    from rtm3d.geometry import exp_se3
+    r, t, dims = initialize(priors, _keypoints_of(box), CAM)
 
     # Similar triangles on the box height give a usable depth guess.
-    assert 0.5 * box.t[2] < exp_se3(xi).t[2] < 2.0 * box.t[2]
+    assert 0.5 * box.t[2] < t[2] < 2.0 * box.t[2]
 
 
 def test_solve_recovers_noiseless_box():
@@ -196,3 +208,111 @@ def test_total_energy_terms():
 
 def test_mean_car_dims_constant():
     np.testing.assert_allclose(MEAN_CAR_DIMS, [1.53, 1.62, 3.89])
+
+
+def _rotation_residual(r, theta_hat):
+    return so3_log(r.T @ rot_y(theta_hat))
+
+
+def test_rotation_prior_jacobian_matches_finite_differences():
+    # Closed form -J_l^{-1}(e) R^T against central differences of
+    # Log(R^T R_y(theta_hat)) under a left perturbation Exp(dw) R.
+    rng = np.random.default_rng(9)
+    h = 1e-6
+    cases = []
+    for _ in range(50):
+        theta_hat = rng.uniform(-math.pi, math.pi)
+        e0 = rng.normal(size=3)
+        e0 *= rng.uniform(0.0, 3.0) / np.linalg.norm(e0)
+        cases.append((rot_y(theta_hat) @ so3_exp(-e0), theta_hat))
+    # |e| below the Taylor threshold.
+    theta_hat = 0.7
+    cases.append((rot_y(theta_hat) @ so3_exp(np.array([1e-9, -2e-9, 5e-10])), theta_hat))
+    cases.append((rot_y(theta_hat), theta_hat))
+    r = np.array([c[0] for c in cases])
+    thetas = np.array([c[1] for c in cases])
+    jac = _rotation_prior_jacobian(r, thetas)
+    e, theta, near_pi = so3_log_parts(r.transpose(0, 2, 1) @ rot_y(thetas))
+    assert not near_pi.any()
+    assert theta[-2] < 1e-8 and theta[-1] < 1e-8
+    for (rk, th), ek, jk in zip(cases, e, jac):
+        np.testing.assert_allclose(ek, _rotation_residual(rk, th), atol=1e-12)
+        fd = np.empty((3, 3))
+        for k in range(3):
+            dw = np.zeros(3)
+            dw[k] = h
+            fd[:, k] = (
+                _rotation_residual(so3_exp(dw) @ rk, th) - _rotation_residual(so3_exp(-dw) @ rk, th)
+            ) / (2 * h)
+        np.testing.assert_allclose(jk, fd, atol=1e-6)
+
+
+def _noisy_objects(n, seed0):
+    cam = default_camera()
+    objects = []
+    for i in range(n):
+        scene = generate_scene(SceneSpec(n_objects=1, seed=seed0 + i), cam)
+        noise = NoiseSpec(pixel_sigma=(0.0, 1.0, 2.0, 4.0)[i % 4], dropout=0.1)
+        noisy = apply_noise(scene, noise, seed=i)
+        objects.append((noisy[0].kps, scene[0].priors))
+    return cam, objects
+
+
+def test_solve_batch_matches_single_solves():
+    cam, objects = _noisy_objects(320, 7000)
+    kps = [k for k, _ in objects]
+    priors = [p for _, p in objects]
+    batch = solve_batch(kps, [cam] * len(kps), priors)
+    solved = 0
+    for k, p, b in zip(kps, priors, batch):
+        try:
+            single = solve(k, cam, p)
+        except InsufficientConstraints:
+            assert isinstance(b, InsufficientConstraints)
+            continue
+        solved += 1
+        np.testing.assert_allclose(b.box.t, single.box.t, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(b.box.dims, single.box.dims, rtol=0, atol=1e-9)
+        assert abs(wrap_to_pi(b.box.yaw - single.box.yaw)) <= 1e-9
+        assert b.iterations == single.iterations and b.converged == single.converged
+    assert solved >= 300
+
+
+def test_nan_keypoint_fails_only_its_object():
+    rng = np.random.default_rng(10)
+    boxes = [_random_box(rng) for _ in range(3)]
+    kps = [_keypoints_of(b) for b in boxes]
+    pts = kps[1].pts.copy()
+    pts[3, 0] = np.nan
+    kps[1] = KeypointSet(pts=pts, conf=kps[1].conf, visible=kps[1].visible)
+    priors = [Priors(d_hat=b.dims.copy(), theta_hat=b.yaw, z_hat=b.t[2]) for b in boxes]
+    out = solve_batch(kps, [CAM] * 3, priors)
+    assert isinstance(out[1], DivergedError)
+    for i in (0, 2):
+        np.testing.assert_allclose(out[i].box.t, boxes[i].t, atol=1e-6)
+    with pytest.raises(DivergedError):
+        solve(kps[1], CAM, priors[1])
+
+
+@pytest.mark.parametrize("yaw", [-math.pi, math.pi, math.pi - 1e-7])
+def test_solve_with_prior_yaw_at_pi(yaw):
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        box = _random_box(rng)
+        box = Box3D(dims=box.dims, t=box.t, yaw=yaw)
+        priors = Priors(d_hat=box.dims.copy(), theta_hat=yaw, z_hat=box.t[2])
+        report = solve(_keypoints_of(box), CAM, priors)
+        np.testing.assert_allclose(report.box.t, box.t, atol=1e-6)
+        np.testing.assert_allclose(report.box.dims, box.dims, atol=1e-6)
+        assert abs(wrap_to_pi(report.box.yaw - box.yaw)) < 1e-6
+
+
+def test_lm_steps_isolate_a_singular_system():
+    # One singular system makes numpy reject the whole stack; the others
+    # must still get their steps.
+    jtj = np.stack([np.eye(9), np.zeros((9, 9)), 2.0 * np.eye(9)])
+    grad = np.ones((3, 9))
+    steps = _lm_steps(jtj, grad, np.zeros(3))
+    np.testing.assert_allclose(steps[0], -1.0)
+    assert np.isnan(steps[1]).all()
+    np.testing.assert_allclose(steps[2], -0.5)
