@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bev_svg, evaluation, kitti, synth
-from .config import RunConfig, load_config, parse_config_text
+from .config import load_config, parse_config_text
 from .geometry import yaw_to_alpha
+from .kitti import InputError
 from .solver import (
     EnergyWeights,
     InsufficientConstraints,
@@ -32,10 +33,6 @@ EXIT_INTERNAL = 3
 
 # Objects per solve_batch call; bounds the solver's working memory.
 SOLVE_CHUNK = 64
-
-
-class InputError(Exception):
-    """Malformed or missing input; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +59,7 @@ def _frame_id(path: Path) -> str:
 
 def cmd_synth(args) -> int:
     try:
-        spec_values = parse_config_text(Path(args.spec).read_text())
+        spec_values = parse_config_text(Path(args.spec).read_text(), args.spec)
     except OSError as e:
         raise InputError(f"cannot read spec file: {e}") from e
     frames = int(spec_values.pop("frames", 1))
@@ -122,8 +119,7 @@ def _solve_chunk(task):
     when it has no result), its log entry and whether it failed; the number of
     objects fitted (not skipped for too few keypoints); and the chunk's solve
     wall time."""
-    kps, cams, priors, cfg_dict = task
-    cfg = RunConfig(**cfg_dict)
+    kps, cams, priors, cfg = task
     weights = EnergyWeights(w_d=cfg.w_d, w_r=cfg.w_r)
     solver_cfg = SolverConfig(max_iter=cfg.max_iter, g_tol=cfg.g_tol, step_tol=cfg.step_tol)
     t0 = time.perf_counter()
@@ -177,7 +173,7 @@ def cmd_solve(args) -> int:
             raise InputError(f"missing calibration for frame {frame}")
         if calib_path not in cameras:
             cameras[calib_path] = kitti.to_camera_model(kitti.parse_calib_file(calib_path))
-        objects = synth.parse_scene_objects(priors_path.read_text(), kp_path.read_text())
+        objects = synth.parse_scene_objects(priors_path.read_text(), kp_path.read_text(), kp_path)
         frames.append((frame, len(objects)))
         for k, p in objects:
             kps.append(k)
@@ -187,7 +183,7 @@ def cmd_solve(args) -> int:
         raise InputError(f"no frames found under {priors_dir}")
 
     tasks = [
-        (*(seq[i : i + SOLVE_CHUNK] for seq in (kps, cams, priors)), cfg.__dict__)
+        (*(seq[i : i + SOLVE_CHUNK] for seq in (kps, cams, priors)), cfg)
         for i in range(0, len(kps), SOLVE_CHUNK)
     ]
     if args.jobs and args.jobs > 1 and len(tasks) > 1:
@@ -256,25 +252,15 @@ def cmd_eval(args) -> int:
     for frame in extra:
         log.info("frame %s has results but no ground truth", frame)
 
-    difficulties = (
-        [args.difficulty] if args.difficulty else ["easy", "moderate", "hard"]
-    )
+    difficulties = [args.difficulty] if args.difficulty else ["easy", "moderate", "hard"]
     iou = args.iou if args.iou is not None else 0.5
     n_points = 40 if args.forty_point else 11
+    filters = [evaluation.DifficultyFilter.by_name(name) for name in difficulties]
+    curves = evaluation.evaluate(det_frames, gt_frames, filters, iou, n_points=n_points)
     lines = [f"interpolation={n_points}point", f"iou_threshold={iou}"]
-    for diff_name in difficulties:
-        diff = evaluation.DifficultyFilter.by_name(diff_name)
-        ap3d = evaluation.average_precision(
-            det_frames, gt_frames, iou, diff, metric="3d", n_points=n_points
-        ).ap
-        apbev = evaluation.average_precision(
-            det_frames, gt_frames, iou, diff, metric="bev", n_points=n_points
-        ).ap
-        aos_val, ap2d = evaluation.aos(det_frames, gt_frames, diff, n_points=n_points)
-        lines.append(f"ap_3d_{diff_name}={ap3d:.6f}")
-        lines.append(f"ap_bev_{diff_name}={apbev:.6f}")
-        lines.append(f"aos_{diff_name}={aos_val:.6f}")
-        lines.append(f"ap_2d_{diff_name}={ap2d:.6f}")
+    for name in difficulties:
+        for key, metric in (("ap_3d", "3d"), ("ap_bev", "bev"), ("aos", "aos"), ("ap_2d", "2d")):
+            lines.append(f"{key}_{name}={curves[name][metric].ap:.6f}")
     report = "".join(line + "\n" for line in lines)
     print(report, end="")
     if args.out:
@@ -349,13 +335,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InputError as e:
-        print(f"rtm3d: input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (kitti.FieldCountError, kitti.NumericParseError, kitti.MissingP2Error) as e:
-        print(f"rtm3d: input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
+    except (InputError, OSError) as e:
         print(f"rtm3d: input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:  # pragma: no cover - defensive

@@ -5,14 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .kitti import InputError
+
 __all__ = ["RunConfig", "load_config", "parse_config_text"]
 
 
 @dataclass
 class RunConfig:
-    # Detection thresholds on the decoded heatmaps.
-    main_threshold: float = 0.4
-    keypoint_threshold: float = 0.1
     # Prior-term weights of the solve energy.
     w_d: float = 1.0
     w_r: float = 1.0
@@ -20,48 +19,41 @@ class RunConfig:
     max_iter: int = 100
     g_tol: float = 1e-8
     step_tol: float = 1e-10
-    # Evaluation settings.
-    iou_threshold: float = 0.5
-    difficulty: str = "moderate"
-    ap_points: int = 11
-    # Misc.
-    seed: int = 0
-    jobs: int = 1
 
 
-def parse_config_text(text: str) -> dict:
-    values = {}
+def _entries(text: str, source):
+    """(line number, key, value) per key=value line; blank and # lines skipped."""
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(f"config line {line_no}: expected key=value, got {line!r}")
+            raise InputError(f"{source}, line {line_no}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+        yield line_no, key.strip(), value.strip()
 
 
-def _coerce(value: str, target_type):
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return float(value)
-    return value
+def parse_config_text(text: str, source="config") -> dict:
+    return {key: value for _, key, value in _entries(text, source)}
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Config from an optional key=value file plus explicit overrides."""
+    """Config from an optional key=value file plus explicit overrides; a
+    ``None`` override keeps the file's or the default value."""
     cfg = RunConfig()
-    by_name = {f.name: f for f in fields(RunConfig)}
-    merged = {}
+    types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
     if path is not None:
-        merged.update(parse_config_text(Path(path).read_text()))
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-    for key, value in merged.items():
-        if key not in by_name:
+        for line_no, key, value in _entries(Path(path).read_text(), path):
+            if key not in types:
+                raise InputError(f"{path}, line {line_no}: unknown config key {key!r}")
+            try:
+                setattr(cfg, key, types[key](value))
+            except ValueError:
+                raise InputError(f"{path}, line {line_no}: bad value {value!r} for {key}") from None
+    for key, value in (overrides or {}).items():
+        if value is None:
+            continue
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        f = by_name[key]
-        setattr(cfg, key, _coerce(str(value), f.type if isinstance(f.type, type) else type(getattr(cfg, key))))
+        setattr(cfg, key, types[key](str(value)))
     return cfg

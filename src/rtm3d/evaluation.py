@@ -1,10 +1,14 @@
 """KITTI-style detection metrics.
 
 Bird's-eye-view IoU intersects the two yaw-rotated footprints by
-Sutherland-Hodgman polygon clipping; 3D IoU multiplies that by the
-vertical interval overlap.  Average precision uses the 11-point
-interpolated protocol (40-point available behind a flag), with DontCare
-regions and out-of-difficulty ground truth ignored rather than counted.
+Sutherland-Hodgman polygon clipping, skipped when their circumcircles do not
+meet; 3D IoU multiplies that area by the vertical interval overlap.
+:func:`evaluate` scores a run in one pass: per frame it builds the
+detection x ground-truth IoU matrices once (BEV and 3D from one footprint
+intersection per pair, 2D against every ground truth), then matches greedily
+per difficulty and metric, with difficulties as masks over ground-truth
+columns.  AP is 11-point interpolated (40-point behind a flag); DontCare
+regions and out-of-difficulty ground truth are ignored rather than counted.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "bev_corners",
     "bev_iou",
     "box_2d_iou",
+    "evaluate",
     "iou_3d",
 ]
 
@@ -62,14 +67,9 @@ class DifficultyFilter:
 
     @staticmethod
     def by_name(name: str) -> "DifficultyFilter":
-        presets = {
-            "easy": DifficultyFilter.easy,
-            "moderate": DifficultyFilter.moderate,
-            "hard": DifficultyFilter.hard,
-        }
-        if name not in presets:
+        if name not in ("easy", "moderate", "hard"):
             raise ValueError(f"unknown difficulty {name!r}")
-        return presets[name]()
+        return getattr(DifficultyFilter, name)()
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,9 @@ def _polygon_area(poly: np.ndarray) -> float:
 
 
 def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clipping of a polygon by a convex polygon."""
-    # Ensure counterclockwise clip orientation for a consistent inside test.
-    if _signed_area(clip) < 0:
-        clip = clip[::-1]
+    """Sutherland-Hodgman clipping of a polygon by a counterclockwise convex
+    polygon, such as :func:`bev_corners` returns (its rotation has determinant +1
+    and box dimensions are positive)."""
     output = list(subject)
     for i in range(len(clip)):
         a, b = clip[i], clip[(i + 1) % len(clip)]
@@ -151,34 +150,41 @@ def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.array(output) if output else np.zeros((0, 2))
 
 
-def _signed_area(poly: np.ndarray) -> float:
-    x, z = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)))
-
-
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    inter = _clip_polygon(bev_corners(a), bev_corners(b))
-    return _polygon_area(inter)
+    """Footprint intersection area; 0 without clipping when the footprints'
+    circumcircles do not meet."""
+    reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(b.l, b.w))
+    if math.hypot(a.t[0] - b.t[0], a.t[2] - b.t[2]) > reach:
+        return 0.0
+    return _polygon_area(_clip_polygon(bev_corners(a), bev_corners(b)))
+
+
+def _bounded_ratio(inter: float, total: float) -> float:
+    union = total - inter
+    if union <= _AREA_EPS:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def _footprint_ious(a: Box3D, b: Box3D) -> tuple[float, float]:
+    """(BEV IoU, 3D IoU) from one footprint intersection; boxes are
+    bottom-anchored with y pointing down."""
+    inter_area = bev_intersection_area(a, b)
+    y_overlap = max(0.0, min(a.t[1], b.t[1]) - max(a.t[1] - a.h, b.t[1] - b.h))
+    return (
+        _bounded_ratio(inter_area, a.w * a.l + b.w * b.l),
+        _bounded_ratio(inter_area * y_overlap, a.h * a.w * a.l + b.h * b.w * b.l),
+    )
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """IoU of the yaw-rotated footprints in the ground plane."""
-    inter = bev_intersection_area(a, b)
-    union = a.w * a.l + b.w * b.l - inter
-    if union <= _AREA_EPS:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return _footprint_ious(a, b)[0]
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume IoU; boxes are bottom-anchored with y pointing down."""
-    inter_area = bev_intersection_area(a, b)
-    y_overlap = max(0.0, min(a.t[1], b.t[1]) - max(a.t[1] - a.h, b.t[1] - b.h))
-    inter = inter_area * y_overlap
-    union = a.h * a.w * a.l + b.h * b.w * b.l - inter
-    if union <= _AREA_EPS:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return _footprint_ious(a, b)[1]
 
 
 def box_2d_iou(a, b) -> float:
@@ -195,81 +201,98 @@ def box_2d_iou(a, b) -> float:
     return inter / union
 
 
-def _interp_ap(recall, precision, n_points: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _frame_overlaps(dets: list, gts: list, category: str) -> dict:
+    """One frame's detection x ground-truth IoU rows per metric; ground truth
+    of another category gets no box and reads 0 in 3D and BEV."""
+    boxes = [label_to_box3d(g) if g.type == category else None for g in gts]
+    pairs = [[_footprint_ious(d.box, b) if b is not None else (0.0, 0.0) for b in boxes] for d in dets]
+    return {
+        "bev": [[p[0] for p in row] for row in pairs],
+        "3d": [[p[1] for p in row] for row in pairs],
+        "2d": [[box_2d_iou(d.bbox, g.bbox) for g in gts] for d in dets],
+    }
+
+
+def _match(dets, gts, overlap, overlap_2d, counted, ignored, threshold) -> list:
+    """Greedy matching of score-sorted detections (rows) to the counted
+    columns: the first largest unmatched overlap wins if it reaches
+    ``threshold``.  Returns (score, tp, orientation similarity) per detection,
+    leaving out an unmatched one that reaches ``threshold`` in 2D on an
+    ignored column."""
+    free = list(counted)
+    outcomes = []
+    for i, det in enumerate(dets):
+        best_iou, best = 0.0, -1
+        for j in free:
+            if overlap[i][j] > best_iou:
+                best_iou, best = overlap[i][j], j
+        if best_iou >= threshold:
+            free.remove(best)
+            sim = 0.5 * (1.0 + math.cos(wrap_to_pi(det.alpha - gts[best].alpha)))
+            outcomes.append((det.score, 1.0, sim))
+        elif not any(overlap_2d[i][j] >= threshold for j in ignored):
+            outcomes.append((det.score, 0.0, 0.0))
+    return outcomes
+
+
+def _curve(outcomes: list, n_gt: int, n_points: int, use_similarity=False) -> PRCurve:
+    """Interpolated PR curve of (score, tp, similarity) outcomes; with
+    ``use_similarity`` precision sums orientation similarity, as AOS does."""
+    if n_gt == 0 or not outcomes:
+        return PRCurve(recall=np.zeros(0), precision=np.zeros(0), ap=0.0)
+    _, tp, sim = np.array(sorted(outcomes, key=lambda o: -o[0])).T
+    recall = np.cumsum(tp) / n_gt
+    precision = np.cumsum(sim if use_similarity else tp) / np.arange(1, len(tp) + 1)
     if n_points == 11:
         samples = np.linspace(0.0, 1.0, 11)
     else:
         samples = np.arange(1, n_points + 1) / n_points
-    interp = np.zeros(len(samples))
-    for i, r in enumerate(samples):
-        mask = recall >= r - 1e-12
-        interp[i] = precision[mask].max() if np.any(mask) else 0.0
-    return samples, interp, float(interp.mean())
+    interp = np.array([precision[recall >= r - 1e-12].max(initial=0.0) for r in samples])
+    return PRCurve(recall=samples, precision=interp, ap=float(interp.mean()))
 
 
-def _match_frames(
+def evaluate(
     detections: dict,
     ground_truths: dict,
-    overlap,
-    threshold: float,
-    difficulty: DifficultyFilter,
-    category: str,
-):
-    """Greedy score-descending matching per frame.
+    difficulties: list[DifficultyFilter],
+    iou_threshold: float = 0.5,
+    iou_2d: float = 0.7,
+    category: str = "Car",
+    n_points: int = 11,
+) -> dict:
+    """Every curve of a run in one pass over the frames, as
+    ``{difficulty name: {"3d" | "bev" | "2d" | "aos": PRCurve}}``.
 
-    Returns (outcomes, n_gt): outcomes is a list of
-    (score, tp_flag, ignored_flag, orientation_similarity) per detection of
-    the category; n_gt counts ground truths inside the difficulty filter.
+    ``detections`` maps frame id to a list of :class:`DetectionRecord`,
+    ``ground_truths`` to a list of :class:`KittiLabel`, and ``difficulties``
+    is a sequence of :class:`DifficultyFilter`.  3D and BEV match at
+    ``iou_threshold``; AP_2d and AOS share one matching by 2D IoU at ``iou_2d``.
     """
-    outcomes = []
-    n_gt = 0
-    frames = sorted(set(detections) | set(ground_truths))
-    for frame in frames:
+    thresholds = {"3d": iou_threshold, "bev": iou_threshold, "2d": iou_2d}
+    outcomes = {(diff.name, m): [] for diff in difficulties for m in thresholds}
+    n_gt = dict.fromkeys((diff.name for diff in difficulties), 0)
+    for frame in sorted(set(detections) | set(ground_truths)):
         dets = [d for d in detections.get(frame, []) if d.category == category]
+        dets.sort(key=lambda d: -d.score)
         gts = ground_truths.get(frame, [])
-        relevant = [g for g in gts if g.type == category and difficulty.accepts(g)]
-        ignored = [
-            g
-            for g in gts
-            if g.is_dontcare or (g.type == category and not difficulty.accepts(g))
-        ]
-        n_gt += len(relevant)
-        matched = [False] * len(relevant)
-        for det in sorted(dets, key=lambda d: -d.score):
-            best_iou, best_idx = 0.0, -1
-            for i, gt in enumerate(relevant):
-                if matched[i]:
-                    continue
-                o = overlap(det, gt)
-                if o > best_iou:
-                    best_iou, best_idx = o, i
-            if best_iou >= threshold:
-                matched[best_idx] = True
-                sim = 0.5 * (1.0 + math.cos(wrap_to_pi(det.alpha - relevant[best_idx].alpha)))
-                outcomes.append((det.score, True, False, sim))
-                continue
-            # Detections landing on ignored regions are neither TP nor FP.
-            ignore_hit = any(
-                box_2d_iou(det.bbox, g.bbox) >= threshold for g in ignored
-            )
-            outcomes.append((det.score, False, ignore_hit, 0.0))
-    return outcomes, n_gt
-
-
-def _curve_from_outcomes(outcomes, n_gt, n_points, use_similarity=False):
-    kept = [(s, tp, sim) for s, tp, ign, sim in outcomes if not ign]
-    if n_gt == 0 or not kept:
-        return PRCurve(recall=np.zeros(0), precision=np.zeros(0), ap=0.0)
-    kept.sort(key=lambda x: -x[0])
-    tp = np.array([1.0 if k[1] else 0.0 for k in kept])
-    sim = np.array([k[2] for k in kept])
-    cum_tp = np.cumsum(tp)
-    cum_all = np.arange(1, len(kept) + 1)
-    recall = cum_tp / n_gt
-    numerator = np.cumsum(sim) if use_similarity else cum_tp
-    precision = numerator / cum_all
-    samples, interp, ap = _interp_ap(recall, precision, n_points)
-    return PRCurve(recall=samples, precision=interp, ap=ap)
+        overlaps = _frame_overlaps(dets, gts, category)
+        for diff in difficulties:
+            counted = [j for j, g in enumerate(gts) if g.type == category and diff.accepts(g)]
+            ignored = [
+                j for j, g in enumerate(gts)
+                if g.is_dontcare or (g.type == category and j not in counted)
+            ]
+            n_gt[diff.name] += len(counted)
+            for m, threshold in thresholds.items():
+                outcomes[diff.name, m] += _match(
+                    dets, gts, overlaps[m], overlaps["2d"], counted, ignored, threshold
+                )
+    curves = {}
+    for diff in difficulties:
+        n = n_gt[diff.name]
+        curves[diff.name] = {m: _curve(outcomes[diff.name, m], n, n_points) for m in thresholds}
+        curves[diff.name]["aos"] = _curve(outcomes[diff.name, "2d"], n, n_points, use_similarity=True)
+    return curves
 
 
 def average_precision(
@@ -281,26 +304,15 @@ def average_precision(
     category: str = "Car",
     n_points: int = 11,
 ) -> PRCurve:
-    """Interpolated AP over frames.
-
-    ``detections`` maps frame id to a list of :class:`DetectionRecord`;
-    ``ground_truths`` maps frame id to a list of :class:`KittiLabel`.
-    ``metric`` selects the overlap: "3d", "bev" or "2d".
-    """
-    if difficulty is None:
-        difficulty = DifficultyFilter.moderate()
-    if metric == "3d":
-        overlap = lambda d, g: iou_3d(d.box, label_to_box3d(g))  # noqa: E731
-    elif metric == "bev":
-        overlap = lambda d, g: bev_iou(d.box, label_to_box3d(g))  # noqa: E731
-    elif metric == "2d":
-        overlap = lambda d, g: box_2d_iou(d.bbox, g.bbox)  # noqa: E731
-    else:
+    """Interpolated AP over frames of one ``metric`` ("3d", "bev" or "2d")
+    matched at ``iou_threshold``; inputs as for :func:`evaluate`."""
+    if metric not in ("3d", "bev", "2d"):
         raise ValueError(f"unknown metric {metric!r}")
-    outcomes, n_gt = _match_frames(
-        detections, ground_truths, overlap, iou_threshold, difficulty, category
+    difficulty = difficulty or DifficultyFilter.moderate()
+    curves = evaluate(
+        detections, ground_truths, [difficulty], iou_threshold, iou_threshold, category, n_points
     )
-    return _curve_from_outcomes(outcomes, n_gt, n_points)
+    return curves[difficulty.name][metric]
 
 
 def aos(
@@ -316,12 +328,9 @@ def aos(
     Matching uses axis-aligned 2D IoU; each true positive contributes
     (1 + cos(alpha error)) / 2.  AOS can never exceed the returned AP.
     """
-    if difficulty is None:
-        difficulty = DifficultyFilter.moderate()
-    overlap = lambda d, g: box_2d_iou(d.bbox, g.bbox)  # noqa: E731
-    outcomes, n_gt = _match_frames(
-        detections, ground_truths, overlap, iou_threshold, difficulty, category
-    )
-    curve_sim = _curve_from_outcomes(outcomes, n_gt, n_points, use_similarity=True)
-    curve_ap = _curve_from_outcomes(outcomes, n_gt, n_points, use_similarity=False)
-    return curve_sim.ap, curve_ap.ap
+    difficulty = difficulty or DifficultyFilter.moderate()
+    curves = evaluate(
+        detections, ground_truths, [difficulty], iou_2d=iou_threshold, category=category,
+        n_points=n_points,
+    )[difficulty.name]
+    return curves["aos"].ap, curves["2d"].ap

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import KeypointSet, wrap_to_pi
+from .solver import MEAN_CAR_DIMS as DIM_MEAN
 
 __all__ = [
     "GaussianSpec",
@@ -45,8 +46,8 @@ DOWNSAMPLE = 4
 MAIN_THRESHOLD = 0.4
 KEYPOINT_THRESHOLD = 0.1
 
-# Standardization statistics for car dimensions (h, w, l).
-DIM_MEAN = np.array([1.53, 1.62, 3.89])
+# Standardization statistics for car dimensions (h, w, l): DIM_MEAN is the
+# solver's mean car, DIM_STD its spread.
 DIM_STD = np.array([0.13, 0.10, 0.41])
 
 MULTIBIN_CENTERS = (-math.pi / 2.0, math.pi / 2.0)

@@ -16,6 +16,7 @@ from .geometry import Box3D, CameraModel
 
 __all__ = [
     "FieldCountError",
+    "InputError",
     "KittiCalib",
     "KittiLabel",
     "MissingP2Error",
@@ -31,20 +32,25 @@ __all__ = [
 ]
 
 
-class FieldCountError(ValueError):
+class InputError(ValueError):
+    """Malformed or missing input, named by file and line where known; the
+    command line maps it to exit code 2."""
+
+
+class FieldCountError(InputError):
     def __init__(self, line_no: int, count: int):
         super().__init__(f"line {line_no}: expected 15 or 16 fields, got {count}")
         self.line_no = line_no
 
 
-class NumericParseError(ValueError):
+class NumericParseError(InputError):
     def __init__(self, line_no: int, token: str):
         super().__init__(f"line {line_no}: cannot parse number {token!r}")
         self.line_no = line_no
         self.token = token
 
 
-class MissingP2Error(ValueError):
+class MissingP2Error(InputError):
     """Calibration text has no P2 line."""
 
 

@@ -30,7 +30,7 @@ from .heatmaps import (
     multibin_encode,
     render_gaussian,
 )
-from .kitti import KittiLabel, parse_labels
+from .kitti import InputError, KittiLabel, parse_labels
 from .solver import Priors
 
 __all__ = [
@@ -337,14 +337,18 @@ def keypoints_sidecar_text(scene: list[SceneObject]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def parse_keypoints_sidecar(text: str) -> list[KeypointSet]:
+def parse_keypoints_sidecar(text: str, source="keypoint sidecar") -> list[KeypointSet]:
+    """Keypoint sets from sidecar text; ``source`` names the file in errors."""
     sets = []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        vals = [float(t) for t in line.split()]
+        try:
+            vals = [float(t) for t in line.split()]
+        except ValueError as e:
+            raise InputError(f"{source}, line {line_no}: {e}") from None
         if len(vals) != 27:
-            raise ValueError(f"keypoint sidecar line has {len(vals)} values, expected 27")
+            raise InputError(f"{source}, line {line_no}: {len(vals)} values, expected 27")
         arr = np.array(vals).reshape(9, 3)
         conf = np.clip(arr[:, 2], 0.0, 1.0)
         visible = arr[:, 2] > 0.0
@@ -352,13 +356,15 @@ def parse_keypoints_sidecar(text: str) -> list[KeypointSet]:
     return sets
 
 
-def parse_scene_objects(priors_text: str, keypoints_text: str) -> list[tuple[KeypointSet, Priors]]:
+def parse_scene_objects(
+    priors_text: str, keypoints_text: str, keypoints_source="keypoint sidecar"
+) -> list[tuple[KeypointSet, Priors]]:
     """Rebuild solver inputs from the priors file and keypoint sidecar."""
     labels = parse_labels(priors_text)
-    kp_sets = parse_keypoints_sidecar(keypoints_text)
+    kp_sets = parse_keypoints_sidecar(keypoints_text, keypoints_source)
     if len(labels) != len(kp_sets):
-        raise ValueError(
-            f"priors file has {len(labels)} objects but sidecar has {len(kp_sets)}"
+        raise InputError(
+            f"{keypoints_source}: {len(kp_sets)} objects, but the priors file has {len(labels)}"
         )
     out = []
     for label, kps in zip(labels, kp_sets):

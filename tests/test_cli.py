@@ -93,6 +93,15 @@ def test_solve_nan_keypoint_fails_one_object_and_writes_the_rest(dataset, tmp_pa
     assert "000001 object 1: iters=" in log
 
 
+def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
+    kp_file = dataset / "keypoints" / "000001.txt"
+    lines = kp_file.read_text().splitlines()
+    lines[1] = " ".join(lines[1].split()[:26])
+    kp_file.write_text("\n".join(lines) + "\n")
+    assert main(["solve", str(dataset), str(tmp_path / "out")]) == EXIT_INPUT
+    assert f"{kp_file}, line 2: 26 values, expected 27" in capsys.readouterr().err
+
+
 def test_solve_parses_each_calibration_file_once(dataset, tmp_path, monkeypatch):
     calls = []
     parse = kitti.parse_calib_file
@@ -113,6 +122,13 @@ def test_solve_reads_config_file(dataset, tmp_path):
     cfg.write_text("max_iter=50\nw_d=2.0\n")
     out = tmp_path / "results"
     assert main(["solve", str(dataset), str(out), "--config", str(cfg)]) == EXIT_OK
+
+
+def test_solve_unknown_config_key_is_input_error(dataset, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_iter=50\nbogus=1\n")
+    assert main(["solve", str(dataset), str(tmp_path / "out"), "--config", str(cfg)]) == EXIT_INPUT
+    assert f"{cfg}, line 2: unknown config key 'bogus'" in capsys.readouterr().err
 
 
 def test_eval_reports_metrics(dataset, tmp_path, capsys):
@@ -193,11 +209,11 @@ def test_config_parsing():
 
 def test_load_config_overrides(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("max_iter=7\niou_threshold=0.7\n")
-    cfg = load_config(path, overrides={"jobs": 4, "seed": None})
+    path.write_text("max_iter=7\nw_r=0.7\n")
+    cfg = load_config(path, overrides={"g_tol": 1e-6, "w_r": None, "step_tol": None})
     assert cfg.max_iter == 7
-    assert cfg.iou_threshold == 0.7
-    assert cfg.jobs == 4
-    assert cfg.seed == RunConfig().seed
+    assert cfg.w_r == 0.7
+    assert cfg.g_tol == 1e-6
+    assert cfg.step_tol == RunConfig().step_tol
     with pytest.raises(ValueError):
         load_config(path, overrides={"unknown": 1})

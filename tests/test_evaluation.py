@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from rtm3d.evaluation import (
     DetectionRecord,
     DifficultyFilter,
+    _clip_polygon,
+    _polygon_area,
     aos,
     average_precision,
     bev_corners,
     bev_iou,
     box_2d_iou,
+    evaluate,
     iou_3d,
 )
 from rtm3d.geometry import Box3D
@@ -64,6 +67,50 @@ def test_bev_iou_symmetric_and_bounded(dx, dz, ya, yb):
     iou = bev_iou(a, b)
     assert 0.0 <= iou <= 1.0 + 1e-12
     assert iou == pytest.approx(bev_iou(b, a), abs=1e-12)
+
+
+def _clipped_ious(a, b):
+    """(BEV, 3D) IoU from an unconditional clip of the two footprints."""
+    inter = _polygon_area(_clip_polygon(bev_corners(a), bev_corners(b)))
+    y_overlap = max(0.0, min(a.t[1], b.t[1]) - max(a.t[1] - a.h, b.t[1] - b.h))
+    out = []
+    for inter_m, total in ((inter, a.w * a.l + b.w * b.l),
+                           (inter * y_overlap, a.h * a.w * a.l + b.h * b.w * b.l)):
+        union = total - inter_m
+        out.append(min(max(inter_m / union, 0.0), 1.0) if union > 1e-9 else 0.0)
+    return tuple(out)
+
+
+def test_circumcircle_skip_equals_clipping_bit_for_bit():
+    rng = np.random.default_rng(4)
+    clipped = 0
+    for _ in range(300):
+        a = _box(x=rng.uniform(-5, 5), z=rng.uniform(8, 30), w=rng.uniform(1.4, 2.0),
+                 l=rng.uniform(3.0, 5.0), h=rng.uniform(1.3, 1.9),
+                 yaw=rng.uniform(-math.pi, math.pi), y=rng.uniform(1.0, 2.0))
+        w, l = rng.uniform(1.4, 2.0), rng.uniform(3.0, 5.0)
+        reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(l, w))
+        c, s = math.cos(a.yaw), math.sin(a.yaw)
+        gap = 0.5 * (a.w + w)
+        # Same yaw, one half-width sum apart across the long side: edges touch.
+        pairs = [(a, _box(x=a.t[0] + gap * s, z=a.t[2] + gap * c, w=w, l=a.l, yaw=a.yaw))]
+        for d in (reach * (1 - 1e-9), reach * (1 + 1e-9), reach * (1 + 1e-6), rng.uniform(0.0, reach)):
+            heading = rng.uniform(-math.pi, math.pi)
+            b = _box(x=a.t[0] + d * math.cos(heading), z=a.t[2] + d * math.sin(heading), w=w, l=l,
+                     h=rng.uniform(1.3, 1.9), yaw=rng.uniform(-math.pi, math.pi), y=rng.uniform(1.0, 2.0))
+            pairs.append((a, b))
+        for a, b in pairs:
+            want = _clipped_ious(a, b)
+            clipped += want[0] > 0.0
+            assert (bev_iou(a, b), iou_3d(a, b)) == want
+        # Corner to corner along the diagonal, circumcircles tangent: the true
+        # overlap is 0, and clipping, with its 1e-9 inside tolerance, may
+        # report rounding noise where the skip reports 0.
+        off = np.array([[c, s], [-s, c]]) @ np.array([a.l, a.w])
+        b = _box(x=a.t[0] + off[0], z=a.t[2] + off[1], w=a.w, l=a.l, h=a.h, yaw=a.yaw, y=a.t[1])
+        want, got = _clipped_ious(a, b), (bev_iou(a, b), iou_3d(a, b))
+        assert got == want or (got == (0.0, 0.0) and max(want) < 1e-12)
+    assert clipped > 150
 
 
 def test_iou_3d_identity_and_height_overlap():
@@ -203,26 +250,39 @@ def test_ap_matches_exhaustive_reference():
     assert got == pytest.approx(_reference_ap(dets, gts, 0.5), abs=1e-12)
 
 
-def _reference_ap(dets, gts, thr):
-    """Deliberately naive AP: explicit greedy matching plus 11-point sweep."""
+def _reference_ap(dets, gts, thr, metric="bev", difficulty=None):
+    """Deliberately naive AP: explicit greedy matching plus 11-point sweep.
+
+    Cars outside ``difficulty`` and DontCare regions are not counted; a
+    detection matching no counted car whose 2D IoU with one of them reaches
+    ``thr`` is left out of the sweep.
+    """
+    def overlap(det, lb):
+        if metric == "2d":
+            return box_2d_iou(det.bbox, lb.bbox)
+        return (iou_3d if metric == "3d" else bev_iou)(det.box, _boxof(lb))
+
+    def counts(lb):
+        return lb.type == "Car" and (difficulty is None or difficulty.accepts(lb))
+
     scored = []
     n_gt = 0
     for frame in gts:
-        gt_boxes = [(_boxof(lb), False) for lb in gts[frame]]
-        gt_boxes = [list(g) for g in gt_boxes]
+        gt_boxes = [[lb, False] for lb in gts[frame] if counts(lb)]
+        ignored = [lb for lb in gts[frame] if lb.type in ("Car", "DontCare") and not counts(lb)]
         n_gt += len(gt_boxes)
         for det in sorted(dets.get(frame, []), key=lambda d: -d.score):
             best, best_iou = None, thr
             for g in gt_boxes:
                 if g[1]:
                     continue
-                iou = bev_iou(det.box, g[0])
+                iou = overlap(det, g[0])
                 if iou >= best_iou:
                     best, best_iou = g, iou
             if best is not None:
                 best[1] = True
                 scored.append((det.score, True))
-            else:
+            elif not any(box_2d_iou(det.bbox, lb.bbox) >= thr for lb in ignored):
                 scored.append((det.score, False))
     scored.sort(key=lambda s: -s[0])
     ap = 0.0
@@ -242,6 +302,44 @@ def _reference_ap(dets, gts, thr):
 
 def _boxof(lb):
     return Box3D(dims=np.array(lb.dimensions), t=np.array(lb.location), yaw=lb.rotation_y)
+
+
+def test_evaluate_matches_reference_for_each_difficulty_and_metric():
+    rng = np.random.default_rng(5)
+    gts, dets = {}, {}
+    for f in range(10):
+        frame = f"{f:06d}"
+        gts[frame], dets[frame] = [], []
+        for i in range(6):
+            box = _box(x=5.0 * i - 12.5, z=rng.uniform(8, 40), yaw=rng.uniform(-math.pi, math.pi))
+            height = rng.choice([20.0, 30.0, 60.0, 60.0]) + rng.uniform(-3, 3)
+            left, top = rng.uniform(0, 1000), rng.uniform(50, 200)
+            bbox = (left, top, left + 1.6 * height, top + height)
+            gts[frame].append(_gt_label(box, bbox=bbox, occluded=int(rng.choice([0, 0, 1, 2])),
+                                        truncated=float(rng.choice([0.0, 0.1, 0.2, 0.4]))))
+            if rng.uniform() < 0.85:
+                jittered = Box3D(dims=box.dims * (1 + rng.normal(0, 0.05, 3)),
+                                 t=box.t + rng.normal(0, 0.3, 3) * [1, 0.2, 1], yaw=box.yaw)
+                dets[frame].append(_det(jittered, float(rng.uniform(0.2, 1.0)),
+                                        bbox=tuple(np.add(bbox, rng.normal(0, 2.0, 4)))))
+        # A DontCare region with a false positive inside, and a stray false positive.
+        left = float(rng.uniform(0, 1000))
+        dc = (left, 20.0, left + 80.0, 60.0)
+        gts[frame].append(KittiLabel(
+            type="DontCare", truncated=-1, occluded=-1, alpha=-10, bbox=dc, dimensions=(-1, -1, -1),
+            location=(-1000, -1000, -1000), rotation_y=-10, score=None))
+        dets[frame].append(_det(_box(x=30.0, z=rng.uniform(8, 30)), float(rng.uniform(0.1, 0.9)),
+                                bbox=(dc[0] + 5, dc[1] + 5, dc[2] - 5, dc[3] - 5)))
+        dets[frame].append(_det(_box(x=-30.0, z=rng.uniform(8, 30)), float(rng.uniform(0.1, 0.9)),
+                                bbox=(1100.0, 300.0, 1180.0, 350.0)))
+    diffs = [DifficultyFilter.by_name(name) for name in ("easy", "moderate", "hard")]
+    for thr in (0.5, 0.7):
+        curves = evaluate(dets, gts, diffs, thr, thr)
+        for diff in diffs:
+            for metric in ("3d", "bev", "2d"):
+                want = _reference_ap(dets, gts, thr, metric, diff)
+                assert curves[diff.name][metric].ap == pytest.approx(want, abs=1e-12)
+        assert len({curves[d.name]["bev"].ap for d in diffs}) == 3
 
 
 def test_aos_never_exceeds_ap2d():
