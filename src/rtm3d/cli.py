@@ -9,12 +9,11 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import bev_svg, evaluation, kitti, synth
-from .config import load_config, parse_config_text
+from . import bev_svg, evaluation, heatmaps, kitti, synth
+from .config import load_config, load_synth_spec
 from .geometry import yaw_to_alpha
 from .kitti import InputError
 from .solver import (
@@ -58,54 +57,24 @@ def _frame_id(path: Path) -> str:
 
 
 def cmd_synth(args) -> int:
-    try:
-        spec_values = parse_config_text(Path(args.spec).read_text(), args.spec)
-    except OSError as e:
-        raise InputError(f"cannot read spec file: {e}") from e
-    frames = int(spec_values.pop("frames", 1))
-    with_headmaps = bool(int(spec_values.pop("headmaps", 0)))
-    noise = synth.NoiseSpec(
-        pixel_sigma=float(spec_values.pop("pixel_sigma", 0.0)),
-        dropout=float(spec_values.pop("dropout", 0.0)),
-        dim_sigma=float(spec_values.pop("dim_sigma", 0.0)),
-        yaw_sigma=float(spec_values.pop("yaw_sigma", 0.0)),
-        depth_rel_sigma=float(spec_values.pop("depth_rel_sigma", 0.0)),
-    )
-    scene_kwargs = {}
-    if "n_objects" in spec_values:
-        scene_kwargs["n_objects"] = int(spec_values.pop("n_objects"))
-    if "depth_min" in spec_values or "depth_max" in spec_values:
-        scene_kwargs["depth_range"] = (
-            float(spec_values.pop("depth_min", 6.0)),
-            float(spec_values.pop("depth_max", 60.0)),
-        )
-    if "lateral_min" in spec_values or "lateral_max" in spec_values:
-        scene_kwargs["lateral_range"] = (
-            float(spec_values.pop("lateral_min", -12.0)),
-            float(spec_values.pop("lateral_max", 12.0)),
-        )
-    base_seed = int(spec_values.pop("seed", args.seed if args.seed is not None else 0))
-    if spec_values:
-        raise InputError(f"unknown synth spec keys: {sorted(spec_values)}")
-
+    frames, with_headmaps, scene_spec, noise = load_synth_spec(args.spec)
     out = Path(args.out)
     for sub in ("calib", "label_2", "priors", "keypoints") + (("headmaps",) if with_headmaps else ()):
         (out / sub).mkdir(parents=True, exist_ok=True)
     camera = synth.default_camera()
     calib_text = kitti.write_calib(kitti.camera_to_calib(camera))
     for frame in range(frames):
-        spec = synth.SceneSpec(seed=base_seed + frame, **scene_kwargs)
-        scene = synth.generate_scene(spec, camera)
-        noisy = synth.apply_noise(scene, noise, seed=base_seed + frame + 1_000_003)
+        seed = scene_spec.seed + frame
+        scene = synth.generate_scene(replace(scene_spec, seed=seed), camera)
+        noisy = synth.apply_noise(scene, noise, seed=seed + 1_000_003)
         name = f"{frame:06d}"
         (out / "calib" / f"{name}.txt").write_text(calib_text)
         (out / "label_2" / f"{name}.txt").write_text(synth.scene_gt_text(scene))
         (out / "priors" / f"{name}.txt").write_text(synth.scene_priors_text(noisy))
         (out / "keypoints" / f"{name}.txt").write_text(synth.keypoints_sidecar_text(noisy))
         if with_headmaps:
-            from .heatmaps import write_headmaps
-
-            write_headmaps(out / "headmaps" / f"{name}.rtmh", synth.encode_headmaps(scene, camera))
+            maps = synth.encode_headmaps(scene, camera)
+            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", maps)
     print(f"wrote {frames} synthetic frame(s) to {out}")
     return EXIT_OK
 
@@ -119,9 +88,7 @@ def _solve_chunk(task):
     when it has no result), its log entry and whether it failed; the number of
     objects fitted (not skipped for too few keypoints); and the chunk's solve
     wall time."""
-    kps, cams, priors, cfg = task
-    weights = EnergyWeights(w_d=cfg.w_d, w_r=cfg.w_r)
-    solver_cfg = SolverConfig(max_iter=cfg.max_iter, g_tol=cfg.g_tol, step_tol=cfg.step_tol)
+    kps, cams, priors, weights, solver_cfg = task
     t0 = time.perf_counter()
     reports = solve_batch(kps, cams, priors, weights, solver_cfg)
     elapsed = time.perf_counter() - t0
@@ -147,7 +114,9 @@ def _solve_chunk(task):
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+    weights, solver_cfg = (
+        load_config(args.config) if args.config else (EnergyWeights(), SolverConfig())
+    )
     in_dir = Path(args.input)
     priors_dir = in_dir / "priors"
     kp_dir = in_dir / "keypoints"
@@ -173,7 +142,9 @@ def cmd_solve(args) -> int:
             raise InputError(f"missing calibration for frame {frame}")
         if calib_path not in cameras:
             cameras[calib_path] = kitti.to_camera_model(kitti.parse_calib_file(calib_path))
-        objects = synth.parse_scene_objects(priors_path.read_text(), kp_path.read_text(), kp_path)
+        objects = synth.parse_scene_objects(
+            priors_path.read_text(), kp_path.read_text(), kp_path, priors_path
+        )
         frames.append((frame, len(objects)))
         for k, p in objects:
             kps.append(k)
@@ -183,7 +154,7 @@ def cmd_solve(args) -> int:
         raise InputError(f"no frames found under {priors_dir}")
 
     tasks = [
-        (*(seq[i : i + SOLVE_CHUNK] for seq in (kps, cams, priors)), cfg)
+        (*(seq[i : i + SOLVE_CHUNK] for seq in (kps, cams, priors)), weights, solver_cfg)
         for i in range(0, len(kps), SOLVE_CHUNK)
     ]
     if args.jobs and args.jobs > 1 and len(tasks) > 1:
@@ -297,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate synthetic scenes")
     p_synth.add_argument("spec", help="key=value scene spec file")
     p_synth.add_argument("out", help="output directory")
-    p_synth.add_argument("--seed", type=int, default=None)
 
     p_solve = sub.add_parser("solve", help="recover 3D boxes from keypoint files")
     p_solve.add_argument("input", help="directory with priors/ keypoints/ (and calib/)")

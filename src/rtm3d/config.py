@@ -1,59 +1,93 @@
-"""Run configuration: line-based key=value files with CLI overrides."""
+"""Typed key=value settings files: the solve config and the synth spec.
+
+One ``key=value`` per line; blank lines and ``#`` comments are skipped.
+Each value is converted to its key's type, and the dataclasses a file
+fills are built once from it, so every error names the file and line.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .kitti import InputError
+from .solver import EnergyWeights, SolverConfig
+from .synth import NoiseSpec, SceneSpec
 
-__all__ = ["RunConfig", "load_config", "parse_config_text"]
-
-
-@dataclass
-class RunConfig:
-    # Prior-term weights of the solve energy.
-    w_d: float = 1.0
-    w_r: float = 1.0
-    # Optimizer settings.
-    max_iter: int = 100
-    g_tol: float = 1e-8
-    step_tol: float = 1e-10
+__all__ = ["Settings", "load_config", "load_synth_spec"]
 
 
-def _entries(text: str, source):
-    """(line number, key, value) per key=value line; blank and # lines skipped."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise InputError(f"{source}, line {line_no}: expected key=value, got {line!r}")
-        key, _, value = stripped.partition("=")
-        yield line_no, key.strip(), value.strip()
+class Settings(dict):
+    """The typed values of one key=value file by key; ``lines`` maps each
+    key to the line that set it, the last one when set twice."""
 
-
-def parse_config_text(text: str, source="config") -> dict:
-    return {key: value for _, key, value in _entries(text, source)}
-
-
-def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Config from an optional key=value file plus explicit overrides; a
-    ``None`` override keeps the file's or the default value."""
-    cfg = RunConfig()
-    types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
-    if path is not None:
-        for line_no, key, value in _entries(Path(path).read_text(), path):
+    def __init__(self, path, types: dict):
+        super().__init__()
+        self.path, self.lines = path, {}
+        for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            where = f"{path}, line {line_no}"
+            key, eq, value = (part.strip() for part in stripped.partition("="))
+            if not eq:
+                raise InputError(f"{where}: expected key=value, got {line!r}")
             if key not in types:
-                raise InputError(f"{path}, line {line_no}: unknown config key {key!r}")
+                raise InputError(f"{where}: unknown config key {key!r}")
             try:
-                setattr(cfg, key, types[key](value))
+                self[key] = types[key](value)
             except ValueError:
-                raise InputError(f"{path}, line {line_no}: bad value {value!r} for {key}") from None
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in types:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, types[key](str(value)))
-    return cfg
+                raise InputError(f"{where}: bad value {value!r} for {key}") from None
+            self.lines[key] = line_no
+
+    def build(self, cls, keys, **values):
+        """``cls(**values)``; its ValueError becomes an InputError naming the
+        lines that set ``keys``."""
+        try:
+            return cls(**values)
+        except ValueError as e:
+            lines = sorted(self.lines[k] for k in keys if k in self.lines)
+            raise InputError(f"{self.path}, line {', '.join(map(str, lines))}: {e}") from None
+
+
+def _numeric_fields(cls) -> dict:
+    """Name -> type of each field of ``cls`` with an int or float default."""
+    return {f.name: type(f.default) for f in fields(cls) if type(f.default) in (int, float)}
+
+
+def load_config(path) -> tuple[EnergyWeights, SolverConfig]:
+    """Energy weights and solver settings of a ``rtm3d solve --config`` file:
+    ``w_d``, ``w_r``, ``max_iter``, ``g_tol`` and ``step_tol``.  A key the
+    file does not set keeps its dataclass default."""
+    groups = [(cls, _numeric_fields(cls)) for cls in (EnergyWeights, SolverConfig)]
+    s = Settings(path, {k: t for _, keys in groups for k, t in keys.items()})
+    weights, solver = (
+        s.build(cls, keys, **{k: s[k] for k in keys if k in s}) for cls, keys in groups
+    )
+    return weights, solver
+
+
+def load_synth_spec(path) -> tuple[int, bool, SceneSpec, NoiseSpec]:
+    """Frame count, whether to write head maps, and the first frame's scene
+    spec and the noise spec of a ``rtm3d synth`` spec file.  Frame i takes
+    the scene seed ``seed + i``.  A key the file does not set keeps its
+    default: 1 frame, no head maps, else the dataclass default."""
+    noise_keys = _numeric_fields(NoiseSpec)
+    scene_keys = {"n_objects": int, "seed": int, "depth_min": float, "depth_max": float,
+                  "lateral_min": float, "lateral_max": float}
+    s = Settings(path, {"frames": int, "headmaps": int, **scene_keys, **noise_keys})
+    default = SceneSpec()
+    depth, lateral = default.depth_range, default.lateral_range
+    scene = s.build(
+        SceneSpec,
+        scene_keys,
+        n_objects=s.get("n_objects", default.n_objects),
+        depth_range=(s.get("depth_min", depth[0]), s.get("depth_max", depth[1])),
+        lateral_range=(s.get("lateral_min", lateral[0]), s.get("lateral_max", lateral[1])),
+        seed=s.get("seed", default.seed),
+    )
+    noise = s.build(NoiseSpec, noise_keys, **{k: s[k] for k in noise_keys if k in s})
+    frames = s.get("frames", 1)
+    if frames < 0:
+        raise InputError(f"{path}, line {s.lines['frames']}: frames must be non-negative")
+    return frames, bool(s.get("headmaps", 0)), scene, noise

@@ -125,9 +125,15 @@ def _polygon_area(poly: np.ndarray) -> float:
 
 
 def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clipping of a polygon by a counterclockwise convex
-    polygon, such as :func:`bev_corners` returns (its rotation has determinant +1
-    and box dimensions are positive)."""
+    """Intersection of two counterclockwise convex polygons, such as
+    :func:`bev_corners` returns (its rotation has determinant +1 and box
+    dimensions are positive), by Sutherland-Hodgman clipping.
+
+    The inside test's tolerance makes clipping a by b differ from clipping b
+    by a in the last bits when edges nearly coincide, so the pair is taken
+    in a fixed order: swapping the arguments gives the same polygon."""
+    if tuple(clip.ravel()) < tuple(subject.ravel()):
+        subject, clip = clip, subject
     output = list(subject)
     for i in range(len(clip)):
         a, b = clip[i], clip[(i + 1) % len(clip)]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import KeypointSet, wrap_to_pi
 from .solver import MEAN_CAR_DIMS as DIM_MEAN
@@ -81,19 +80,17 @@ def adaptive_sigma(area: float, spec: GaussianSpec = GaussianSpec()) -> float:
     return min(max(sigma, spec.sigma_min), spec.sigma_max)
 
 
-def render_gaussian(heatmap, center, sigma, squared_sigma=False):
+def render_gaussian(heatmap, center, sigma):
     """Max-compose a Gaussian bump onto a 2D map, value 1 at the center cell.
 
-    The kernel divides by 2*sigma; ``squared_sigma=True`` switches to the
-    conventional 2*sigma^2 denominator.
+    The kernel divides by 2*sigma, not the conventional 2*sigma^2.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     h, w = heatmap.shape
     cx, cy = int(round(center[0])), int(round(center[1]))
-    denom = 2.0 * (sigma * sigma if squared_sigma else sigma)
     ys, xs = np.mgrid[0:h, 0:w]
-    bump = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / denom)
+    bump = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma))
     np.maximum(heatmap, bump, out=heatmap)
     return heatmap
 
@@ -124,12 +121,12 @@ class HeadMaps:
     )
 
     @staticmethod
-    def zeros(height: int, width: int, n_classes: int = 1) -> "HeadMaps":
+    def zeros(height: int, width: int) -> "HeadMaps":
         def plane(c):
             return np.zeros((height, width, c))
 
         return HeadMaps(
-            main=plane(n_classes),
+            main=plane(1),
             vertex=plane(9),
             vertex_coord=plane(18),
             center_offset=plane(2),
@@ -173,14 +170,30 @@ def kfpn_fuse(scales):
     return (stack * weights).sum(axis=0)
 
 
+def _linear_taps(n_in: int, n_out: int):
+    """Lower and upper sample index and upper weight of each of ``n_out``
+    positions spread evenly over ``n_in`` samples, ends included."""
+    pos = np.linspace(0, n_in - 1, n_out)
+    lo = np.floor(pos).astype(int)
+    return lo, np.minimum(lo + 1, n_in - 1), pos - lo
+
+
 def resize_bilinear(map2d, out_shape):
-    """Bilinear resize of a 2D map to (H, W), for pre-fusion upsampling."""
-    in_h, in_w = map2d.shape
-    out_h, out_w = out_shape
-    ys = np.linspace(0, in_h - 1, out_h)
-    xs = np.linspace(0, in_w - 1, out_w)
-    grid = np.meshgrid(ys, xs, indexing="ij")
-    return ndimage.map_coordinates(np.asarray(map2d, dtype=float), grid, order=1, mode="nearest")
+    """Bilinear resize of a 2D map to (H, W), for pre-fusion upsampling;
+    the corner samples of input and output coincide."""
+    a = np.asarray(map2d, dtype=float)
+    y0, y1, fy = _linear_taps(a.shape[0], out_shape[0])
+    x0, x1, fx = _linear_taps(a.shape[1], out_shape[1])
+    rows = a[y0] * (1.0 - fy[:, None]) + a[y1] * fy[:, None]
+    return rows[:, x0] * (1.0 - fx) + rows[:, x1] * fx
+
+
+def _max_pool3(maps: np.ndarray) -> np.ndarray:
+    """3x3 max pool over the first two axes, padded with -inf: the maximum
+    over rows, then over columns."""
+    p = np.pad(maps, [(1, 1), (1, 1)] + [(0, 0)] * (maps.ndim - 2), constant_values=-np.inf)
+    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
 
 
 def extract_peaks(maps, threshold, topk=100):
@@ -193,11 +206,11 @@ def extract_peaks(maps, threshold, topk=100):
     maps = np.asarray(maps, dtype=float)
     if maps.ndim == 2:
         maps = maps[:, :, None]
+    pooled = _max_pool3(maps)
     peaks = []
     for c in range(maps.shape[2]):
         plane = maps[:, :, c]
-        pooled = ndimage.maximum_filter(plane, size=3, mode="constant", cval=-np.inf)
-        ys, xs = np.nonzero((plane == pooled) & (plane >= threshold))
+        ys, xs = np.nonzero((plane == pooled[:, :, c]) & (plane >= threshold))
         cand = sorted(zip(plane[ys, xs], ys, xs), key=lambda z: (-z[0], z[1], z[2]))
         kept = []
         for score, y, x in cand:
@@ -260,12 +273,7 @@ def multibin_decode(code: np.ndarray) -> float:
 
 
 def group_keypoints(
-    main_peaks,
-    vertex_peaks,
-    maps: HeadMaps,
-    config: GroupingConfig = GroupingConfig(),
-    dim_mean=DIM_MEAN,
-    dim_std=DIM_STD,
+    main_peaks, vertex_peaks, maps: HeadMaps, config: GroupingConfig = GroupingConfig()
 ):
     """Group vertex peaks around maincenter peaks into decoded objects.
 
@@ -305,7 +313,7 @@ def group_keypoints(
                 conf[k] = config.fallback_conf
                 visible[k] = False
         center = (np.array([mx, my], dtype=float) + maps.center_offset[my, mx, :]) * s
-        d_hat = dim_mean + dim_std * maps.dims[my, mx, :]
+        d_hat = DIM_MEAN + DIM_STD * maps.dims[my, mx, :]
         alpha_hat = multibin_decode(maps.orientation[my, mx, :])
         z_hat = float(np.exp(maps.depth[my, mx, 0]))
         objects.append(
@@ -362,9 +370,9 @@ class MultiTaskWeights:
     w_off_v: float = 0.5
 
 
-def dimension_target(dims, dim_mean=DIM_MEAN, dim_std=DIM_STD) -> np.ndarray:
+def dimension_target(dims) -> np.ndarray:
     """log of the standardized dimension residual used by the L_D loss."""
-    ratio = (np.asarray(dims, dtype=float) - dim_mean) / dim_std
+    ratio = (np.asarray(dims, dtype=float) - DIM_MEAN) / DIM_STD
     if np.any(ratio <= 0):
         raise NonPositiveDimensionStandardization(
             "standardized dimension residual must be positive for the log target"
@@ -372,12 +380,7 @@ def dimension_target(dims, dim_mean=DIM_MEAN, dim_std=DIM_STD) -> np.ndarray:
     return np.log(ratio)
 
 
-def regression_losses(
-    maps: HeadMaps,
-    objects: list[GroundTruthObject],
-    dim_mean=DIM_MEAN,
-    dim_std=DIM_STD,
-):
+def regression_losses(maps: HeadMaps, objects: list[GroundTruthObject]):
     """Forward evaluation of the regression terms against ground truth.
 
     Dimension, depth, maincenter-offset and vertex-coordinate terms are
@@ -391,7 +394,7 @@ def regression_losses(
     n_ver = 0
     for obj in objects:
         cx, cy = obj.cell
-        target_d = dimension_target(obj.dims, dim_mean, dim_std)
+        target_d = dimension_target(obj.dims)
         l_d += float(((maps.dims[cy, cx, :] - target_d) ** 2).sum()) / 3.0
         l_z += (maps.depth[cy, cx, 0] - math.log(obj.depth)) ** 2
         off_m = obj.center_px / s - np.floor(obj.center_px / s)

@@ -38,14 +38,14 @@ class InputError(ValueError):
 
 
 class FieldCountError(InputError):
-    def __init__(self, line_no: int, count: int):
-        super().__init__(f"line {line_no}: expected 15 or 16 fields, got {count}")
+    def __init__(self, line_no: int, count: int, source):
+        super().__init__(f"{source}, line {line_no}: expected 15 or 16 fields, got {count}")
         self.line_no = line_no
 
 
 class NumericParseError(InputError):
-    def __init__(self, line_no: int, token: str):
-        super().__init__(f"line {line_no}: cannot parse number {token!r}")
+    def __init__(self, line_no: int, token: str, source):
+        super().__init__(f"{source}, line {line_no}: cannot parse number {token!r}")
         self.line_no = line_no
         self.token = token
 
@@ -82,25 +82,26 @@ class KittiCalib:
     def __post_init__(self):
         p2 = np.asarray(self.p2, dtype=float).reshape(3, 4)
         if p2[0, 0] <= 0 or p2[1, 1] <= 0:
-            raise ValueError("P2 focal lengths must be positive")
+            raise InputError("P2 focal lengths must be positive")
         self.p2 = p2
 
 
-def parse_labels(text: str) -> list[KittiLabel]:
-    """Parse label/result text; raises with the offending line number."""
+def parse_labels(text: str, source="label text") -> list[KittiLabel]:
+    """Parse label/result text; errors carry the offending line number, and
+    ``source`` names the file in their message."""
     labels = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split()
         if len(fields) not in (15, 16):
-            raise FieldCountError(line_no, len(fields))
+            raise FieldCountError(line_no, len(fields), source)
         vals = []
         for token in fields[1:]:
             try:
                 vals.append(float(token))
             except ValueError:
-                raise NumericParseError(line_no, token) from None
+                raise NumericParseError(line_no, token, source) from None
         labels.append(
             KittiLabel(
                 type=fields[0],
@@ -118,7 +119,7 @@ def parse_labels(text: str) -> list[KittiLabel]:
 
 
 def parse_label_file(path) -> list[KittiLabel]:
-    return parse_labels(Path(path).read_text())
+    return parse_labels(Path(path).read_text(), path)
 
 
 def format_label(label: KittiLabel) -> str:
@@ -144,18 +145,24 @@ def write_result_file(labels: list[KittiLabel]) -> str:
     return "\n".join(format_label(lb) for lb in labels) + "\n"
 
 
-def parse_calib(text: str) -> KittiCalib:
-    for line in text.splitlines():
+def parse_calib(text: str, source="calibration") -> KittiCalib:
+    """The P2 matrix of calibration text; ``source`` names the file in errors."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if line.startswith("P2:") or line.startswith("P2 "):
             tokens = line.split()[1:]
             if len(tokens) != 12:
-                raise MissingP2Error(f"P2 line has {len(tokens)} values, expected 12")
-            return KittiCalib(p2=np.array([float(t) for t in tokens]).reshape(3, 4))
-    raise MissingP2Error("no P2 line found")
+                raise MissingP2Error(
+                    f"{source}, line {line_no}: P2 line has {len(tokens)} values, expected 12"
+                )
+            try:
+                return KittiCalib(p2=np.array([float(t) for t in tokens]).reshape(3, 4))
+            except ValueError as e:
+                raise InputError(f"{source}, line {line_no}: {e}") from None
+    raise MissingP2Error(f"{source}: no P2 line found")
 
 
 def parse_calib_file(path) -> KittiCalib:
-    return parse_calib(Path(path).read_text())
+    return parse_calib(Path(path).read_text(), path)
 
 
 def to_camera_model(calib: KittiCalib) -> CameraModel:
@@ -191,8 +198,6 @@ def box3d_to_label(
     alpha: float | None = None,
     bbox: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
     score: float | None = None,
-    truncated: float = 0.0,
-    occluded: int = 0,
 ) -> KittiLabel:
     from .geometry import yaw_to_alpha
 
@@ -200,8 +205,8 @@ def box3d_to_label(
         alpha = yaw_to_alpha(box.yaw, box.t)
     return KittiLabel(
         type=category,
-        truncated=truncated,
-        occluded=occluded,
+        truncated=0.0,
+        occluded=0,
         alpha=alpha,
         bbox=bbox,
         dimensions=(box.h, box.w, box.l),

@@ -37,7 +37,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "ConfidenceWeight",
     "DivergedError",
     "EnergyWeights",
     "InsufficientConstraints",
@@ -57,6 +56,11 @@ __all__ = [
 
 # Dataset mean car dimensions (h, w, l) used when no dimension prior exists.
 MEAN_CAR_DIMS = np.array([1.53, 1.62, 3.89])
+
+# Levenberg-Marquardt damping: its start, and the value past which an object
+# stops as being at a (numerical) local minimum.
+LM_LAMBDA0 = 1e-3
+LM_LAMBDA_MAX = 1e12
 
 # Camera axis scaled by each dimension (h, w, l), the dimension scaling each
 # camera axis, and the (9, 3) camera-frame offsets of the unit box.  Built by
@@ -110,8 +114,6 @@ class SolverConfig:
     max_iter: int = 100
     g_tol: float = 1e-8
     step_tol: float = 1e-10
-    lm_lambda0: float = 1e-3
-    lm_lambda_max: float = 1e12
     # Start box for every object of a solve; None starts from the priors.
     init_box: Box3D | None = None
 
@@ -129,23 +131,6 @@ def _softmax_rows(conf: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of (..., 9) confidences, repeated per u/v row."""
     e = np.exp(conf - conf.max(axis=-1, keepdims=True))
     return np.repeat(e / e.sum(axis=-1, keepdims=True), 2, axis=-1)
-
-
-@dataclass(frozen=True)
-class ConfidenceWeight:
-    """Softmax of the 9 keypoint confidences, expanded to the 18 residual rows."""
-
-    sigma_diag: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma_diag, dtype=float).reshape(18)
-        if np.any(s <= 0):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "sigma_diag", s)
-
-    @staticmethod
-    def from_confidences(conf: np.ndarray) -> "ConfidenceWeight":
-        return ConfidenceWeight(sigma_diag=_softmax_rows(np.asarray(conf, dtype=float).reshape(9)))
 
 
 class _Batch(NamedTuple):
@@ -299,19 +284,10 @@ def _term_costs(res: np.ndarray) -> list:
 
 
 def total_energy(
-    box: Box3D,
-    kps: KeypointSet,
-    cam: CameraModel,
-    priors: Priors,
-    weights: EnergyWeights,
-    confw: ConfidenceWeight | None = None,
+    box: Box3D, kps: KeypointSet, cam: CameraModel, priors: Priors, weights: EnergyWeights
 ) -> tuple[float, dict]:
-    """Weighted sum of squared residual terms plus a per-term breakdown.
-
-    ``confw`` replaces the softmax of the keypoint confidences."""
+    """Weighted sum of squared residual terms plus a per-term breakdown."""
     b = _Batch.stack([kps], [cam], [priors], weights)
-    if confw is not None:
-        b = b._replace(sqrt_w=np.sqrt(confw.sigma_diag) * np.repeat(b.vis, 2, axis=1))
     res, behind, near_pi = _residuals(b, rot_y(box.yaw)[None], box.t[None], box.dims[None])
     if behind[0]:
         raise BehindCamera("a visible keypoint projects behind the camera")
@@ -433,7 +409,7 @@ def solve_batch(
             else None
             for bc, pi in zip(behind, near_pi)
         ]
-        lam = np.full(n, config.lm_lambda0)
+        lam = np.full(n, LM_LAMBDA0)
         iters = np.zeros(n, dtype=int)
         converged = np.zeros(n, dtype=bool)
         fresh = np.ones(n, dtype=bool)  # the state moved, so its Jacobian is due
@@ -460,7 +436,7 @@ def solve_batch(
                 iters[flat] -= 1
                 converged[flat], on[flat] = True, False
             # Damping exhausted: at a (numerical) local minimum.
-            ex = live[on[live] & (lam[live] > config.lm_lambda_max)]
+            ex = live[on[live] & (lam[live] > LM_LAMBDA_MAX)]
             converged[ex] = np.abs(grad[ex]).max(axis=1) < math.sqrt(config.g_tol)
             on[ex] = False
             # The others try a damped step.  A singular system gives a NaN step,

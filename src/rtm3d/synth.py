@@ -8,7 +8,7 @@ solver and decoder can be verified end-to-end without a network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .geometry import (
 from .heatmaps import (
     DIM_MEAN,
     DIM_STD,
-    GaussianSpec,
+    DOWNSAMPLE,
     HeadMaps,
     adaptive_sigma,
     multibin_encode,
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 IMAGE_SIZE = (1280, 384)  # width, height
+# Camera y of a box's bottom face.
+HEIGHT_RANGE = (1.4, 1.8)
 
 
 def default_camera() -> CameraModel:
@@ -59,22 +61,17 @@ def default_camera() -> CameraModel:
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """Boxes per scene, the ranges their depth and lateral offset are drawn
+    from (camera z and x, metres), and the scene's random seed."""
+
     n_objects: int = 3
     depth_range: tuple[float, float] = (6.0, 60.0)
     lateral_range: tuple[float, float] = (-12.0, 12.0)
-    height_range: tuple[float, float] = (1.4, 1.8)  # camera y of the box bottom
-    dim_mean: np.ndarray = field(default_factory=lambda: DIM_MEAN.copy())
-    dim_std: np.ndarray = field(default_factory=lambda: DIM_STD.copy())
     seed: int = 0
-    # Resample boxes until all nine keypoints project inside the image.
-    in_view_only: bool = True
-    # Resample boxes whose keypoints share a stride-4 grid cell: the
-    # sub-cell offset plane is shared across keypoint channels, so such
-    # encodings are not exactly invertible.
-    grid_separable: bool = True
-    grid_stride: int = 4
 
     def __post_init__(self):
+        if self.n_objects < 0:
+            raise ValueError("n_objects must be non-negative")
         if self.depth_range[0] <= 0 or self.depth_range[1] < self.depth_range[0]:
             raise ValueError("invalid depth range")
 
@@ -109,9 +106,9 @@ def _truncated_normal(rng, mean, std, clip=3.0, size=None):
     return mean + std * x
 
 
-def _project_keypoints(box: Box3D, camera: CameraModel, image_size) -> KeypointSet:
+def _project_keypoints(box: Box3D, camera: CameraModel) -> KeypointSet:
     pts3d = box_points_3d(box)
-    w, h = image_size
+    w, h = IMAGE_SIZE
     pts = np.zeros((9, 2))
     visible = np.zeros(9, dtype=bool)
     depths = pts3d[:, 2] + camera.t_cam[2]
@@ -126,15 +123,14 @@ def _project_keypoints(box: Box3D, camera: CameraModel, image_size) -> KeypointS
     return KeypointSet(pts=pts, conf=conf, visible=visible)
 
 
-def generate_scene(
-    spec: SceneSpec,
-    camera: CameraModel | None = None,
-    image_size=IMAGE_SIZE,
-) -> list[SceneObject]:
+def generate_scene(spec: SceneSpec, camera: CameraModel | None = None) -> list[SceneObject]:
     """Sample ground-truth boxes and project their keypoints.
 
     Deterministic under a fixed (spec, seed); priors are exact copies of
-    the ground truth until noise is applied.
+    the ground truth until noise is applied.  A box is resampled (up to 200
+    times) until all nine keypoints project inside the image on distinct
+    head-map cells: the sub-cell offset plane is shared across keypoint
+    channels, so keypoints sharing a cell are not exactly encodable.
     """
     if camera is None:
         camera = default_camera()
@@ -142,20 +138,18 @@ def generate_scene(
     objects = []
     for _ in range(spec.n_objects):
         for _attempt in range(200):
-            dims = _truncated_normal(rng, spec.dim_mean, spec.dim_std, size=3)
+            dims = _truncated_normal(rng, DIM_MEAN, DIM_STD, size=3)
             depth = rng.uniform(*spec.depth_range)
             lateral = rng.uniform(*spec.lateral_range)
-            height = rng.uniform(*spec.height_range)
+            height = rng.uniform(*HEIGHT_RANGE)
             yaw = rng.uniform(-math.pi, math.pi)
             box = Box3D(dims=dims, t=np.array([lateral, height, depth]), yaw=yaw)
-            kps = _project_keypoints(box, camera, image_size)
-            if spec.in_view_only and kps.n_visible < 9:
+            kps = _project_keypoints(box, camera)
+            if kps.n_visible < 9:
                 continue
-            if spec.grid_separable:
-                cells = np.floor(kps.pts / spec.grid_stride).astype(int)
-                if len({(int(x), int(y)) for x, y in cells}) < 9:
-                    continue
-            break
+            cells = np.floor(kps.pts / DOWNSAMPLE).astype(int)
+            if len({(int(x), int(y)) for x, y in cells}) == 9:
+                break
         priors = Priors(d_hat=box.dims.copy(), theta_hat=box.yaw, z_hat=float(box.t[2]))
         objects.append(SceneObject(box=box, kps=kps, priors=priors))
     return objects
@@ -205,9 +199,9 @@ def apply_noise(scene: list[SceneObject], noise: NoiseSpec, seed: int = 0) -> li
     return noisy
 
 
-def bbox_2d(obj: SceneObject, image_size=IMAGE_SIZE) -> tuple[float, float, float, float]:
+def bbox_2d(obj: SceneObject) -> tuple[float, float, float, float]:
     """Axis-aligned image box of the projected corners, clipped."""
-    w, h = image_size
+    w, h = IMAGE_SIZE
     pts = obj.kps.pts[obj.kps.visible] if obj.kps.n_visible else obj.kps.pts
     left = float(np.clip(pts[:, 0].min(), 0, w - 1))
     right = float(np.clip(pts[:, 0].max(), 0, w - 1))
@@ -216,34 +210,25 @@ def bbox_2d(obj: SceneObject, image_size=IMAGE_SIZE) -> tuple[float, float, floa
     return (left, top, right, bottom)
 
 
-def encode_headmaps(
-    scene: list[SceneObject],
-    camera: CameraModel | None = None,
-    image_size=IMAGE_SIZE,
-    stride: int = 4,
-    gaussian: GaussianSpec = GaussianSpec(),
-    dim_mean=DIM_MEAN,
-    dim_std=DIM_STD,
-) -> HeadMaps:
+def encode_headmaps(scene: list[SceneObject], camera: CameraModel | None = None) -> HeadMaps:
     """Render the full set of head maps for a scene.
 
     The maincenter anchors the 2D box center; the vertex planes carry the
     nine projected keypoints.  Regression planes are written at the
     maincenter cell (vertex offsets at each keypoint cell), exactly
     invertible by the decoder when objects do not collide on the grid.
+    The maps depend only on the scene's projected keypoints and boxes;
+    ``camera`` is accepted for symmetry with :func:`generate_scene`.
     """
-    if camera is None:
-        camera = default_camera()
-    w, h = image_size
-    gw, gh = w // stride, h // stride
-    maps = HeadMaps.zeros(gh, gw, n_classes=1)
-    maps.stride = stride
+    stride = DOWNSAMPLE
+    gw, gh = IMAGE_SIZE[0] // stride, IMAGE_SIZE[1] // stride
+    maps = HeadMaps.zeros(gh, gw)
     for obj in scene:
         if obj.kps.n_visible == 0:
             continue
-        left, top, right, bottom = bbox_2d(obj, image_size)
+        left, top, right, bottom = bbox_2d(obj)
         area = max((right - left) * (bottom - top), 1.0)
-        sigma = adaptive_sigma(area, gaussian) / stride
+        sigma = adaptive_sigma(area) / stride
         center_px = np.array([(left + right) / 2.0, (top + bottom) / 2.0])
         ccell = np.floor(center_px / stride).astype(int)
         ccell = np.clip(ccell, [0, 0], [gw - 1, gh - 1])
@@ -251,7 +236,7 @@ def encode_headmaps(
         maps.center_offset[ccell[1], ccell[0], :] = center_px / stride - ccell
         rel = obj.kps.pts / stride - ccell
         maps.vertex_coord[ccell[1], ccell[0], :] = rel.reshape(-1)
-        maps.dims[ccell[1], ccell[0], :] = (obj.box.dims - dim_mean) / dim_std
+        maps.dims[ccell[1], ccell[0], :] = (obj.box.dims - DIM_MEAN) / DIM_STD
         alpha = yaw_to_alpha(obj.box.yaw, obj.box.t)
         maps.orientation[ccell[1], ccell[0], :] = multibin_encode(alpha)
         maps.depth[ccell[1], ccell[0], 0] = math.log(obj.box.t[2])
@@ -274,13 +259,13 @@ def _render_at(plane, cell, sigma) -> None:
 # Plain-text scene serialization (see README for the formats).
 
 
-def _label_of(obj: SceneObject, box: Box3D, image_size) -> KittiLabel:
+def _label_of(obj: SceneObject, box: Box3D) -> KittiLabel:
     return KittiLabel(
         type="Car",
         truncated=0.0,
         occluded=0,
         alpha=yaw_to_alpha(box.yaw, box.t),
-        bbox=bbox_2d(obj, image_size),
+        bbox=bbox_2d(obj),
         dimensions=(box.h, box.w, box.l),
         location=tuple(box.t),
         rotation_y=box.yaw,
@@ -301,13 +286,13 @@ def _format_precise(label: KittiLabel) -> str:
     return " ".join(fields)
 
 
-def scene_gt_text(scene: list[SceneObject], image_size=IMAGE_SIZE) -> str:
+def scene_gt_text(scene: list[SceneObject]) -> str:
     """Ground-truth boxes as KITTI-format label lines (6-decimal floats)."""
-    lines = [_format_precise(_label_of(obj, obj.box, image_size)) for obj in scene]
+    lines = [_format_precise(_label_of(obj, obj.box)) for obj in scene]
     return "".join(line + "\n" for line in lines)
 
 
-def scene_priors_text(scene: list[SceneObject], image_size=IMAGE_SIZE) -> str:
+def scene_priors_text(scene: list[SceneObject]) -> str:
     """Prior values mirrored into KITTI label fields.
 
     dimensions carry the dimension prior, rotation_y the orientation
@@ -321,7 +306,7 @@ def scene_priors_text(scene: list[SceneObject], image_size=IMAGE_SIZE) -> str:
             t=np.array([0.0, 0.0, p.z_hat if p.z_hat is not None else 1.0]),
             yaw=p.theta_hat if p.theta_hat is not None else 0.0,
         )
-        lines.append(_format_precise(_label_of(obj, box, image_size)))
+        lines.append(_format_precise(_label_of(obj, box)))
     return "".join(line + "\n" for line in lines)
 
 
@@ -357,21 +342,28 @@ def parse_keypoints_sidecar(text: str, source="keypoint sidecar") -> list[Keypoi
 
 
 def parse_scene_objects(
-    priors_text: str, keypoints_text: str, keypoints_source="keypoint sidecar"
+    priors_text: str,
+    keypoints_text: str,
+    keypoints_source="keypoint sidecar",
+    priors_source="priors file",
 ) -> list[tuple[KeypointSet, Priors]]:
-    """Rebuild solver inputs from the priors file and keypoint sidecar."""
-    labels = parse_labels(priors_text)
+    """Rebuild solver inputs from the priors file and keypoint sidecar; the
+    sources name the files in errors."""
+    labels = parse_labels(priors_text, priors_source)
     kp_sets = parse_keypoints_sidecar(keypoints_text, keypoints_source)
     if len(labels) != len(kp_sets):
         raise InputError(
             f"{keypoints_source}: {len(kp_sets)} objects, but the priors file has {len(labels)}"
         )
     out = []
-    for label, kps in zip(labels, kp_sets):
-        priors = Priors(
-            d_hat=np.array(label.dimensions),
-            theta_hat=label.rotation_y,
-            z_hat=label.location[2],
-        )
+    for i, (label, kps) in enumerate(zip(labels, kp_sets)):
+        try:
+            priors = Priors(
+                d_hat=np.array(label.dimensions),
+                theta_hat=label.rotation_y,
+                z_hat=label.location[2],
+            )
+        except ValueError as e:
+            raise InputError(f"{priors_source}, object {i}: {e}") from None
         out.append((kps, priors))
     return out

@@ -1,13 +1,20 @@
 """End-to-end command-line tests: synth, solve, eval, render-bev."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rtm3d
 from rtm3d import kitti
 from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, SOLVE_CHUNK, main
-from rtm3d.config import RunConfig, load_config, parse_config_text
+from rtm3d.config import Settings, load_config
 from rtm3d.geometry import wrap_to_pi
-from rtm3d.kitti import parse_label_file
+from rtm3d.kitti import InputError, parse_label_file
+from rtm3d.solver import EnergyWeights, SolverConfig
 
 
 @pytest.fixture
@@ -100,6 +107,35 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
     kp_file.write_text("\n".join(lines) + "\n")
     assert main(["solve", str(dataset), str(tmp_path / "out")]) == EXIT_INPUT
     assert f"{kp_file}, line 2: 26 values, expected 27" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, text, where",
+    [
+        ("spec", "frames=abc\n", "line 1"),
+        ("spec", "seed=3\nframes=-1\n", "line 2"),
+        ("spec", "dropout=1.5\n", "line 1"),
+        ("spec", "depth_min=-1\n", "line 1"),
+        ("spec", "n_objects=-2\n", "line 1"),
+        ("config", "w_d=-1\n", "line 1"),
+        ("calib", "P2: 0 0 609.5593 0 0 721.5377 172.854 0 0 0 1 0\n", "line 1"),
+        ("priors", "Car 0.00 0\n", "line 1"),
+        ("priors", "Car 0 0 0 0 0 0 0 -1.5 1.6 3.9 0 0 10 0\n" * 2, "object 0"),
+    ],
+)
+def test_malformed_input_exits_2_and_names_its_file(kind, text, where, dataset, tmp_path, capsys):
+    bad = {"calib": dataset / "calib" / "000001.txt", "priors": dataset / "priors" / "000001.txt"}
+    bad = bad.get(kind, tmp_path / "bad.cfg")
+    bad.write_text(text)
+    out = tmp_path / "out"
+    argv = {
+        "spec": ["synth", str(bad), str(out)],
+        "config": ["solve", str(dataset), str(out), "--config", str(bad)],
+    }.get(kind, ["solve", str(dataset), str(out)])
+    assert main(argv) == EXIT_INPUT
+    assert f"{bad}, {where}: " in capsys.readouterr().err
+    if kind == "spec":
+        assert not out.exists()
 
 
 def test_solve_parses_each_calibration_file_once(dataset, tmp_path, monkeypatch):
@@ -200,20 +236,35 @@ def test_log_env_var(dataset, tmp_path, monkeypatch):
     assert main(["solve", str(dataset), str(tmp_path / "out")]) == EXIT_OK
 
 
-def test_config_parsing():
-    values = parse_config_text("# comment\nmax_iter = 7\n\nw_d=0.5\n")
-    assert values == {"max_iter": "7", "w_d": "0.5"}
-    with pytest.raises(ValueError):
-        parse_config_text("not a pair\n")
+def test_config_parsing(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\nmax_iter = 7\n\nw_d=0.5\n")
+    values = Settings(path, {"max_iter": int, "w_d": float})
+    assert values == {"max_iter": 7, "w_d": 0.5}
+    assert values.lines == {"max_iter": 2, "w_d": 4}
+    path.write_text("not a pair\n")
+    with pytest.raises(InputError, match="line 1: expected key=value"):
+        Settings(path, {})
 
 
 def test_load_config_overrides(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("max_iter=7\nw_r=0.7\n")
-    cfg = load_config(path, overrides={"g_tol": 1e-6, "w_r": None, "step_tol": None})
-    assert cfg.max_iter == 7
-    assert cfg.w_r == 0.7
-    assert cfg.g_tol == 1e-6
-    assert cfg.step_tol == RunConfig().step_tol
-    with pytest.raises(ValueError):
-        load_config(path, overrides={"unknown": 1})
+    path.write_text("max_iter=7\nw_r=0.7\ng_tol=1e-6\n")
+    weights, solver = load_config(path)
+    assert weights == EnergyWeights(w_r=0.7)
+    assert solver == SolverConfig(max_iter=7, g_tol=1e-6)
+    assert weights.w_d == EnergyWeights().w_d and solver.step_tol == SolverConfig().step_tol
+    for key in ("init_box", "lm_lambda0"):
+        path.write_text(f"{key}=1\n")
+        with pytest.raises(InputError, match=f"line 1: unknown config key '{key}'"):
+            load_config(path)
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, rtm3d.cli, rtm3d.heatmaps\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

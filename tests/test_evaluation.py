@@ -224,10 +224,11 @@ def test_ap_ignores_dontcare_overlaps():
     dets = {
         "0": [
             _det(gt_box, score=0.9),
-            _det(_box(x=30.0), score=0.8, bbox=(410, 110, 490, 150)),
+            _det(_box(x=30.0), score=0.95, bbox=(410, 110, 490, 150)),
         ]
     }
-    # The second detection lands in the DontCare region: not a false positive.
+    # The higher-scored detection lands in the DontCare region: not a false
+    # positive.  Counted as one, it would halve AP to 0.5.
     assert average_precision(dets, gts, 0.5).ap == 1.0
 
 

@@ -28,6 +28,7 @@ from rtm3d.heatmaps import (
     render_gaussian,
     resize_bilinear,
     write_headmaps,
+    _max_pool3,
 )
 
 
@@ -50,11 +51,8 @@ def test_render_gaussian_peak_and_symmetry():
     assert hm[10, 10] == 1.0
     np.testing.assert_allclose(hm, hm[::-1, :], atol=1e-12)
     np.testing.assert_allclose(hm, hm[:, ::-1], atol=1e-12)
-    # The denominator is 2*sigma, not 2*sigma^2, unless squared_sigma is set.
+    # The denominator is 2*sigma, not 2*sigma^2.
     assert hm[10, 12] == pytest.approx(math.exp(-4.0 / 8.0))
-    hm2 = np.zeros((21, 21))
-    render_gaussian(hm2, (10, 10), sigma=4.0, squared_sigma=True)
-    assert hm2[10, 12] == pytest.approx(math.exp(-4.0 / 32.0))
 
 
 def test_render_gaussian_max_compose():
@@ -134,6 +132,33 @@ def test_resize_bilinear_identity_and_constant():
     np.testing.assert_allclose(resize_bilinear(x, (6, 9)), x, atol=1e-12)
     up = resize_bilinear(np.full((3, 3), 0.7), (9, 12))
     np.testing.assert_allclose(up, 0.7, atol=1e-12)
+
+
+def test_resize_bilinear_matches_map_coordinates():
+    from scipy import ndimage  # a test-only oracle
+
+    rng = np.random.default_rng(4)
+    cases = [((4, 4), (8, 8)), ((6, 9), (3, 20)), ((1, 5), (4, 11)), ((7, 1), (3, 2)), ((5, 5), (1, 1))]
+    for in_shape, out_shape in cases:
+        x = rng.normal(size=in_shape)
+        axes = [np.linspace(0, n - 1, m) for n, m in zip(in_shape, out_shape)]
+        want = ndimage.map_coordinates(x, np.meshgrid(*axes, indexing="ij"), order=1, mode="nearest")
+        np.testing.assert_allclose(resize_bilinear(x, out_shape), want, rtol=0, atol=1e-12)
+
+
+def test_max_pool_equals_maximum_filter_bit_for_bit():
+    from scipy import ndimage  # a test-only oracle
+
+    rng = np.random.default_rng(5)
+    for shape in [(1, 1), (1, 17), (17, 1), (2, 3), (24, 80), (96, 320, 3)]:
+        # Few levels, so equal neighbours (plateaus) are common.
+        maps = rng.integers(0, 4, size=shape) * 0.25
+        maps = np.where(rng.uniform(size=shape) < 0.2, rng.uniform(size=shape), maps)
+        planes = maps.reshape(shape[:2] + (-1,))
+        pooled = _max_pool3(maps).reshape(planes.shape)
+        for c in range(planes.shape[2]):
+            want = ndimage.maximum_filter(planes[:, :, c], size=3, mode="constant", cval=-np.inf)
+            assert np.array_equal(pooled[:, :, c], want)
 
 
 def test_extract_peaks_threshold_order_and_nms():
