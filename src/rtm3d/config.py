@@ -1,12 +1,14 @@
 """Typed key=value settings files: the solve config and the synth spec.
 
 One ``key=value`` per line; blank lines and ``#`` comments are skipped.
-Each value is converted to its key's type, and the dataclasses a file
-fills are built once from it, so every error names the file and line.
+Each value is converted to its key's type (a float must be finite), and
+the dataclasses a file fills are built once from it, so every error names
+the file and line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -38,6 +40,8 @@ class Settings(dict):
                 self[key] = types[key](value)
             except ValueError:
                 raise InputError(f"{where}: bad value {value!r} for {key}") from None
+            if not math.isfinite(self[key]):
+                raise InputError(f"{where}: {key} must be finite, got {value!r}")
             self.lines[key] = line_no
 
     def build(self, cls, keys, **values):

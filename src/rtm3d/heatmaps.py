@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import KeypointSet, wrap_to_pi
+from .kitti import InputError
 from .solver import MEAN_CAR_DIMS as DIM_MEAN
 
 __all__ = [
@@ -80,18 +81,42 @@ def adaptive_sigma(area: float, spec: GaussianSpec = GaussianSpec()) -> float:
     return min(max(sigma, spec.sigma_min), spec.sigma_max)
 
 
+# exp(-x) rounds to +0 in float32 once x exceeds this: below half the
+# smallest float32 subnormal, round-to-nearest-even gives zero.
+_F32_ZERO_EXPONENT = -math.log(float(np.finfo(np.float32).smallest_subnormal) / 2.0)
+
+
+def _bump_radius(sigma: float) -> int:
+    """Half-width in cells of the window :func:`render_gaussian` draws: the
+    distance r with r^2 = 2*sigma*_F32_ZERO_EXPONENT, plus a one-cell margin."""
+    return int(math.sqrt(2.0 * sigma * _F32_ZERO_EXPONENT)) + 1
+
+
 def render_gaussian(heatmap, center, sigma):
     """Max-compose a Gaussian bump onto a 2D map, value 1 at the center cell.
 
-    The kernel divides by 2*sigma, not the conventional 2*sigma^2.
+    The kernel divides by 2*sigma, not the conventional 2*sigma^2.  Only the
+    cells within :func:`_bump_radius` (about sqrt(207.9*sigma) + 1 cells:
+    13 at sigma 0.75, 32 at sigma 4.75) of the center on either axis are
+    drawn.  Every cell beyond that would get a value below half the smallest
+    float32 subnormal (about 7e-46), which rounds to +0 in float32; since
+    max-composition and rounding are both monotone, the float32 planes
+    :func:`write_headmaps` stores are the same as with an untruncated bump.
+    In-memory float64 maps differ only in such sub-7e-46 values.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     h, w = heatmap.shape
     cx, cy = int(round(center[0])), int(round(center[1]))
-    ys, xs = np.mgrid[0:h, 0:w]
-    bump = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma))
-    np.maximum(heatmap, bump, out=heatmap)
+    r = _bump_radius(sigma)
+    y0, y1 = max(cy - r, 0), min(cy + r + 1, h)
+    x0, x1 = max(cx - r, 0), min(cx + r + 1, w)
+    if y0 >= y1 or x0 >= x1:
+        return heatmap
+    dx2 = (np.arange(x0, x1) - cx) ** 2
+    dy2 = (np.arange(y0, y1)[:, None] - cy) ** 2
+    window = heatmap[y0:y1, x0:x1]
+    np.maximum(window, np.exp(-(dx2 + dy2) / (2.0 * sigma)), out=window)
     return heatmap
 
 
@@ -188,12 +213,18 @@ def resize_bilinear(map2d, out_shape):
     return rows[:, x0] * (1.0 - fx) + rows[:, x1] * fx
 
 
-def _max_pool3(maps: np.ndarray) -> np.ndarray:
-    """3x3 max pool over the first two axes, padded with -inf: the maximum
-    over rows, then over columns."""
-    p = np.pad(maps, [(1, 1), (1, 1)] + [(0, 0)] * (maps.ndim - 2), constant_values=-np.inf)
-    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
-    return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+def _pool3_at(maps: np.ndarray, ys, xs, cs) -> np.ndarray:
+    """3x3 max over the first two axes of an (H, W, C) stack at the cells
+    (ys, xs, cs) only.  Neighbours beyond the edge count as -inf: a clipped
+    index lands on a cell already inside the 3x3 window, which cannot raise
+    its maximum.  A NaN neighbour makes the maximum NaN."""
+    h, w = maps.shape[:2]
+    pooled = maps[ys, xs, cs]
+    for dy in (-1, 0, 1):
+        yy = np.clip(ys + dy, 0, h - 1)
+        for dx in (-1, 0, 1):
+            np.maximum(pooled, maps[yy, np.clip(xs + dx, 0, w - 1), cs], out=pooled)
+    return pooled
 
 
 def extract_peaks(maps, threshold, topk=100):
@@ -201,25 +232,28 @@ def extract_peaks(maps, threshold, topk=100):
 
     Returns a list of ((x, y), score, channel) sorted by descending score,
     truncated to ``topk`` per channel.  Plateau ties are broken greedily so
-    no two returned peaks on one channel share a 3x3 neighborhood.
+    no two returned peaks on one channel share a 3x3 neighborhood.  Only
+    cells at or above ``threshold`` are pooled, so the cost beyond one pass
+    over the stack grows with the candidates, not the grid.
     """
     maps = np.asarray(maps, dtype=float)
     if maps.ndim == 2:
         maps = maps[:, :, None]
-    pooled = _max_pool3(maps)
+    ys, xs, cs = np.unravel_index(np.flatnonzero(maps >= threshold), maps.shape)
+    scores = maps[ys, xs, cs]
+    peak = scores == _pool3_at(maps, ys, xs, cs)
+    ys, xs, cs, scores = ys[peak], xs[peak], cs[peak], scores[peak]
+    order = np.lexsort((xs, ys, -scores, cs))
     peaks = []
-    for c in range(maps.shape[2]):
-        plane = maps[:, :, c]
-        ys, xs = np.nonzero((plane == pooled[:, :, c]) & (plane >= threshold))
-        cand = sorted(zip(plane[ys, xs], ys, xs), key=lambda z: (-z[0], z[1], z[2]))
-        kept = []
-        for score, y, x in cand:
-            if any(abs(y - ky) <= 1 and abs(x - kx) <= 1 for ky, kx in kept):
-                continue
-            kept.append((y, x))
-            peaks.append(((int(x), int(y)), float(score), c))
-            if len(kept) >= topk:
-                break
+    channel, kept, full = None, set(), False
+    for y, x, c, score in zip(*(a[order].tolist() for a in (ys, xs, cs, scores))):
+        if c != channel:
+            channel, kept, full = c, set(), False
+        if full or any((y + dy, x + dx) in kept for dy in (-1, 0, 1) for dx in (-1, 0, 1)):
+            continue
+        kept.add((y, x))
+        peaks.append(((x, y), score, c))
+        full = len(kept) >= topk
     peaks.sort(key=lambda p: -p[1])
     return peaks
 
@@ -463,23 +497,47 @@ def write_headmaps(path, maps: HeadMaps) -> None:
             f.write(f"{name} {c}\n")
 
 
+def _read_sidecar(path: Path) -> dict:
+    """Channel count by plane name, in the order the sidecar lists them.
+    Each line names a distinct plane of :attr:`HeadMaps.PLANES` and its
+    channel count (any count for ``main``); every plane is listed."""
+    wanted = dict(HeadMaps.PLANES)
+    names = {}
+    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        name, count = parts if len(parts) == 2 else ("", "")
+        if not (name in wanted and name not in names and count.isdecimal()
+                and wanted[name] in (None, int(count))):
+            raise InputError(
+                f"{path}, line {line_no}: expected 'name channels' of a head-map plane, got {line!r}"
+            )
+        names[name] = int(count)
+    missing = [name for name in wanted if name not in names]
+    if missing:
+        raise InputError(f"{path}: no line for plane {', '.join(missing)}")
+    return names
+
+
 def read_headmaps(path) -> HeadMaps:
+    """The head maps :func:`write_headmaps` stored at ``path``; a malformed
+    sidecar or a bad or truncated binary file raises an InputError naming
+    the file (and the sidecar line)."""
     path = Path(path)
-    with open(_sidecar_path(path)) as f:
-        names = []
-        for line in f:
-            if line.strip():
-                name, c = line.split()
-                names.append((name, int(c)))
+    names = _read_sidecar(_sidecar_path(path))
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: bad magic, expected RTMH")
-        h, w = struct.unpack("<II", f.read(8))
+        header = f.read(12)
+        if header[:4] != _MAGIC:
+            raise InputError(f"{path}: bad magic, expected RTMH")
+        if len(header) != 12:
+            raise InputError(f"{path}: truncated header")
+        h, w = struct.unpack("<II", header[4:])
         planes = {}
-        for name, c in names:
+        for name, c in names.items():
             raw = f.read(4 * h * w * c)
             if len(raw) != 4 * h * w * c:
-                raise ValueError(f"{path}: truncated plane {name}")
+                raise InputError(f"{path}: truncated plane {name}")
             planes[name] = (
                 np.frombuffer(raw, dtype="<f4").reshape(h, w, c).astype(float)
             )

@@ -117,6 +117,12 @@ class SolverConfig:
     # Start box for every object of a solve; None starts from the priors.
     init_box: Box3D | None = None
 
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if not (self.g_tol >= 0 and self.step_tol >= 0):
+            raise ValueError("g_tol and step_tol must be non-negative")
+
 
 @dataclass(frozen=True)
 class SolveReport:

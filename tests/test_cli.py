@@ -117,7 +117,16 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("spec", "dropout=1.5\n", "line 1"),
         ("spec", "depth_min=-1\n", "line 1"),
         ("spec", "n_objects=-2\n", "line 1"),
+        ("spec", "depth_min=nan\n", "line 1"),
+        ("spec", "seed=3\nyaw_sigma=inf\n", "line 2"),
+        ("spec", "pixel_sigma=nan\n", "line 1"),
         ("config", "w_d=-1\n", "line 1"),
+        ("config", "w_d=nan\n", "line 1"),
+        ("config", "w_r=inf\n", "line 1"),
+        ("config", "max_iter=-5\n", "line 1"),
+        ("config", "max_iter=0\n", "line 1"),
+        ("config", "g_tol=-1e-8\n", "line 1"),
+        ("config", "w_d=2\nstep_tol=-1\n", "line 2"),
         ("calib", "P2: 0 0 609.5593 0 0 721.5377 172.854 0 0 0 1 0\n", "line 1"),
         ("priors", "Car 0.00 0\n", "line 1"),
         ("priors", "Car 0 0 0 0 0 0 0 -1.5 1.6 3.9 0 0 10 0\n" * 2, "object 0"),

@@ -1,12 +1,15 @@
 """Heatmap codec tests: targets, losses, fusion, peaks, orientation bins."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtm3d import synth
+from rtm3d.cli import EXIT_OK, main
 from rtm3d.heatmaps import (
     DIM_MEAN,
     DIM_STD,
@@ -28,8 +31,11 @@ from rtm3d.heatmaps import (
     render_gaussian,
     resize_bilinear,
     write_headmaps,
-    _max_pool3,
+    _bump_radius,
+    _pool3_at,
 )
+from rtm3d.kitti import InputError
+from rtm3d.synth import SceneSpec, encode_headmaps, generate_scene
 
 
 def test_headmaps_zeros_planes():
@@ -155,7 +161,10 @@ def test_max_pool_equals_maximum_filter_bit_for_bit():
         maps = rng.integers(0, 4, size=shape) * 0.25
         maps = np.where(rng.uniform(size=shape) < 0.2, rng.uniform(size=shape), maps)
         planes = maps.reshape(shape[:2] + (-1,))
-        pooled = _max_pool3(maps).reshape(planes.shape)
+        # Pooled at every cell, in a shuffled order.
+        ys, xs, cs = np.indices(planes.shape).reshape(3, -1)[:, rng.permutation(planes.size)]
+        pooled = np.empty(planes.shape)
+        pooled[ys, xs, cs] = _pool3_at(planes, ys, xs, cs)
         for c in range(planes.shape[2]):
             want = ndimage.maximum_filter(planes[:, :, c], size=3, mode="constant", cval=-np.inf)
             assert np.array_equal(pooled[:, :, c], want)
@@ -179,6 +188,132 @@ def test_extract_peaks_topk_and_channels():
     # topk applies per channel; results are globally score-sorted.
     peaks = extract_peaks(m, threshold=0.1, topk=1)
     assert peaks == [((5, 5), 0.8, 1), ((1, 1), 0.6, 0)]
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations, which the windowed renderer and the one-pass
+# peak extraction must match: the full-grid bump and per-channel pooling.
+
+HALF_SUBNORMAL_F32 = float(np.finfo(np.float32).smallest_subnormal) / 2.0
+
+
+def _render_gaussian_full(heatmap, center, sigma):
+    h, w = heatmap.shape
+    cx, cy = int(round(center[0])), int(round(center[1]))
+    ys, xs = np.mgrid[0:h, 0:w]
+    bump = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma))
+    np.maximum(heatmap, bump, out=heatmap)
+    return heatmap
+
+
+def _extract_peaks_per_channel(maps, threshold, topk=100):
+    maps = np.asarray(maps, dtype=float)
+    if maps.ndim == 2:
+        maps = maps[:, :, None]
+    p = np.pad(maps, [(1, 1), (1, 1), (0, 0)], constant_values=-np.inf)
+    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    pooled = np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+    peaks = []
+    for c in range(maps.shape[2]):
+        plane = maps[:, :, c]
+        ys, xs = np.nonzero((plane == pooled[:, :, c]) & (plane >= threshold))
+        cand = sorted(zip(plane[ys, xs], ys, xs), key=lambda z: (-z[0], z[1], z[2]))
+        kept = []
+        for score, y, x in cand:
+            if any(abs(y - ky) <= 1 and abs(x - kx) <= 1 for ky, kx in kept):
+                continue
+            kept.append((y, x))
+            peaks.append(((int(x), int(y)), float(score), c))
+            if len(kept) >= topk:
+                break
+    peaks.sort(key=lambda p: -p[1])
+    return peaks
+
+
+def _f32_bytes(a):
+    return np.ascontiguousarray(a, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.75, 4.75, 50.0])
+def test_render_gaussian_matches_full_grid_reference(sigma):
+    h, w = 96, 320
+    centers = [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1), (0, 40), (w - 1, 40),
+               (150, 0), (150, h - 1), (150, 40), (3, 2), (-5, 40), (w + 2, h + 2),
+               (-100, 40), (150, -100), (w + 100, h + 100)]
+    r = _bump_radius(sigma)
+    for cx, cy in centers:
+        got = render_gaussian(np.zeros((h, w)), (cx, cy), sigma)
+        want = _render_gaussian_full(np.zeros((h, w)), (cx, cy), sigma)
+        assert _f32_bytes(got) == _f32_bytes(want)
+        inside = np.zeros((h, w), dtype=bool)
+        inside[max(cy - r, 0):max(cy + r + 1, 0), max(cx - r, 0):max(cx + r + 1, 0)] = True
+        # The window is drawn exactly; every cell outside it rounds to +0 in float32.
+        assert np.array_equal(got[inside], want[inside])
+        assert not got[~inside].any()
+        assert np.all(want[~inside] < HALF_SUBNORMAL_F32)
+    # Composed onto maps that already hold bumps and a subnormal-sized floor.
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        floor = HALF_SUBNORMAL_F32 * rng.uniform(0.5, 2.0, size=(h, w))
+        base = np.where(rng.uniform(size=(h, w)) < 0.5, floor, 0.0)
+        got, want = base.copy(), base.copy()
+        for _ in range(4):
+            center = (rng.integers(-3, w + 3), rng.integers(-3, h + 3))
+            s = sigma * rng.uniform(0.5, 1.0)
+            render_gaussian(got, center, s)
+            _render_gaussian_full(want, center, s)
+        assert _f32_bytes(got) == _f32_bytes(want)
+
+
+@pytest.mark.parametrize("n_objects, seed", [(1, 3), (5, 42), (20, 7)])
+def test_encode_headmaps_f32_planes_match_full_grid_reference(n_objects, seed, monkeypatch):
+    scenes = [generate_scene(SceneSpec(n_objects=n_objects, seed=seed + i)) for i in range(4)]
+    got = [encode_headmaps(scene) for scene in scenes]
+    monkeypatch.setattr(synth, "render_gaussian", _render_gaussian_full)
+    want = [encode_headmaps(scene) for scene in scenes]
+    for a, b in zip(got, want):
+        for name, _ in HeadMaps.PLANES:
+            assert _f32_bytes(getattr(a, name)) == _f32_bytes(getattr(b, name)), name
+
+
+def test_synth_headmaps_files_match_full_grid_reference(tmp_path, monkeypatch):
+    spec = tmp_path / "scenes.cfg"
+    spec.write_text("frames=3\nn_objects=5\nheadmaps=1\nseed=42\npixel_sigma=1\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["synth", str(spec), str(a)]) == EXIT_OK
+    monkeypatch.setattr(synth, "render_gaussian", _render_gaussian_full)
+    assert main(["synth", str(spec), str(b)]) == EXIT_OK
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert sum(p.suffix == ".rtmh" for p in files) == 3
+    for rel in files:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def test_extract_peaks_matches_per_channel_reference():
+    rng = np.random.default_rng(8)
+    for shape in [(1, 1), (1, 9), (9, 1), (12, 17), (24, 40, 3), (40, 60, 9)]:
+        # Rounded to 0.1, so plateaus and ties across channels are common.
+        maps = np.round(rng.uniform(size=shape), 1)
+        nan_maps = np.where(rng.uniform(size=shape) < 0.05, np.nan, maps)
+        for m in (maps, nan_maps, maps.astype(np.float32)):
+            for threshold in (0.0, 0.5, 0.9):
+                for topk in (1, 3, 100):
+                    want = _extract_peaks_per_channel(m, threshold, topk)
+                    assert extract_peaks(m, threshold, topk) == want
+    maps = encode_headmaps(generate_scene(SceneSpec(n_objects=5, seed=42)))
+    for plane, threshold in ((maps.main, 0.4), (maps.vertex, 0.1), (maps.main[:, :, 0], 0.1)):
+        for topk in (1, 3, 100):
+            want = _extract_peaks_per_channel(plane, threshold, topk)
+            assert want and extract_peaks(plane, threshold, topk) == want
+
+
+def test_extract_peaks_nan_cell_vetoes_its_neighbours():
+    m = np.zeros((7, 7))
+    m[3, 3] = 0.9
+    m[3, 4] = np.nan
+    m[0, 0] = 0.5
+    assert extract_peaks(m, 0.1) == [((0, 0), 0.5, 0)]
 
 
 @given(st.floats(-math.pi + 1e-6, math.pi - 1e-6))
@@ -255,3 +390,45 @@ def test_headmaps_file_roundtrip(tmp_path):
     assert back.grid_shape == (12, 16)
     for name, _ in HeadMaps.PLANES:
         np.testing.assert_array_equal(getattr(back, name), getattr(maps, name))
+
+
+def _written_headmaps(tmp_path):
+    path = tmp_path / "frame.rtmh"
+    write_headmaps(path, HeadMaps.zeros(4, 6))
+    return path, tmp_path / "frame.rtmh.txt"
+
+
+def test_read_headmaps_bad_magic_is_input_error(tmp_path):
+    path, _ = _written_headmaps(tmp_path)
+    path.write_bytes(b"RTMX" + path.read_bytes()[4:])
+    with pytest.raises(InputError, match=re.escape(f"{path}: bad magic")):
+        read_headmaps(path)
+
+
+@pytest.mark.parametrize(
+    "size, what", [(10, "truncated header"), (12 + 4 * 24 * 5, "truncated plane vertex")]
+)
+def test_read_headmaps_truncated_file_is_input_error(size, what, tmp_path):
+    path, _ = _written_headmaps(tmp_path)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(InputError, match=re.escape(f"{path}: {what}")):
+        read_headmaps(path)
+
+
+@pytest.mark.parametrize(
+    "line", ["vertex", "vertex nine", "vertex 9 extra", "vertex -9", "vertex 8", "bogus 3", "main 1"]
+)
+def test_read_headmaps_bad_sidecar_line_is_input_error(line, tmp_path):
+    path, sidecar = _written_headmaps(tmp_path)
+    lines = sidecar.read_text().splitlines()
+    lines[1] = line
+    sidecar.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{sidecar}, line 2: expected 'name channels'")):
+        read_headmaps(path)
+
+
+def test_read_headmaps_sidecar_missing_plane_is_input_error(tmp_path):
+    path, sidecar = _written_headmaps(tmp_path)
+    sidecar.write_text("".join(line + "\n" for line in sidecar.read_text().splitlines()[:-1]))
+    with pytest.raises(InputError, match=re.escape(f"{sidecar}: no line for plane depth")):
+        read_headmaps(path)
