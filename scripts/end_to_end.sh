@@ -1,7 +1,11 @@
 #!/bin/sh
 # Full pipeline demo: synthesize frames, solve boxes, evaluate, render.
 # Usage: scripts/end_to_end.sh [workdir]
+# Runs the package from the Python path: install it, or from a checkout run
+# PYTHONPATH=src scripts/end_to_end.sh.
 set -eu
+
+rtm3d() { python3 -m rtm3d.cli "$@"; }
 
 WORK="${1:-/tmp/rtm3d_demo}"
 mkdir -p "$WORK"

@@ -1,12 +1,13 @@
 """Monocular 3D box recovery from nine projected keypoints.
 
-Subpackages: geometry (SE(3) and projection math), solver (energy
-minimization), heatmaps (dense-map encode/decode and losses), kitti
-(label/calib I/O), synth (synthetic scene oracle), evaluation (rotated
-IoU, AP, AOS), bev_svg and cli (rendering and the command line).
+Subpackages: geometry (boxes, rotations and projection), solver (energy
+minimization over position, yaw and dimensions), heatmaps (dense-map
+encode/decode and losses), kitti (label/calib I/O), synth (synthetic
+scene oracle), evaluation (rotated IoU, AP, AOS), bev_svg and cli
+(rendering and the command line).
 """
 
-from .geometry import Box3D, CameraModel, KeypointSet, PoseSE3, Twist
+from .geometry import Box3D, CameraModel, KeypointSet
 from .solver import EnergyWeights, Priors, SolveReport, solve
 
 __all__ = [
@@ -14,10 +15,8 @@ __all__ = [
     "CameraModel",
     "EnergyWeights",
     "KeypointSet",
-    "PoseSE3",
     "Priors",
     "SolveReport",
-    "Twist",
     "solve",
 ]
 

@@ -44,14 +44,23 @@ class Settings(dict):
                 raise InputError(f"{where}: {key} must be finite, got {value!r}")
             self.lines[key] = line_no
 
-    def build(self, cls, keys, **values):
-        """``cls(**values)``; its ValueError becomes an InputError naming the
-        lines that set ``keys``."""
+    def build(self, cls, keys, make=dict):
+        """``cls(**make(given))``, where ``given`` holds the values this file
+        sets for ``keys``.  Its ValueError becomes an InputError naming the
+        line of the first value that fails on its own, or the lines of all
+        of ``given`` when only their combination fails."""
+        given = {k: self[k] for k in keys if k in self}
         try:
-            return cls(**values)
+            return cls(**make(given))
         except ValueError as e:
-            lines = sorted(self.lines[k] for k in keys if k in self.lines)
-            raise InputError(f"{self.path}, line {', '.join(map(str, lines))}: {e}") from None
+            error, lines = e, sorted(self.lines[k] for k in given)
+        for key in sorted(given, key=self.lines.get):
+            try:
+                cls(**make({key: given[key]}))
+            except ValueError as e:
+                error, lines = e, [self.lines[key]]
+                break
+        raise InputError(f"{self.path}, line {', '.join(map(str, lines))}: {error}")
 
 
 def _numeric_fields(cls) -> dict:
@@ -65,9 +74,7 @@ def load_config(path) -> tuple[EnergyWeights, SolverConfig]:
     file does not set keeps its dataclass default."""
     groups = [(cls, _numeric_fields(cls)) for cls in (EnergyWeights, SolverConfig)]
     s = Settings(path, {k: t for _, keys in groups for k, t in keys.items()})
-    weights, solver = (
-        s.build(cls, keys, **{k: s[k] for k in keys if k in s}) for cls, keys in groups
-    )
+    weights, solver = (s.build(cls, keys) for cls, keys in groups)
     return weights, solver
 
 
@@ -85,12 +92,14 @@ def load_synth_spec(path) -> tuple[int, bool, SceneSpec, NoiseSpec]:
     scene = s.build(
         SceneSpec,
         scene_keys,
-        n_objects=s.get("n_objects", default.n_objects),
-        depth_range=(s.get("depth_min", depth[0]), s.get("depth_max", depth[1])),
-        lateral_range=(s.get("lateral_min", lateral[0]), s.get("lateral_max", lateral[1])),
-        seed=s.get("seed", default.seed),
+        lambda v: dict(
+            n_objects=v.get("n_objects", default.n_objects),
+            depth_range=(v.get("depth_min", depth[0]), v.get("depth_max", depth[1])),
+            lateral_range=(v.get("lateral_min", lateral[0]), v.get("lateral_max", lateral[1])),
+            seed=v.get("seed", default.seed),
+        ),
     )
-    noise = s.build(NoiseSpec, noise_keys, **{k: s[k] for k in noise_keys if k in s})
+    noise = s.build(NoiseSpec, noise_keys)
     frames = s.get("frames", 1)
     if frames < 0:
         raise InputError(f"{path}, line {s.lines['frames']}: frames must be non-negative")

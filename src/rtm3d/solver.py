@@ -2,13 +2,15 @@
 
 The objective stacks a confidence-weighted reprojection term over the
 nine keypoints with soft priors on dimensions and orientation, and is
-minimized by Levenberg-Marquardt over a left-multiplied SE(3) pose
-perturbation plus the three dimensions.  Yaw is extracted from the final
-rotation.
+minimized by Levenberg-Marquardt over the pose KITTI can write: the
+bottom-center translation t, the yaw about the camera y axis, and the
+three dimensions.  That is the ground-plane subgroup of SE(3), so every
+step is additive and the state is the written box.
 
 One LM loop serves every caller: :func:`solve_batch` fits N objects at
-once, with residuals (N, 24), Jacobians (N, 24, 9) and normal equations
-(N, 9, 9) stacked along the first axis; :func:`solve` is its N = 1 case.
+once, with states (N, 7) ordered (t, yaw, dims), residuals (N, 22),
+Jacobians (N, 22, 7) and normal equations (N, 7, 7) stacked along the
+first axis; :func:`solve` is its N = 1 case.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from .geometry import (
     _TEMPLATE_TO_CAM,
-    AngleNearPi,
     BehindCamera,
     Box3D,
     CameraModel,
@@ -29,11 +30,6 @@ from .geometry import (
     _skew,
     cor_matrix,
     rot_y,
-    so3_exp,
-    so3_left_jacobian_inv,
-    so3_log,
-    so3_log_parts,
-    wrap_to_pi,
 )
 
 __all__ = [
@@ -69,6 +65,9 @@ _AXIS_OF_DIM = _TEMPLATE_TO_CAM.argmax(axis=0)
 _DIM_OF_AXIS = _TEMPLATE_TO_CAM.argmax(axis=1)
 _UNIT_OFFSETS = cor_matrix()[_DIM_OF_AXIS].T.copy()
 _I3 = np.eye(3)
+# Columns of the (v, w, dims) Jacobian that a state (t, yaw, dims) keeps:
+# v is t, w_y becomes the yaw column, w_x and w_z are dropped.
+_STATE_COLS = [0, 1, 2, 4, 6, 7, 8]
 
 
 class InsufficientConstraints(ValueError):
@@ -150,9 +149,8 @@ class _Batch(NamedTuple):
     sqrt_w: np.ndarray  # (N, 18) root confidence weights, zero on invisible rows
     d_hat: np.ndarray  # (N, 3) dimension priors, zero where absent
     theta_hat: np.ndarray  # (N,) yaw priors, zero where absent
-    use_r: np.ndarray  # (N,) whether the rotation term is on
     sqrt_wd: np.ndarray  # (N, 1) root dimension weights, zero where the term is off
-    sqrt_wr: np.ndarray  # (N, 1) root rotation weights, zero where the term is off
+    sqrt_wr: np.ndarray  # (N,) root rotation weights, zero where the term is off
 
     @staticmethod
     def stack(kps, cams, priors, weights: EnergyWeights) -> "_Batch":
@@ -169,26 +167,13 @@ class _Batch(NamedTuple):
             sqrt_w=np.sqrt(sigma) * np.repeat(vis, 2, axis=1),
             d_hat=np.array([np.zeros(3) if p.d_hat is None else p.d_hat for p in priors]),
             theta_hat=np.array([p.theta_hat or 0.0 for p in priors], dtype=float),
-            use_r=use_r,
             sqrt_wd=(math.sqrt(weights.w_d) * use_d)[:, None],
-            sqrt_wr=(math.sqrt(weights.w_r) * use_r)[:, None],
+            sqrt_wr=math.sqrt(weights.w_r) * use_r,
         )
 
     def take(self, idx: np.ndarray) -> "_Batch":
         """Rows ``idx`` (sorted, unique) of every input."""
         return self if len(idx) == len(self.kp) else _Batch(*(a[idx] for a in self))
-
-
-def _rotation_prior_jacobian(r: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
-    """Jacobian -J_l^{-1}(e) R^T of e = Log(R^T R_y(theta_hat)) w.r.t. a left
-    perturbation Exp(dw) R, for N rotations.
-
-    From R^T Exp(-dw) = Exp(-R^T dw) R^T and Log(Exp(a) Exp(e)) ~ e + J_l^{-1}(e) a
-    (Sola et al., arXiv:1812.01537, eq. 146).
-    """
-    r_t = r.transpose(0, 2, 1)
-    e, theta, _ = so3_log_parts(r_t @ rot_y(theta_hat))
-    return -so3_left_jacobian_inv(e, theta) @ r_t
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +216,29 @@ def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarra
     return ((-jp) @ m).reshape(len(p), 18, 9)
 
 
-def _residuals(b: _Batch, r, t, dims):
-    """Weighted residuals (N, 24), and where they are undefined: a visible
-    keypoint behind the camera, or a rotation residual near pi."""
-    res = np.empty((len(r), 24))
-    res_cp, behind = _residual_cp(b.f, b.c, b.t_cam, b.kp, b.vis, _camera_points(r, t, dims))
+def _residuals(b: _Batch, x: np.ndarray):
+    """Weighted residuals (N, 22) of states x = (t, yaw, dims), and which
+    objects have a visible keypoint behind the camera."""
+    res = np.empty((len(x), 22))
+    pts = _camera_points(rot_y(x[:, 3]), x[:, :3], x[:, 4:])
+    res_cp, behind = _residual_cp(b.f, b.c, b.t_cam, b.kp, b.vis, pts)
     res[:, :18] = b.sqrt_w * res_cp
-    res[:, 18:21] = b.sqrt_wd * (b.d_hat - dims)
-    e_r, _, near_pi = so3_log_parts(r.transpose(0, 2, 1) @ rot_y(b.theta_hat))
-    res[:, 21:24] = b.sqrt_wr * np.where(b.use_r[:, None], e_r, 0.0)
-    return res, behind, near_pi & b.use_r
+    res[:, 18:21] = b.sqrt_wd * (b.d_hat - x[:, 4:])
+    res[:, 21] = b.sqrt_wr * residual_rotation(x[:, 3], b.theta_hat)
+    return res, behind
 
 
-def _jacobians(b: _Batch, r, t, dims) -> np.ndarray:
-    """Weighted (N, 24, 9) Jacobian of :func:`_residuals`."""
-    jac = np.zeros((len(r), 24, 9))
-    jac[:, :18] = b.sqrt_w[..., None] * _jacobian_cp(b.f, b.t_cam, r, _camera_points(r, t, dims))
-    jac[:, 18:21, 6:9] = -b.sqrt_wd[..., None] * _I3
-    j_r = np.where(b.use_r[:, None, None], _rotation_prior_jacobian(r, b.theta_hat), 0.0)
-    jac[:, 21:24, 3:6] = b.sqrt_wr[..., None] * j_r
+def _jacobians(b: _Batch, x: np.ndarray) -> np.ndarray:
+    """Weighted (N, 22, 7) Jacobian of :func:`_residuals`."""
+    t, r = x[:, :3], rot_y(x[:, 3])
+    j = _jacobian_cp(b.f, b.t_cam, r, _camera_points(r, t, x[:, 4:]))
+    # Turning by yaw about the bottom center is the twist w = e_y with
+    # v = -(e_y x t), which keeps t: the yaw column is J_wy - J_v (e_y x t).
+    j[..., 4] += t[:, None, 0] * j[..., 2] - t[:, None, 2] * j[..., 0]
+    jac = np.zeros((len(x), 22, 7))
+    jac[:, :18] = b.sqrt_w[..., None] * j[..., _STATE_COLS]
+    jac[:, 18:21, 4:] = -b.sqrt_wd[..., None] * _I3
+    jac[:, 21, 3] = -b.sqrt_wr
     return jac
 
 
@@ -278,13 +267,14 @@ def residual_dimension(dims: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
     return np.asarray(d_hat, dtype=float).reshape(3) - np.asarray(dims, dtype=float).reshape(3)
 
 
-def residual_rotation(yaw: float, theta_hat: float) -> np.ndarray:
-    """Axis-angle of the relative rotation between yaw and its prior."""
-    return so3_log(rot_y(yaw).T @ rot_y(theta_hat))
+def residual_rotation(yaw, theta_hat):
+    """Yaw prior minus yaw wrapped to [-pi, pi): the solver's rotation
+    residual before weighting.  Takes scalars or arrays."""
+    return (theta_hat - yaw + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _term_costs(res: np.ndarray) -> list:
-    """Camera-point, dimension and rotation costs of weighted residuals (N, 24)."""
+    """Camera-point, dimension and rotation costs of weighted residuals (N, 22)."""
     sums = np.add.reduceat(res * res, [0, 18, 21], axis=1)
     return [dict(zip(("camera_point", "dimension", "rotation"), map(float, row))) for row in sums]
 
@@ -294,11 +284,9 @@ def total_energy(
 ) -> tuple[float, dict]:
     """Weighted sum of squared residual terms plus a per-term breakdown."""
     b = _Batch.stack([kps], [cam], [priors], weights)
-    res, behind, near_pi = _residuals(b, rot_y(box.yaw)[None], box.t[None], box.dims[None])
+    res, behind = _residuals(b, np.r_[box.t, box.yaw, box.dims][None])
     if behind[0]:
         raise BehindCamera("a visible keypoint projects behind the camera")
-    if near_pi[0]:
-        raise AngleNearPi("rotation angle within 1e-6 of pi")
     (terms,) = _term_costs(res)
     return sum(terms.values()), terms
 
@@ -309,8 +297,8 @@ def total_energy(
 
 def initialize(
     priors: Priors, kps: KeypointSet, cam: CameraModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial rotation, bottom-center translation and dimensions.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Initial yaw, bottom-center translation and dimensions.
 
     Depth comes from the prior when present, otherwise from a
     similar-triangles estimate using the vertical keypoint extent; the box
@@ -342,7 +330,7 @@ def initialize(
     )
     # Center sits half a height above the bottom-face anchor (y points down).
     t0 = center + np.array([0.0, d0[0] / 2.0, 0.0])
-    return rot_y(yaw0), t0, d0
+    return yaw0, t0, d0
 
 
 def _required_visible(priors: Priors) -> int:
@@ -352,8 +340,9 @@ def _required_visible(priors: Priors) -> int:
 
 
 def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Damped Gauss-Newton steps (N, 9); NaN rows where the system is singular."""
-    a, b = jtj + lam[:, None, None] * np.eye(9), -grad[..., None]
+    """Damped Gauss-Newton steps (N, K) of (N, K, K) systems; NaN rows where
+    the system is singular."""
+    a, b = jtj + lam[:, None, None] * np.eye(jtj.shape[-1]), -grad[..., None]
     try:
         return np.linalg.solve(a, b)[..., 0]
     except np.linalg.LinAlgError:
@@ -374,19 +363,18 @@ def solve_batch(
     weights: EnergyWeights = EnergyWeights(),
     config: SolverConfig = SolverConfig(),
 ) -> list:
-    """Levenberg-Marquardt over (pose, dims) for N objects in one loop.
+    """Levenberg-Marquardt over (t, yaw, dims) for N objects in one loop.
 
     Each object keeps its own damping, iteration count and done flag, and
     follows the same sequence of trials as it would alone: a rejected trial
     multiplies its damping by 10 and is retried on the next pass with the
     same Jacobian.  A trial is rejected when its cost is not lower or not
-    finite, when it puts a visible keypoint behind the camera, and when it
-    brings the rotation residual near pi.
+    finite, and when it puts a visible keypoint behind the camera.
 
     Returns one entry per object: a :class:`SolveReport`, or the exception
     that ended that object's solve (:class:`InsufficientConstraints`;
-    :class:`DivergedError` for a non-finite cost; :class:`BehindCamera` or
-    :class:`AngleNearPi` for an undefined start).
+    :class:`DivergedError` for a non-finite cost; :class:`BehindCamera` when
+    the start puts a visible keypoint behind the camera).
     """
     out: list = [
         InsufficientConstraints(f"{k.n_visible} visible keypoints with priors {p} are not enough")
@@ -401,26 +389,23 @@ def solve_batch(
     kps, cams, priors = ([seq[i] for i in idx] for seq in (kps, cams, priors))
     b = _Batch.stack(kps, cams, priors, weights)
     if config.init_box is None:
-        r, t, dims = (np.array(a) for a in zip(*map(initialize, priors, kps, cams)))
+        starts = map(initialize, priors, kps, cams)
     else:
         box = config.init_box
-        r, t, dims = (np.array([a] * n) for a in (rot_y(box.yaw), box.t, box.dims))
+        starts = [(box.yaw, box.t, box.dims)] * n
+    x = np.array([np.r_[t, yaw, dims] for yaw, t, dims in starts])
 
     with np.errstate(all="ignore"):
-        res, behind, near_pi = _residuals(b, r, t, dims)
+        res, behind = _residuals(b, x)
         cost = np.sum(res * res, axis=1)
-        errors = [
-            BehindCamera("a visible keypoint starts behind the camera") if bc
-            else AngleNearPi("start rotation is within 1e-6 of pi from the prior") if pi
-            else None
-            for bc, pi in zip(behind, near_pi)
-        ]
+        errors = [BehindCamera("a visible keypoint starts behind the camera") if bc else None
+                  for bc in behind]
         lam = np.full(n, LM_LAMBDA0)
         iters = np.zeros(n, dtype=int)
         converged = np.zeros(n, dtype=bool)
         fresh = np.ones(n, dtype=bool)  # the state moved, so its Jacobian is due
-        jtj, grad = np.empty((n, 9, 9)), np.empty((n, 9))
-        live = np.flatnonzero(~(behind | near_pi))
+        jtj, grad = np.empty((n, 7, 7)), np.empty((n, 7))
+        live = np.flatnonzero(~behind)
         while live.size:
             on = np.zeros(n, dtype=bool)  # still iterating after this pass
             on[live] = True
@@ -434,7 +419,7 @@ def solve_batch(
                 on[j] = False
             new = new[np.isfinite(cost[new])]
             if new.size:
-                jac = _jacobians(b.take(new), r[new], t[new], dims[new])
+                jac = _jacobians(b.take(new), x[new])
                 jac_t = jac.transpose(0, 2, 1)
                 jtj[new], grad[new] = jac_t @ jac, (jac_t @ res[new][..., None])[..., 0]
                 fresh[new] = False
@@ -450,29 +435,25 @@ def solve_batch(
             i = live[on[live]]
             if i.size:
                 step = _lm_steps(jtj[i], grad[i], lam[i])
-                dr = so3_exp(step[:, 3:6])
-                r_new, t_new = dr @ r[i], (dr @ t[i][..., None])[..., 0] + step[:, :3]
-                d_new = np.maximum(dims[i] + step[:, 6:9], 1e-2)
-                res_new, behind, near_pi = _residuals(b.take(i), r_new, t_new, d_new)
+                x_new = x[i] + step
+                x_new[:, 4:] = np.maximum(x_new[:, 4:], 1e-2)
+                res_new, behind = _residuals(b.take(i), x_new)
                 cost_new = np.sum(res_new * res_new, axis=1)
-                ok = ~behind & ~near_pi & np.isfinite(cost_new) & (cost_new < cost[i])
+                ok = ~behind & np.isfinite(cost_new) & (cost_new < cost[i])
                 lam[i] = np.where(ok, np.maximum(lam[i] / 10.0, 1e-12), lam[i] * 10.0)
                 acc = i[ok]
-                r[acc], t[acc], dims[acc] = r_new[ok], t_new[ok], d_new[ok]
-                res[acc], cost[acc], fresh[acc] = res_new[ok], cost_new[ok], True
+                x[acc], res[acc], cost[acc], fresh[acc] = x_new[ok], res_new[ok], cost_new[ok], True
                 small = acc[np.linalg.norm(step[ok], axis=1) < config.step_tol]
                 converged[small], on[small] = True, False
             live = live[on[live]]
 
-        yaw = np.array([wrap_to_pi(math.atan2(m[0, 2], m[2, 2])) for m in r])
-        # Camera-point, dimension and rotation costs of the box as written: yaw only.
-        terms = _term_costs(_residuals(b, rot_y(yaw), t, dims)[0])
+        terms = _term_costs(res)
     for j, i in enumerate(idx):
         if errors[j] is not None:
             out[i] = errors[j]
             continue
         out[i] = SolveReport(
-            box=Box3D(dims=dims[j].copy(), t=t[j].copy(), yaw=yaw[j]),
+            box=Box3D(dims=x[j, 4:].copy(), t=x[j, :3].copy(), yaw=x[j, 3]),
             iterations=int(iters[j]),
             final_cost=float(cost[j]),
             converged=bool(converged[j]),
@@ -488,7 +469,7 @@ def solve(
     weights: EnergyWeights = EnergyWeights(),
     config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
-    """Levenberg-Marquardt over (pose, dims) for one object; raises the
+    """Levenberg-Marquardt over (t, yaw, dims) for one object; raises the
     exception :func:`solve_batch` reports for it."""
     (report,) = solve_batch([kps], [cam], [priors], weights, config)
     if isinstance(report, Exception):

@@ -116,6 +116,8 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("spec", "seed=3\nframes=-1\n", "line 2"),
         ("spec", "dropout=1.5\n", "line 1"),
         ("spec", "depth_min=-1\n", "line 1"),
+        ("spec", "seed=3\ndepth_min=-1\n", "line 2"),
+        ("spec", "depth_min=30\ndepth_max=20\n", "line 1, 2"),
         ("spec", "n_objects=-2\n", "line 1"),
         ("spec", "depth_min=nan\n", "line 1"),
         ("spec", "seed=3\nyaw_sigma=inf\n", "line 2"),
@@ -127,6 +129,7 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("config", "max_iter=0\n", "line 1"),
         ("config", "g_tol=-1e-8\n", "line 1"),
         ("config", "w_d=2\nstep_tol=-1\n", "line 2"),
+        ("config", "max_iter=50\nstep_tol=-1\n", "line 2"),
         ("calib", "P2: 0 0 609.5593 0 0 721.5377 172.854 0 0 0 1 0\n", "line 1"),
         ("priors", "Car 0.00 0\n", "line 1"),
         ("priors", "Car 0 0 0 0 0 0 0 -1.5 1.6 3.9 0 0 10 0\n" * 2, "object 0"),
@@ -277,3 +280,11 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_end_to_end_script_runs_from_a_checkout(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "end_to_end.sh"
+    env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}
+    subprocess.run(["sh", str(script), str(tmp_path)], env=env, capture_output=True, check=True)
+    assert "ap_3d_moderate=" in (tmp_path / "metrics.txt").read_text()
+    assert (tmp_path / "frame000000_bev.svg").read_text().startswith("<svg")

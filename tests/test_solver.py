@@ -1,6 +1,7 @@
 """Solver unit tests: residuals, Jacobian, initialization, recovery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,6 @@ from rtm3d.geometry import (
     KeypointSet,
     box_points_3d,
     project_points,
-    rot_y,
-    so3_exp,
-    so3_log,
-    so3_log_parts,
     wrap_to_pi,
 )
 from rtm3d.solver import (
@@ -26,8 +23,10 @@ from rtm3d.solver import (
     InsufficientConstraints,
     Priors,
     SolverConfig,
+    _Batch,
+    _jacobians,
     _lm_steps,
-    _rotation_prior_jacobian,
+    _residuals,
     _softmax_rows,
     initialize,
     jacobian_camera_point,
@@ -117,12 +116,13 @@ def test_confidence_weight_softmax():
     assert np.all(np.diff(diag) > 0)
 
 
-@given(st.floats(-1.4, 1.4), st.floats(-1.4, 1.4))
+@given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
 @settings(max_examples=200)
 def test_residual_rotation_is_wrapped_difference(yaw, theta):
     res = residual_rotation(yaw, theta)
-    assert res.shape == (3,)
-    assert abs(np.linalg.norm(res) - abs(wrap_to_pi(theta - yaw))) < 1e-9
+    assert np.ndim(res) == 0
+    assert -math.pi <= res <= math.pi
+    assert abs(wrap_to_pi(res - (theta - yaw))) < 1e-12
 
 
 def test_residual_dimension():
@@ -138,10 +138,11 @@ def test_initialize_backprojects_center():
     for _ in range(10):
         box = _random_box(rng)
         priors = Priors(d_hat=box.dims.copy(), theta_hat=box.yaw, z_hat=box.t[2])
-        r, t, dims = initialize(priors, _keypoints_of(box), CAM)
+        yaw, t, dims = initialize(priors, _keypoints_of(box), CAM)
+        assert yaw == box.yaw
         np.testing.assert_allclose(dims, box.dims)
         center = box.t - [0.0, box.h / 2.0, 0.0]
-        start = r @ np.zeros(3) + t - [0.0, dims[0] / 2.0, 0.0]
+        start = t - [0.0, dims[0] / 2.0, 0.0]
         np.testing.assert_allclose(start[2], center[2], atol=1e-9)
         np.testing.assert_allclose(start[:2], center[:2], atol=1e-6)
 
@@ -150,7 +151,8 @@ def test_initialize_without_depth_prior_uses_vertical_extent():
     rng = np.random.default_rng(5)
     box = _random_box(rng)
     priors = Priors(d_hat=box.dims.copy())
-    r, t, dims = initialize(priors, _keypoints_of(box), CAM)
+    yaw, t, dims = initialize(priors, _keypoints_of(box), CAM)
+    assert yaw == 0.0
 
     # Similar triangles on the box height give a usable depth guess.
     assert 0.5 * box.t[2] < t[2] < 2.0 * box.t[2]
@@ -207,41 +209,47 @@ def test_mean_car_dims_constant():
     np.testing.assert_allclose(MEAN_CAR_DIMS, [1.53, 1.62, 3.89])
 
 
-def _rotation_residual(r, theta_hat):
-    return so3_log(r.T @ rot_y(theta_hat))
-
-
-def test_rotation_prior_jacobian_matches_finite_differences():
-    # Closed form -J_l^{-1}(e) R^T against central differences of
-    # Log(R^T R_y(theta_hat)) under a left perturbation Exp(dw) R.
+def test_solver_jacobian_matches_finite_differences():
+    # The weighted (22, 7) Jacobian over states (t, yaw, dims) against central
+    # differences of the weighted residuals, with confidence weights, dropped
+    # keypoints and both priors on.  Yaw within 1e-7 of +-pi and priors across
+    # the wrap check that the rotation residual is smooth there.
     rng = np.random.default_rng(9)
     h = 1e-6
     cases = []
-    for _ in range(50):
-        theta_hat = rng.uniform(-math.pi, math.pi)
-        e0 = rng.normal(size=3)
-        e0 *= rng.uniform(0.0, 3.0) / np.linalg.norm(e0)
-        cases.append((rot_y(theta_hat) @ so3_exp(-e0), theta_hat))
-    # |e| below the Taylor threshold.
-    theta_hat = 0.7
-    cases.append((rot_y(theta_hat) @ so3_exp(np.array([1e-9, -2e-9, 5e-10])), theta_hat))
-    cases.append((rot_y(theta_hat), theta_hat))
-    r = np.array([c[0] for c in cases])
-    thetas = np.array([c[1] for c in cases])
-    jac = _rotation_prior_jacobian(r, thetas)
-    e, theta, near_pi = so3_log_parts(r.transpose(0, 2, 1) @ rot_y(thetas))
-    assert not near_pi.any()
-    assert theta[-2] < 1e-8 and theta[-1] < 1e-8
-    for (rk, th), ek, jk in zip(cases, e, jac):
-        np.testing.assert_allclose(ek, _rotation_residual(rk, th), atol=1e-12)
-        fd = np.empty((3, 3))
-        for k in range(3):
-            dw = np.zeros(3)
-            dw[k] = h
-            fd[:, k] = (
-                _rotation_residual(so3_exp(dw) @ rk, th) - _rotation_residual(so3_exp(-dw) @ rk, th)
-            ) / (2 * h)
-        np.testing.assert_allclose(jk, fd, atol=1e-6)
+    for _ in range(30):
+        box = _random_box(rng)
+        cases.append((box.dims, box.t, box.yaw, wrap_to_pi(box.yaw + rng.uniform(-0.5, 0.5))))
+    for yaw, prior in [
+        (math.pi - 5e-8, math.pi - 5e-8),
+        (-math.pi + 5e-8, -math.pi + 5e-8),
+        (math.pi - 5e-8, -math.pi + 5e-8),
+        (-math.pi + 5e-8, math.pi - 0.3),
+        (math.pi - 0.01, -math.pi + 0.01),
+    ]:
+        box = _random_box(rng)
+        cases.append((box.dims, box.t, yaw, prior))
+    kps, priors = [], []
+    for dims, t, yaw, prior in cases:
+        k = _keypoints_of(Box3D(dims=dims, t=t, yaw=yaw), rng.uniform(0.2, 1.0, 9))
+        visible = rng.uniform(size=9) > 0.2
+        noisy = k.pts + rng.normal(0.0, 2.0, (9, 2))
+        kps.append(KeypointSet(pts=noisy, conf=k.conf, visible=visible))
+        priors.append(Priors(d_hat=dims * rng.uniform(0.9, 1.1, 3), theta_hat=prior, z_hat=t[2]))
+    b = _Batch.stack(kps, [CAM] * len(cases), priors, EnergyWeights(w_d=2.0, w_r=3.0))
+    x = np.array([np.r_[t, yaw, dims] for dims, t, yaw, _ in cases])
+    gap = np.array([wrap_to_pi(prior - yaw) for _, _, yaw, prior in cases])
+    np.testing.assert_allclose(_residuals(b, x)[0][:, 21], math.sqrt(3.0) * gap, atol=1e-12)
+    jac = _jacobians(b, x)
+    assert jac.shape == (len(cases), 22, 7)
+    fd = np.empty_like(jac)
+    for k in range(7):
+        dx = np.zeros(7)
+        dx[k] = h
+        fd[..., k] = (_residuals(b, x + dx)[0] - _residuals(b, x - dx)[0]) / (2 * h)
+    rel = np.abs(jac - fd) / np.maximum(np.abs(fd), 1.0)
+    assert rel.max() < 1e-5
+    np.testing.assert_array_equal(jac[:, 21, 3], -math.sqrt(3.0))
 
 
 def _noisy_objects(n, seed0):
@@ -291,17 +299,35 @@ def test_nan_keypoint_fails_only_its_object():
         solve(kps[1], CAM, priors[1])
 
 
-@pytest.mark.parametrize("yaw", [-math.pi, math.pi, math.pi - 1e-7])
-def test_solve_with_prior_yaw_at_pi(yaw):
+@pytest.mark.parametrize(
+    "yaw, prior",
+    [pytest.param(y, y, id=str(y)) for y in (-math.pi, math.pi, math.pi - 1e-7)]
+    + [pytest.param(math.pi - 0.01, -math.pi + 0.01, id="prior-across-the-wrap")],
+)
+def test_solve_with_prior_yaw_at_pi(yaw, prior):
+    # An exact prior recovers the box.  The prior across the wrap is 0.02 rad
+    # off, so it pulls the fit by millimeters, not as a prior 2 pi - 0.02 away.
+    tol = 1e-6 if prior == yaw else 1e-2
     rng = np.random.default_rng(11)
     for _ in range(5):
         box = _random_box(rng)
         box = Box3D(dims=box.dims, t=box.t, yaw=yaw)
-        priors = Priors(d_hat=box.dims.copy(), theta_hat=yaw, z_hat=box.t[2])
-        report = solve(_keypoints_of(box), CAM, priors)
-        np.testing.assert_allclose(report.box.t, box.t, atol=1e-6)
-        np.testing.assert_allclose(report.box.dims, box.dims, atol=1e-6)
-        assert abs(wrap_to_pi(report.box.yaw - box.yaw)) < 1e-6
+        kps = _keypoints_of(box)
+        priors = Priors(d_hat=box.dims.copy(), theta_hat=prior, z_hat=box.t[2])
+        report = solve(kps, CAM, priors)
+        np.testing.assert_allclose(report.box.t, box.t, atol=tol)
+        np.testing.assert_allclose(report.box.dims, box.dims, atol=tol)
+        assert abs(wrap_to_pi(report.box.yaw - box.yaw)) < tol / 10
+        # The prior counts by its wrapped distance: shifted by -2 pi, with the
+        # solved box, whose yaw lies in (-pi, pi], as the start, it moves nothing.
+        shifted = solve(
+            kps,
+            CAM,
+            replace(priors, theta_hat=prior - 2 * math.pi),
+            config=SolverConfig(init_box=report.box),
+        )
+        np.testing.assert_allclose(shifted.box.t, report.box.t, atol=1e-8)
+        assert abs(wrap_to_pi(shifted.box.yaw - report.box.yaw)) < 1e-8
 
 
 def test_lm_steps_isolate_a_singular_system():
