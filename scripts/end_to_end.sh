@@ -19,7 +19,7 @@ seed=42
 EOF
 
 rtm3d synth "$WORK/scenes.cfg" "$WORK/dataset"
-rtm3d solve "$WORK/dataset" "$WORK/results" --jobs 2
+rtm3d solve "$WORK/dataset" "$WORK/results"
 rtm3d eval "$WORK/results" "$WORK/dataset" --iou 0.5 --out "$WORK/metrics.txt"
 rtm3d render-bev \
     --results "$WORK/results/data/000000.txt" \

@@ -349,7 +349,8 @@ def group_keypoints(
         center = (np.array([mx, my], dtype=float) + maps.center_offset[my, mx, :]) * s
         d_hat = DIM_MEAN + DIM_STD * maps.dims[my, mx, :]
         alpha_hat = multibin_decode(maps.orientation[my, mx, :])
-        z_hat = float(np.exp(maps.depth[my, mx, 0]))
+        # exp of the float64 value: a float32 exp would round z_hat differently.
+        z_hat = float(np.exp(float(maps.depth[my, mx, 0])))
         objects.append(
             GroupedObject(
                 center=center,
@@ -521,9 +522,9 @@ def _read_sidecar(path: Path) -> dict:
 
 
 def read_headmaps(path) -> HeadMaps:
-    """The head maps :func:`write_headmaps` stored at ``path``; a malformed
-    sidecar or a bad or truncated binary file raises an InputError naming
-    the file (and the sidecar line)."""
+    """The head maps :func:`write_headmaps` stored at ``path``, as the float32
+    planes it stored; a malformed sidecar or a bad or truncated binary file
+    raises an InputError naming the file (and the sidecar line)."""
     path = Path(path)
     names = _read_sidecar(_sidecar_path(path))
     with open(path, "rb") as f:
@@ -533,12 +534,13 @@ def read_headmaps(path) -> HeadMaps:
         if len(header) != 12:
             raise InputError(f"{path}: truncated header")
         h, w = struct.unpack("<II", header[4:])
+        size = path.stat().st_size
         planes = {}
         for name, c in names.items():
-            raw = f.read(4 * h * w * c)
-            if len(raw) != 4 * h * w * c:
+            # Checked before allocating, so a corrupt header cannot ask for
+            # more memory than the file holds.
+            if 4 * h * w * c > size - f.tell():
                 raise InputError(f"{path}: truncated plane {name}")
-            planes[name] = (
-                np.frombuffer(raw, dtype="<f4").reshape(h, w, c).astype(float)
-            )
+            planes[name] = np.empty((h, w, c), dtype="<f4")
+            f.readinto(planes[name])
     return HeadMaps(**planes)

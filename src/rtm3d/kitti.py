@@ -7,12 +7,13 @@ convention, so parse(write(x)) reproduces every field within 0.005.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box3D, CameraModel
+from .geometry import Box3D, CameraModel, yaw_to_alpha
 
 __all__ = [
     "FieldCountError",
@@ -45,7 +46,7 @@ class FieldCountError(InputError):
 
 class NumericParseError(InputError):
     def __init__(self, line_no: int, token: str, source):
-        super().__init__(f"{source}, line {line_no}: cannot parse number {token!r}")
+        super().__init__(f"{source}, line {line_no}: expected a finite number, got {token!r}")
         self.line_no = line_no
         self.token = token
 
@@ -81,14 +82,17 @@ class KittiCalib:
 
     def __post_init__(self):
         p2 = np.asarray(self.p2, dtype=float).reshape(3, 4)
+        if not np.isfinite(p2).all():
+            raise InputError("P2 values must be finite")
         if p2[0, 0] <= 0 or p2[1, 1] <= 0:
             raise InputError("P2 focal lengths must be positive")
         self.p2 = p2
 
 
 def parse_labels(text: str, source="label text") -> list[KittiLabel]:
-    """Parse label/result text; errors carry the offending line number, and
-    ``source`` names the file in their message."""
+    """Parse label/result text; a field that is not a finite number, or a
+    line with the wrong field count, raises an error carrying the line
+    number, and ``source`` names the file in its message."""
     labels = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -99,9 +103,12 @@ def parse_labels(text: str, source="label text") -> list[KittiLabel]:
         vals = []
         for token in fields[1:]:
             try:
-                vals.append(float(token))
+                value = float(token)
             except ValueError:
                 raise NumericParseError(line_no, token, source) from None
+            if not math.isfinite(value):
+                raise NumericParseError(line_no, token, source)
+            vals.append(value)
         labels.append(
             KittiLabel(
                 type=fields[0],
@@ -122,19 +129,20 @@ def parse_label_file(path) -> list[KittiLabel]:
     return parse_labels(Path(path).read_text(), path)
 
 
-def format_label(label: KittiLabel) -> str:
+def format_label(label: KittiLabel, decimals: int = 2) -> str:
+    """One label line; results use the KITTI submission's 2 decimals, and the
+    synthetic ground truth and priors 6."""
+    fmt = f".{decimals}f"
     fields = [
         label.type,
-        f"{label.truncated:.2f}",
+        format(label.truncated, fmt),
         str(int(label.occluded)),
-        f"{label.alpha:.2f}",
-        *(f"{v:.2f}" for v in label.bbox),
-        *(f"{v:.2f}" for v in label.dimensions),
-        *(f"{v:.2f}" for v in label.location),
-        f"{label.rotation_y:.2f}",
+        format(label.alpha, fmt),
+        *(format(v, fmt) for v in (*label.bbox, *label.dimensions, *label.location)),
+        format(label.rotation_y, fmt),
     ]
     if label.score is not None:
-        fields.append(f"{label.score:.2f}")
+        fields.append(format(label.score, fmt))
     return " ".join(fields)
 
 
@@ -199,8 +207,6 @@ def box3d_to_label(
     bbox: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
     score: float | None = None,
 ) -> KittiLabel:
-    from .geometry import yaw_to_alpha
-
     if alpha is None:
         alpha = yaw_to_alpha(box.yaw, box.t)
     return KittiLabel(

@@ -30,7 +30,7 @@ from .heatmaps import (
     multibin_encode,
     render_gaussian,
 )
-from .kitti import InputError, KittiLabel, parse_labels
+from .kitti import InputError, box3d_to_label, format_label, parse_labels
 from .solver import Priors
 
 __all__ = [
@@ -259,36 +259,9 @@ def _render_at(plane, cell, sigma) -> None:
 # Plain-text scene serialization (see README for the formats).
 
 
-def _label_of(obj: SceneObject, box: Box3D) -> KittiLabel:
-    return KittiLabel(
-        type="Car",
-        truncated=0.0,
-        occluded=0,
-        alpha=yaw_to_alpha(box.yaw, box.t),
-        bbox=bbox_2d(obj),
-        dimensions=(box.h, box.w, box.l),
-        location=tuple(box.t),
-        rotation_y=box.yaw,
-    )
-
-
-def _format_precise(label: KittiLabel) -> str:
-    fields = [
-        label.type,
-        f"{label.truncated:.6f}",
-        str(int(label.occluded)),
-        f"{label.alpha:.6f}",
-        *(f"{v:.6f}" for v in label.bbox),
-        *(f"{v:.6f}" for v in label.dimensions),
-        *(f"{v:.6f}" for v in label.location),
-        f"{label.rotation_y:.6f}",
-    ]
-    return " ".join(fields)
-
-
 def scene_gt_text(scene: list[SceneObject]) -> str:
     """Ground-truth boxes as KITTI-format label lines (6-decimal floats)."""
-    lines = [_format_precise(_label_of(obj, obj.box)) for obj in scene]
+    lines = [format_label(box3d_to_label(obj.box, bbox=bbox_2d(obj)), 6) for obj in scene]
     return "".join(line + "\n" for line in lines)
 
 
@@ -306,7 +279,7 @@ def scene_priors_text(scene: list[SceneObject]) -> str:
             t=np.array([0.0, 0.0, p.z_hat if p.z_hat is not None else 1.0]),
             yaw=p.theta_hat if p.theta_hat is not None else 0.0,
         )
-        lines.append(_format_precise(_label_of(obj, box)))
+        lines.append(format_label(box3d_to_label(box, bbox=bbox_2d(obj)), 6))
     return "".join(line + "\n" for line in lines)
 
 

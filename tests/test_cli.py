@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rtm3d
-from rtm3d import kitti
+from rtm3d import cli, kitti
 from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, SOLVE_CHUNK, main
 from rtm3d.config import Settings, load_config
 from rtm3d.geometry import wrap_to_pi
@@ -64,24 +64,28 @@ def test_solve_noiseless_matches_ground_truth(dataset, tmp_path):
     assert (out / "solve_log.txt").exists()
 
 
-def test_solve_is_deterministic_and_parallel_consistent(tmp_path):
-    # More objects than one solve chunk, so --jobs 2 splits chunks across workers.
+def test_solve_is_deterministic_across_chunks(tmp_path, monkeypatch):
+    # More objects than one solve chunk, so the run spans two solve_batch calls.
     frames = SOLVE_CHUNK // 4 + 1
     spec = tmp_path / "scenes.cfg"
     spec.write_text(f"frames={frames}\nn_objects=4\npixel_sigma=1.0\ndropout=0.1\nseed=11\n")
     dataset = tmp_path / "data"
     assert main(["synth", str(spec), str(dataset)]) == EXIT_OK
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    a, b, c, d = (tmp_path / name for name in "abcd")
     assert main(["solve", str(dataset), str(a)]) == EXIT_OK
     assert main(["solve", str(dataset), str(b)]) == EXIT_OK
+    # --jobs is still accepted and changes no byte.
     assert main(["solve", str(dataset), str(c), "--jobs", "2"]) == EXIT_OK
+    # Nor does the chunk size: each object's fit is independent of its batch.
+    monkeypatch.setattr(cli, "SOLVE_CHUNK", 7)
+    assert main(["solve", str(dataset), str(d)]) == EXIT_OK
     names = sorted(p.name for p in (a / "data").glob("*.txt"))
     assert len(names) == frames
     assert sum(len(parse_label_file(a / "data" / n)) for n in names) > SOLVE_CHUNK
-    for name in names:
-        text = (a / "data" / name).read_bytes()
-        assert (b / "data" / name).read_bytes() == text
-        assert (c / "data" / name).read_bytes() == text
+    for rel in ["solve_log.txt"] + [f"data/{n}" for n in names]:
+        text = (a / rel).read_bytes()
+        for other in (b, c, d):
+            assert (other / rel).read_bytes() == text
 
 
 def test_solve_nan_keypoint_fails_one_object_and_writes_the_rest(dataset, tmp_path):
@@ -131,18 +135,33 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("config", "w_d=2\nstep_tol=-1\n", "line 2"),
         ("config", "max_iter=50\nstep_tol=-1\n", "line 2"),
         ("calib", "P2: 0 0 609.5593 0 0 721.5377 172.854 0 0 0 1 0\n", "line 1"),
+        ("calib", "P2: nan 0 609.5593 0 0 721.5377 172.854 0 0 0 1 0\n", "line 1"),
+        ("calib", "# P2 below\nP2: 721.5 0 609.5 0 0 721.5 172.8 0 0 0 1 inf\n", "line 2"),
         ("priors", "Car 0.00 0\n", "line 1"),
         ("priors", "Car 0 0 0 0 0 0 0 -1.5 1.6 3.9 0 0 10 0\n" * 2, "object 0"),
+        ("priors", "Car 0 nan 0 0 0 0 0 1.5 1.6 3.9 0 0 10 0\n", "line 1"),
+        ("priors", "Car 0 0 0 0 0 0 0 1.5 1.6 3.9 0 0 10 0\nCar 0 inf 0 0 0 0 0 1.5 1.6 3.9 0 0 10 0\n", "line 2"),
+        ("priors", "Car 0 0 0 0 0 0 0 1.5 1.6 3.9 0 0 10 inf\n", "line 1"),
+        ("result", "Car 0 nan 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0 0.9\n", "line 1"),
+        ("label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 -inf\n", "line 1"),
     ],
 )
 def test_malformed_input_exits_2_and_names_its_file(kind, text, where, dataset, tmp_path, capsys):
-    bad = {"calib": dataset / "calib" / "000001.txt", "priors": dataset / "priors" / "000001.txt"}
-    bad = bad.get(kind, tmp_path / "bad.cfg")
+    results = tmp_path / "res"
+    bad = {
+        "calib": dataset / "calib" / "000001.txt",
+        "priors": dataset / "priors" / "000001.txt",
+        "label": dataset / "label_2" / "000001.txt",
+        "result": results / "data" / "000001.txt",
+    }.get(kind, tmp_path / "bad.cfg")
+    (results / "data").mkdir(parents=True)
     bad.write_text(text)
     out = tmp_path / "out"
     argv = {
         "spec": ["synth", str(bad), str(out)],
         "config": ["solve", str(dataset), str(out), "--config", str(bad)],
+        "result": ["eval", str(results), str(dataset)],
+        "label": ["eval", str(results), str(dataset)],
     }.get(kind, ["solve", str(dataset), str(out)])
     assert main(argv) == EXIT_INPUT
     assert f"{bad}, {where}: " in capsys.readouterr().err

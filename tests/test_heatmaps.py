@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rtm3d.heatmaps import (
     MultiTaskWeights,
     NonPositiveDimensionStandardization,
     adaptive_sigma,
+    decode_objects,
     dimension_target,
     extract_peaks,
     focal_loss,
@@ -415,6 +417,14 @@ def test_read_headmaps_truncated_file_is_input_error(size, what, tmp_path):
         read_headmaps(path)
 
 
+def test_read_headmaps_oversized_header_is_input_error(tmp_path):
+    path, _ = _written_headmaps(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + struct.pack("<II", 2**31, 2**31) + data[12:])
+    with pytest.raises(InputError, match=re.escape(f"{path}: truncated plane main")):
+        read_headmaps(path)
+
+
 @pytest.mark.parametrize(
     "line", ["vertex", "vertex nine", "vertex 9 extra", "vertex -9", "vertex 8", "bogus 3", "main 1"]
 )
@@ -432,3 +442,24 @@ def test_read_headmaps_sidecar_missing_plane_is_input_error(tmp_path):
     sidecar.write_text("".join(line + "\n" for line in sidecar.read_text().splitlines()[:-1]))
     with pytest.raises(InputError, match=re.escape(f"{sidecar}: no line for plane depth")):
         read_headmaps(path)
+
+
+def _object_bits(obj):
+    """Every field of a GroupedObject as (dtype, bytes), so equal means bit-equal."""
+    values = (obj.center, obj.score, obj.category, obj.kps.pts, obj.kps.conf,
+              obj.kps.visible, obj.d_hat, obj.alpha_hat, obj.z_hat)
+    return [(np.asarray(v).dtype.str, np.asarray(v).tobytes()) for v in values]
+
+
+@pytest.mark.parametrize("n_objects, seed", [(5, 42), (20, 7)])
+def test_decode_of_read_float32_planes_equals_float64_bit_for_bit(n_objects, seed, tmp_path):
+    for i in range(4):
+        path = tmp_path / f"{i:06d}.rtmh"
+        write_headmaps(path, encode_headmaps(generate_scene(SceneSpec(n_objects=n_objects, seed=seed + i))))
+        maps = read_headmaps(path)
+        assert {getattr(maps, name).dtype for name, _ in HeadMaps.PLANES} == {np.dtype("<f4")}
+        wide = HeadMaps(**{name: getattr(maps, name).astype(float) for name, _ in HeadMaps.PLANES})
+        got, want = decode_objects(maps), decode_objects(wide)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert _object_bits(a) == _object_bits(b)

@@ -62,6 +62,17 @@ def test_parse_errors_carry_line_numbers():
     assert e.value.token == "abc"
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("field", [1, 2, 14, 15])
+def test_parse_labels_rejects_non_finite_fields(field, token):
+    fields = (LABEL_LINE + " 0.87").split()
+    fields[field] = token
+    with pytest.raises(NumericParseError, match="labels.txt, line 2: expected a finite number") as e:
+        parse_labels(LABEL_LINE + "\n" + " ".join(fields) + "\n", "labels.txt")
+    assert e.value.line_no == 2
+    assert e.value.token == token
+
+
 def test_format_label_two_decimals():
     lb = parse_labels(LABEL_LINE)[0]
     assert format_label(lb) == LABEL_LINE
