@@ -80,7 +80,7 @@ def cmd_synth(args) -> int:
 
 
 def _result_row(k, report):
-    """One object's result line (None when it has no result), its log entry
+    """One object's result label (None when it has no result), its log entry
     and whether it failed."""
     if isinstance(report, Exception):
         failed = not isinstance(report, InsufficientConstraints)
@@ -91,7 +91,7 @@ def _result_row(k, report):
     bbox = (*map(float, vis.min(axis=0)), *map(float, vis.max(axis=0)))
     label = kitti.box3d_to_label(box, bbox=bbox, score=score)
     entry = f"iters={report.iterations} cost={report.final_cost:.3e} converged={report.converged}"
-    return kitti.format_label(label), entry, False
+    return label, entry, False
 
 
 def cmd_solve(args) -> int:
@@ -148,13 +148,13 @@ def cmd_solve(args) -> int:
     log_lines = []
     start = 0
     for frame, count in frames:
-        lines = []
-        for i, (line, entry, _) in enumerate(rows[start : start + count]):
-            if line is not None:
-                lines.append(line + "\n")
+        labels = []
+        for i, (label, entry, _) in enumerate(rows[start : start + count]):
+            if label is not None:
+                labels.append(label)
             log_lines.append(f"{frame} object {i}: {entry}")
         start += count
-        (out / "data" / f"{frame}.txt").write_text("".join(lines))
+        (out / "data" / f"{frame}.txt").write_text(kitti.write_result_file(labels))
     (out / "solve_log.txt").write_text("".join(line + "\n" for line in log_lines))
     ms = 1000.0 * solve_s / fitted if fitted else 0.0
     print(f"solved {len(frames)} frame(s); solve time {ms:.3f} ms/object (over fitted objects)")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, wrap_to_pi
+from .geometry import BOX_TEMPLATE, Box3D, wrap_to_pi
 from .kitti import KittiLabel, label_to_box3d
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "aos",
     "average_precision",
     "bev_corners",
+    "bev_intersection_area",
     "bev_iou",
     "box_2d_iou",
     "evaluate",
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 _AREA_EPS = 1e-9
+# The box template's bottom corners 0, 3, 2, 1 in the ground plane (x, z),
+# counterclockwise; length scales x and width z.
+_FOOTPRINT = BOX_TEMPLATE[[0, 3, 2, 1]][:, [0, 2]]
 
 
 @dataclass(frozen=True)
@@ -103,15 +107,7 @@ class DetectionRecord:
 def bev_corners(box: Box3D) -> np.ndarray:
     """Footprint corners (4, 2) in the x-z ground plane, counterclockwise."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    half_l, half_w = box.l / 2.0, box.w / 2.0
-    local = np.array(
-        [
-            [half_l, half_w],
-            [-half_l, half_w],
-            [-half_l, -half_w],
-            [half_l, -half_w],
-        ]
-    )
+    local = _FOOTPRINT * box.dims[[2, 1]]
     # Rotation about y maps (x, z) -> (x cos + z sin, -x sin + z cos).
     rot = np.array([[c, s], [-s, c]])
     return local @ rot.T + np.array([box.t[0], box.t[2]])

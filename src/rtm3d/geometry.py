@@ -1,11 +1,11 @@
-"""Rigid-body math shared by the whole pipeline.
+"""Box model and rigid-body math shared by the whole pipeline.
 
 Coordinate conventions follow the KITTI camera frame: x right, y down,
 z forward.  A box is parameterized by its dimensions (h, w, l) in
 meters, the translation of its bottom-face center, and a yaw angle
-about the camera y axis.  The corner template matrix stores unit-box
-offsets ordered (height, width, length); `box_points_3d` maps them into
-the camera frame, matching the KITTI devkit corner layout.
+about the camera y axis.  One corner template, in camera axes, gives its
+eight corners and center (:func:`box_points`, in the KITTI devkit corner
+order), and one pinhole kernel (:func:`pinhole`) projects them.
 """
 
 from __future__ import annotations
@@ -21,18 +21,14 @@ __all__ = [
     "Box3D",
     "CameraModel",
     "KeypointSet",
-    "PoseSE3",
-    "Twist",
     "alpha_to_yaw",
+    "box_points",
     "box_points_3d",
-    "cor_matrix",
-    "exp_se3",
-    "log_se3",
-    "project",
+    "corner_offsets",
+    "pinhole",
     "project_points",
     "rot_y",
     "so3_exp",
-    "so3_left_jacobian_inv",
     "so3_log",
     "so3_log_parts",
     "wrap_to_pi",
@@ -57,47 +53,6 @@ def wrap_to_pi(angle: float) -> float:
     if wrapped <= 0.0:
         wrapped += 2.0 * math.pi
     return wrapped - math.pi
-
-
-@dataclass(frozen=True)
-class Twist:
-    """Element of se(3): translational part ``v`` and rotational part ``w``."""
-
-    v: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float).reshape(3))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float).reshape(3))
-        if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.w))):
-            raise ValueError("twist components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.v, self.w])
-
-    @staticmethod
-    def from_array(xi: np.ndarray) -> "Twist":
-        xi = np.asarray(xi, dtype=float).reshape(6)
-        return Twist(v=xi[:3], w=xi[3:])
-
-
-@dataclass(frozen=True)
-class PoseSE3:
-    """Rigid transform with rotation matrix ``r`` and translation ``t``."""
-
-    r: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float).reshape(3, 3)
-        t = np.asarray(self.t, dtype=float).reshape(3)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t", t)
-        if np.abs(r.T @ r - np.eye(3)).max() > 1e-9 or abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ValueError("r is not a rotation matrix")
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.r @ np.asarray(p, dtype=float) + self.t
 
 
 @dataclass(frozen=True)
@@ -154,7 +109,7 @@ class CameraModel:
 class KeypointSet:
     """Nine ordered image keypoints with per-point confidence and visibility.
 
-    Indices 0..7 are the projected box corners in corner-template column
+    Indices 0..7 are the projected box corners in corner-template row
     order; index 8 is the projected 3D box center.
     """
 
@@ -177,32 +132,28 @@ class KeypointSet:
         return int(self.visible.sum())
 
 
-# Unit-box corner template in homogeneous coordinates.  Rows are ordered
-# (height, width, length); the eight corners sit at heights {0, -1} so a
-# box is anchored at its bottom face, and column 9 is the box center.
-_COR = np.array(
+# Unit-box corners (rows 0-7, in the KITTI devkit order) and center (row 8)
+# in camera axes (x, y, z), which a box's length, height and width scale.  The
+# corners sit at heights {0, -1}, so a box is anchored at its bottom face.
+BOX_TEMPLATE = np.array(
     [
-        [0.0, 0.0, 0.0, 0.0, -1.0, -1.0, -1.0, -1.0, -0.5],
-        [0.5, -0.5, -0.5, 0.5, 0.5, -0.5, -0.5, 0.5, 0.0],
-        [0.5, 0.5, -0.5, -0.5, 0.5, 0.5, -0.5, -0.5, 0.0],
-        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        [0.5, 0.0, 0.5],
+        [0.5, 0.0, -0.5],
+        [-0.5, 0.0, -0.5],
+        [-0.5, 0.0, 0.5],
+        [0.5, -1.0, 0.5],
+        [0.5, -1.0, -0.5],
+        [-0.5, -1.0, -0.5],
+        [-0.5, -1.0, 0.5],
+        [0.0, -0.5, 0.0],
     ]
 )
+# The index into dims (h, w, l) of the dimension scaling each camera axis.
+DIM_OF_AXIS = np.array([2, 0, 1])
 
-# Maps template ordering (height, width, length) onto camera axes
-# (x, y, z) = (length, height, width); cyclic, so det = +1.
-_TEMPLATE_TO_CAM = np.array(
-    [
-        [0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-    ]
-)
-
-
-def cor_matrix() -> np.ndarray:
-    """Return the constant 4x9 corner template matrix."""
-    return _COR.copy()
+# Depth (m), after the projection-matrix offset, at or below which a point
+# counts as behind the camera.
+MIN_DEPTH = 1e-6
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -245,40 +196,6 @@ def so3_log(r: np.ndarray) -> np.ndarray:
     return w
 
 
-def so3_left_jacobian_inv(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Inverse left Jacobians J_l^{-1} (..., 3, 3) of SO(3) at (..., 3)
-    axis-angle vectors whose angles are ``theta``."""
-    small = theta < _TAYLOR_EPS
-    safe = np.where(small, 1.0, theta)
-    coeff = np.where(
-        small, 1.0 / 12.0, 1.0 / safe**2 - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe))
-    )
-    wx = _skew(w)
-    return np.eye(3) - 0.5 * wx + coeff[..., None, None] * (wx @ wx)
-
-
-def exp_se3(xi: Twist) -> PoseSE3:
-    """Exponential map from se(3) to SE(3) (Rodrigues closed form)."""
-    w = xi.w
-    theta = float(np.linalg.norm(w))
-    wx = _skew(w)
-    r = so3_exp(w)
-    if theta < _TAYLOR_EPS:
-        b = 0.5 - theta**2 / 24.0
-        c = 1.0 / 6.0 - theta**2 / 120.0
-    else:
-        b = (1.0 - math.cos(theta)) / theta**2
-        c = (theta - math.sin(theta)) / theta**3
-    v_mat = np.eye(3) + b * wx + c * (wx @ wx)
-    return PoseSE3(r=r, t=v_mat @ xi.v)
-
-
-def log_se3(pose: PoseSE3) -> Twist:
-    """Inverse of :func:`exp_se3`; raises :class:`AngleNearPi` near pi."""
-    w = so3_log(pose.r)
-    return Twist(v=so3_left_jacobian_inv(w, np.linalg.norm(w)) @ pose.t, w=w)
-
-
 def rot_y(yaw) -> np.ndarray:
     """Rotations (..., 3, 3) about the camera y (vertical) axis."""
     c, s = np.cos(yaw), np.sin(yaw)
@@ -288,36 +205,41 @@ def rot_y(yaw) -> np.ndarray:
 
 
 def corner_offsets(dims: np.ndarray) -> np.ndarray:
-    """Camera-frame corner/center offsets (9, 3) of an unrotated box."""
-    dims = np.asarray(dims, dtype=float).reshape(3)
-    scaled = dims[:, None] * _COR[:3, :]
-    return (_TEMPLATE_TO_CAM @ scaled).T
+    """Camera-frame corner/center offsets (..., 9, 3) of unrotated boxes
+    with dims (..., 3)."""
+    return BOX_TEMPLATE * np.asarray(dims, dtype=float)[..., None, DIM_OF_AXIS]
+
+
+def box_points(dims: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The 8 corners plus center (..., 9, 3) in the camera frame of boxes
+    with dims (..., 3), bottom centers t (..., 3) and rotations r (..., 3, 3)."""
+    return corner_offsets(dims) @ np.swapaxes(r, -1, -2) + t[..., None, :]
 
 
 def box_points_3d(box: Box3D) -> np.ndarray:
     """The 8 corners plus center of a box in the camera frame, shape (9, 3)."""
-    r = rot_y(box.yaw)
-    return corner_offsets(box.dims) @ r.T + box.t
+    return box_points(box.dims, box.t, rot_y(box.yaw))
 
 
-def project(camera: CameraModel, p3d: np.ndarray) -> np.ndarray:
-    """Pinhole projection of a single camera-frame point to pixels."""
-    p = np.asarray(p3d, dtype=float).reshape(3) + camera.t_cam
-    if p[2] <= 1e-6:
-        raise BehindCamera(f"point depth {p[2]:.3g} behind camera")
-    return np.array(
-        [camera.fx * p[0] / p[2] + camera.cx, camera.fy * p[1] / p[2] + camera.cy]
-    )
+def pinhole(f, c, t_cam, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (..., 2) of camera-frame points (..., 3), and which of them are
+    behind the camera: at depth :data:`MIN_DEPTH` or less once the offset
+    ``t_cam`` is added.  Focal lengths ``f`` and principal points ``c``
+    broadcast against (..., 2)."""
+    p = pts + t_cam
+    z = p[..., 2:]
+    return f * p[..., :2] / z + c, z[..., 0] <= MIN_DEPTH
 
 
 def project_points(camera: CameraModel, pts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`project` over an (N, 3) array."""
-    p = np.asarray(pts, dtype=float).reshape(-1, 3) + camera.t_cam
-    if np.any(p[:, 2] <= 1e-6):
+    """Pinhole projection (N, 2) of (N, 3) camera-frame points; raises
+    :class:`BehindCamera` when one is behind the camera."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    f, c = np.array([camera.fx, camera.fy]), np.array([camera.cx, camera.cy])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv, behind = pinhole(f, c, camera.t_cam, pts)
+    if np.any(behind):
         raise BehindCamera("at least one point behind camera")
-    uv = np.empty((p.shape[0], 2))
-    uv[:, 0] = camera.fx * p[:, 0] / p[:, 2] + camera.cx
-    uv[:, 1] = camera.fy * p[:, 1] / p[:, 2] + camera.cy
     return uv
 
 

@@ -21,13 +21,15 @@ from .kitti import InputError
 from .solver import MEAN_CAR_DIMS as DIM_MEAN
 
 __all__ = [
-    "GaussianSpec",
+    "GroundTruthObject",
     "GroupedObject",
     "GroupingConfig",
     "HeadMaps",
     "MultiTaskWeights",
     "NonPositiveDimensionStandardization",
     "adaptive_sigma",
+    "decode_objects",
+    "dimension_target",
     "extract_peaks",
     "focal_loss",
     "group_keypoints",
@@ -45,6 +47,14 @@ __all__ = [
 DOWNSAMPLE = 4
 MAIN_THRESHOLD = 0.4
 KEYPOINT_THRESHOLD = 0.1
+# Grouping: how far (grid cells) a vertex peak may lie from its regressed
+# keypoint, and the confidence of a keypoint that no peak matched.
+MATCH_RADIUS = 4.0
+FALLBACK_CONF = 0.05
+# Gaussian target spread (px), linear in 2D box area (px^2) between the
+# area bounds and clamped to the spread bounds outside them.
+SIGMA_MIN, SIGMA_MAX = 3.0, 19.0
+AREA_MIN, AREA_MAX = 500.0, 200000.0
 
 # Standardization statistics for car dimensions (h, w, l): DIM_MEAN is the
 # solver's mean car, DIM_STD its spread.
@@ -57,28 +67,12 @@ class NonPositiveDimensionStandardization(ValueError):
     """log() of the standardized dimension residual is undefined."""
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Adaptive Gaussian target spread, linear in 2D box area."""
-
-    sigma_max: float = 19.0
-    sigma_min: float = 3.0
-    a_max: float = 200000.0
-    a_min: float = 500.0
-
-    def __post_init__(self):
-        if not (self.sigma_max > self.sigma_min > 0):
-            raise ValueError("need sigma_max > sigma_min > 0")
-        if not (self.a_max > self.a_min > 0):
-            raise ValueError("need a_max > a_min > 0")
-
-
-def adaptive_sigma(area: float, spec: GaussianSpec = GaussianSpec()) -> float:
+def adaptive_sigma(area: float) -> float:
     """Spread for an object of the given 2D box area (px^2), clamped."""
     if area <= 0:
         raise ValueError("area must be positive")
-    sigma = area * (spec.sigma_max - spec.sigma_min) / (spec.a_max - spec.a_min)
-    return min(max(sigma, spec.sigma_min), spec.sigma_max)
+    sigma = area * (SIGMA_MAX - SIGMA_MIN) / (AREA_MAX - AREA_MIN)
+    return min(max(sigma, SIGMA_MIN), SIGMA_MAX)
 
 
 # exp(-x) rounds to +0 in float32 once x exceeds this: below half the
@@ -147,19 +141,8 @@ class HeadMaps:
 
     @staticmethod
     def zeros(height: int, width: int) -> "HeadMaps":
-        def plane(c):
-            return np.zeros((height, width, c))
-
-        return HeadMaps(
-            main=plane(1),
-            vertex=plane(9),
-            vertex_coord=plane(18),
-            center_offset=plane(2),
-            vertex_offset=plane(2),
-            dims=plane(3),
-            orientation=plane(8),
-            depth=plane(1),
-        )
+        """All-zero planes; ``main`` gets one channel."""
+        return HeadMaps(**{name: np.zeros((height, width, c or 1)) for name, c in HeadMaps.PLANES})
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -260,12 +243,11 @@ def extract_peaks(maps, threshold, topk=100):
 
 @dataclass(frozen=True)
 class GroupingConfig:
+    """Peak thresholds and the peak cap of :func:`decode_objects`."""
+
     main_threshold: float = MAIN_THRESHOLD
     keypoint_threshold: float = KEYPOINT_THRESHOLD
     topk: int = 100
-    # Match radius in grid cells; widened by the object spread at encode time.
-    match_radius: float = 4.0
-    fallback_conf: float = 0.05
 
 
 @dataclass
@@ -313,10 +295,11 @@ def group_keypoints(
 
     For each maincenter, the regressed keypoint positions (maincenter cell
     plus the coordinate-regression vector) pick the nearest same-channel
-    vertex peak within the match radius; unmatched keypoints keep their
-    regressed position at reduced confidence and are flagged invisible.
+    vertex peak within :data:`MATCH_RADIUS`; unmatched keypoints keep their
+    regressed position at :data:`FALLBACK_CONF` and are flagged invisible.
     Final coordinates are sub-cell refined by the offset planes and scaled
-    back to input pixels.
+    back to input pixels.  ``config`` is not read; it stays in the
+    signature because existing callers pass it.
     """
     s = maps.stride
     by_channel = {}
@@ -334,7 +317,7 @@ def group_keypoints(
             best = None
             for (px, py), score in by_channel.get(k, []):
                 d = math.hypot(px - regressed[k, 0], py - regressed[k, 1])
-                if d <= config.match_radius and (best is None or d < best[0]):
+                if d <= MATCH_RADIUS and (best is None or d < best[0]):
                     best = (d, px, py, score)
             if best is not None:
                 _, px, py, score = best
@@ -344,7 +327,7 @@ def group_keypoints(
                 visible[k] = True
             else:
                 pts[k] = regressed[k] * s
-                conf[k] = config.fallback_conf
+                conf[k] = FALLBACK_CONF
                 visible[k] = False
         center = (np.array([mx, my], dtype=float) + maps.center_offset[my, mx, :]) * s
         d_hat = DIM_MEAN + DIM_STD * maps.dims[my, mx, :]
@@ -369,7 +352,7 @@ def decode_objects(maps: HeadMaps, config: GroupingConfig = GroupingConfig()):
     """Peak extraction plus grouping in one call."""
     main_peaks = extract_peaks(maps.main, config.main_threshold, config.topk)
     vertex_peaks = extract_peaks(maps.vertex, config.keypoint_threshold, config.topk)
-    return group_keypoints(main_peaks, vertex_peaks, maps, config)
+    return group_keypoints(main_peaks, vertex_peaks, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,15 @@ __all__ = [
     "MissingP2Error",
     "NumericParseError",
     "box3d_to_label",
+    "camera_to_calib",
+    "format_label",
     "label_to_box3d",
     "parse_calib",
     "parse_calib_file",
     "parse_label_file",
     "parse_labels",
     "to_camera_model",
+    "write_calib",
     "write_result_file",
 ]
 

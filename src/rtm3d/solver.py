@@ -22,13 +22,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import (
-    _TEMPLATE_TO_CAM,
+    BOX_TEMPLATE,
+    DIM_OF_AXIS,
     BehindCamera,
     Box3D,
     CameraModel,
     KeypointSet,
     _skew,
-    cor_matrix,
+    box_points,
+    box_points_3d,
+    pinhole,
     rot_y,
 )
 
@@ -58,13 +61,9 @@ MEAN_CAR_DIMS = np.array([1.53, 1.62, 3.89])
 LM_LAMBDA0 = 1e-3
 LM_LAMBDA_MAX = 1e12
 
-# Camera axis scaled by each dimension (h, w, l), the dimension scaling each
-# camera axis, and the (9, 3) camera-frame offsets of the unit box.  Built by
-# indexing, not matmul, so that importing the package makes no BLAS call.
-_AXIS_OF_DIM = _TEMPLATE_TO_CAM.argmax(axis=0)
-_DIM_OF_AXIS = _TEMPLATE_TO_CAM.argmax(axis=1)
-_UNIT_OFFSETS = cor_matrix()[_DIM_OF_AXIS].T.copy()
 _I3 = np.eye(3)
+# The camera axis that each of dims (h, w, l) scales.
+_AXIS_OF_DIM = np.argsort(DIM_OF_AXIS)
 # Columns of the (v, w, dims) Jacobian that a state (t, yaw, dims) keeps:
 # v is t, w_y becomes the yaw column, w_x and w_z are dropped.
 _STATE_COLS = [0, 1, 2, 4, 6, 7, 8]
@@ -180,19 +179,12 @@ class _Batch(NamedTuple):
 # Stacked residuals and Jacobians
 
 
-def _camera_points(r: np.ndarray, t: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """(N, 9, 3) camera-frame corners and center of N boxes."""
-    offs = _UNIT_OFFSETS * dims[:, None, _DIM_OF_AXIS]
-    return offs @ r.transpose(0, 2, 1) + t[:, None, :]
-
-
 def _residual_cp(f, c, t_cam, kp, vis, pts) -> tuple[np.ndarray, np.ndarray]:
     """Measured-minus-projected residuals (N, 18) with invisible rows zeroed,
     and which objects have a visible keypoint behind the camera."""
-    p = pts + t_cam
-    z = p[..., 2:]
-    res = np.where(vis[..., None], kp - (f * p[..., :2] / z + c), 0.0)
-    return res.reshape(len(p), 18), np.any(vis & (z[..., 0] <= 1e-6), axis=1)
+    uv, behind = pinhole(f, c, t_cam, pts)
+    res = np.where(vis[..., None], kp - uv, 0.0)
+    return res.reshape(len(pts), 18), np.any(vis & behind, axis=1)
 
 
 def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -200,9 +192,9 @@ def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarra
 
     Columns 0-5 differentiate w.r.t. a left-multiplied twist (v, w); columns
     6-8 w.r.t. the dimensions.  Each keypoint's 2x9 block is
-    -J_pinhole @ [I, -skew(P), R T diag(c_j)], with P the camera-frame point
-    before the projection-matrix offset, T the template-to-camera axis map
-    and c_j the keypoint's corner template column.
+    -J_pinhole @ [I, -skew(P), R diag(c_j) S], with P the camera-frame point
+    before the projection-matrix offset, c_j the keypoint's corner template
+    row and S the map from dims (h, w, l) to the camera axes they scale.
     """
     p = pts + t_cam
     z = p[..., 2]
@@ -212,7 +204,7 @@ def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarra
     m = np.empty(pts.shape + (9,))
     m[..., 0:3] = _I3
     m[..., 3:6] = _skew(-pts)
-    m[..., 6:9] = r[:, None, :, _AXIS_OF_DIM] * _UNIT_OFFSETS[None, :, None, _AXIS_OF_DIM]
+    m[..., 6:9] = r[:, None, :, _AXIS_OF_DIM] * BOX_TEMPLATE[:, None, _AXIS_OF_DIM]
     return ((-jp) @ m).reshape(len(p), 18, 9)
 
 
@@ -220,7 +212,7 @@ def _residuals(b: _Batch, x: np.ndarray):
     """Weighted residuals (N, 22) of states x = (t, yaw, dims), and which
     objects have a visible keypoint behind the camera."""
     res = np.empty((len(x), 22))
-    pts = _camera_points(rot_y(x[:, 3]), x[:, :3], x[:, 4:])
+    pts = box_points(x[:, 4:], x[:, :3], rot_y(x[:, 3]))
     res_cp, behind = _residual_cp(b.f, b.c, b.t_cam, b.kp, b.vis, pts)
     res[:, :18] = b.sqrt_w * res_cp
     res[:, 18:21] = b.sqrt_wd * (b.d_hat - x[:, 4:])
@@ -231,7 +223,7 @@ def _residuals(b: _Batch, x: np.ndarray):
 def _jacobians(b: _Batch, x: np.ndarray) -> np.ndarray:
     """Weighted (N, 22, 7) Jacobian of :func:`_residuals`."""
     t, r = x[:, :3], rot_y(x[:, 3])
-    j = _jacobian_cp(b.f, b.t_cam, r, _camera_points(r, t, x[:, 4:]))
+    j = _jacobian_cp(b.f, b.t_cam, r, box_points(x[:, 4:], t, r))
     # Turning by yaw about the bottom center is the twist w = e_y with
     # v = -(e_y x t), which keeps t: the yaw column is J_wy - J_v (e_y x t).
     j[..., 4] += t[:, None, 0] * j[..., 2] - t[:, None, 2] * j[..., 0]
@@ -248,7 +240,7 @@ def _jacobians(b: _Batch, x: np.ndarray) -> np.ndarray:
 
 def residual_camera_point(box: Box3D, kps: KeypointSet, cam: CameraModel) -> np.ndarray:
     """Stacked measured-minus-projected keypoint residual, invisible rows zeroed."""
-    pts = _camera_points(rot_y(box.yaw)[None], box.t[None], box.dims[None])
+    pts = box_points_3d(box)[None]
     f, c = np.array([cam.fx, cam.fy]), np.array([cam.cx, cam.cy])
     res, behind = _residual_cp(f, c, cam.t_cam, kps.pts[None], kps.visible[None], pts)
     if behind[0]:
@@ -258,9 +250,8 @@ def residual_camera_point(box: Box3D, kps: KeypointSet, cam: CameraModel) -> np.
 
 def jacobian_camera_point(box: Box3D, cam: CameraModel) -> np.ndarray:
     """Analytic 18x9 Jacobian of :func:`residual_camera_point`."""
-    r = rot_y(box.yaw)[None]
-    pts = _camera_points(r, box.t[None], box.dims[None])
-    return _jacobian_cp(np.array([cam.fx, cam.fy]), cam.t_cam, r, pts)[0]
+    pts = box_points_3d(box)[None]
+    return _jacobian_cp(np.array([cam.fx, cam.fy]), cam.t_cam, rot_y(box.yaw)[None], pts)[0]
 
 
 def residual_dimension(dims: np.ndarray, d_hat: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from .geometry import (
     CameraModel,
     KeypointSet,
     box_points_3d,
-    project_points,
+    pinhole,
     wrap_to_pi,
     yaw_to_alpha,
 )
@@ -39,6 +39,7 @@ __all__ = [
     "SceneObject",
     "SceneSpec",
     "apply_noise",
+    "bbox_2d",
     "default_camera",
     "encode_headmaps",
     "generate_scene",
@@ -107,18 +108,13 @@ def _truncated_normal(rng, mean, std, clip=3.0, size=None):
 
 
 def _project_keypoints(box: Box3D, camera: CameraModel) -> KeypointSet:
-    pts3d = box_points_3d(box)
-    w, h = IMAGE_SIZE
-    pts = np.zeros((9, 2))
-    visible = np.zeros(9, dtype=bool)
-    depths = pts3d[:, 2] + camera.t_cam[2]
-    front = depths > 1e-6
-    if np.any(front):
-        uv = project_points(camera, pts3d[front])
-        pts[front] = uv
-        visible[front] = (
-            (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)
-        )
+    """The box's nine keypoints; those behind the camera sit at (0, 0), and
+    only those in front and inside the image are visible."""
+    f, c = np.array([camera.fx, camera.fy]), np.array([camera.cx, camera.cy])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv, behind = pinhole(f, c, camera.t_cam, box_points_3d(box))
+    pts = np.where(behind[:, None], 0.0, uv)
+    visible = ~behind & np.all((pts >= 0) & (pts < IMAGE_SIZE), axis=1)
     conf = np.where(visible, 1.0, 0.0)
     return KeypointSet(pts=pts, conf=conf, visible=visible)
 

@@ -11,16 +11,15 @@ import time
 
 import numpy as np
 from pathlib import Path
+from scipy.spatial.transform import Rotation
 
 from rtm3d.evaluation import aos, average_precision, bev_iou, iou_3d
 from rtm3d.geometry import (
     Box3D,
     CameraModel,
     KeypointSet,
-    Twist,
     box_points_3d,
     corner_offsets,
-    exp_se3,
     project_points,
     rot_y,
     wrap_to_pi,
@@ -83,9 +82,11 @@ def test_criterion_1_jacobian_against_finite_differences():
         r0 = rot_y(box.yaw)
 
         def residual(s):
-            delta = exp_se3(Twist(v=s[:3], w=s[3:6]))
-            r = delta.r @ r0
-            t = delta.r @ box.t + delta.t
+            # The twist (v, w) as the rotation exp(w), from scipy, then the
+            # translation v: the same pose for a step along one coordinate.
+            delta = Rotation.from_rotvec(s[3:6]).as_matrix()
+            r = delta @ r0
+            t = delta @ box.t + s[:3]
             pts3d = corner_offsets(box.dims + s[6:]) @ r.T + t
             return (kps.pts - project_points(CAM, pts3d)).reshape(-1)
 

@@ -20,7 +20,7 @@ from rtm3d.evaluation import (
     evaluate,
     iou_3d,
 )
-from rtm3d.geometry import Box3D
+from rtm3d.geometry import Box3D, box_points_3d
 from rtm3d.kitti import KittiLabel
 
 
@@ -34,6 +34,16 @@ def test_bev_corners_axis_aligned():
     zs = sorted(c[1] for c in corners)
     assert xs == pytest.approx([-1.0, -1.0, 3.0, 3.0])
     assert zs == pytest.approx([4.0, 4.0, 6.0, 6.0])
+
+
+def test_bev_corners_are_the_box_footprint_bit_for_bit():
+    # Rows 0, 3, 2, 1 of the box points, in x and z, are the footprint.
+    rng = np.random.default_rng(17)
+    yaws = [-math.pi, 0.0, math.pi, *rng.uniform(-math.pi, math.pi, 300)]
+    for yaw in yaws:
+        box = _box(x=rng.uniform(-30, 30), z=rng.uniform(1, 80), w=rng.uniform(0.3, 3),
+                   l=rng.uniform(0.5, 12), h=rng.uniform(0.5, 4), yaw=yaw, y=rng.uniform(-2, 3))
+        np.testing.assert_array_equal(bev_corners(box), box_points_3d(box)[[0, 3, 2, 1]][:, [0, 2]])
 
 
 def test_bev_iou_identity_and_disjoint():

@@ -1,4 +1,5 @@
-"""Geometry unit tests: Lie maps, box corners, projection, angle helpers."""
+"""Geometry unit tests: SO(3) maps, the box template and corners, projection,
+angle helpers."""
 
 import math
 
@@ -7,19 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtm3d import synth
 from rtm3d.geometry import (
+    BOX_TEMPLATE,
+    MIN_DEPTH,
     AngleNearPi,
     BehindCamera,
     Box3D,
     CameraModel,
-    PoseSE3,
-    Twist,
+    KeypointSet,
     alpha_to_yaw,
+    box_points,
     box_points_3d,
-    cor_matrix,
-    exp_se3,
-    log_se3,
-    project,
+    corner_offsets,
     project_points,
     rot_y,
     so3_exp,
@@ -28,6 +29,7 @@ from rtm3d.geometry import (
     wrap_to_pi,
     yaw_to_alpha,
 )
+from rtm3d.solver import residual_camera_point
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -93,38 +95,20 @@ def test_rotation_maps_accept_stacks():
     np.testing.assert_allclose(theta[[0, 2]], [0.0, 0.5], atol=1e-15)
 
 
-@given(
-    st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
-    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
-)
-@settings(max_examples=200)
-def test_se3_exp_log_roundtrip(v, w):
-    w = np.asarray(w)
-    if np.linalg.norm(w) > math.pi - 1e-3:
-        w = w * (math.pi - 1e-3) / np.linalg.norm(w)
-    xi = Twist(v=np.asarray(v), w=w)
-    back = log_se3(exp_se3(xi))
-    # Tolerance covers the small-angle Taylor switchover in the V matrix.
-    np.testing.assert_allclose(back.v, xi.v, atol=1e-7)
-    np.testing.assert_allclose(back.w, xi.w, atol=1e-9)
-
-
-def test_exp_se3_pure_translation():
-    pose = exp_se3(Twist(v=np.array([1.0, 2.0, 3.0]), w=np.zeros(3)))
-    np.testing.assert_allclose(pose.r, np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(pose.t, [1.0, 2.0, 3.0], atol=1e-15)
-
-
 def test_cor_matrix_layout():
-    cor = cor_matrix()
-    assert cor.shape == (4, 9)
-    np.testing.assert_allclose(cor[3], np.ones(9))
-    # Height row uses a bottom-anchored box: corner heights are 0 or -1.
-    assert set(np.round(cor[0, :8], 6)) == {0.0, -1.0}
-    assert set(np.round(cor[1, :8], 6)) == {0.5, -0.5}
-    assert set(np.round(cor[2, :8], 6)) == {0.5, -0.5}
-    # The ninth column is the box center.
-    np.testing.assert_allclose(cor[:3, 8], [-0.5, 0.0, 0.0])
+    # Rows are the 8 corners, then the center, in camera axes (x, y, z),
+    # which length, height and width scale.
+    assert BOX_TEMPLATE.shape == (9, 3)
+    # A bottom-anchored unit box: corners 0-3 at height 0, 4-7 at -1, each
+    # top corner above its bottom corner.
+    np.testing.assert_array_equal(BOX_TEMPLATE[:4, 1], 0.0)
+    np.testing.assert_array_equal(BOX_TEMPLATE[4:8], BOX_TEMPLATE[:4] - [0.0, 1.0, 0.0])
+    footprint = {tuple(row) for row in BOX_TEMPLATE[:4, ::2]}
+    assert footprint == {(0.5, 0.5), (0.5, -0.5), (-0.5, -0.5), (-0.5, 0.5)}
+    # The ninth row is the box center.
+    np.testing.assert_array_equal(BOX_TEMPLATE[8], [0.0, -0.5, 0.0])
+    dims = np.array([1.5, 1.6, 3.9])  # (h, w, l)
+    np.testing.assert_array_equal(corner_offsets(dims), BOX_TEMPLATE * [3.9, 1.5, 1.6])
 
 
 def test_box_points_center_and_extent():
@@ -145,26 +129,56 @@ def test_box_points_yaw_rotates_footprint():
     base = box_points_3d(Box3D(dims=dims, t=np.zeros(3), yaw=0.0))
     rotated = box_points_3d(Box3D(dims=dims, t=np.zeros(3), yaw=0.7))
     np.testing.assert_allclose(rotated, base @ rot_y(0.7).T, atol=1e-12)
+    # The batched form stacks the one-box form.
+    boxes = [Box3D(dims=dims * s, t=[s, 1.5, 10.0 * s], yaw=s - 1.0) for s in (0.5, 1.0, 2.0)]
+    stacked = box_points(
+        np.array([b.dims for b in boxes]), np.array([b.t for b in boxes]), rot_y([b.yaw for b in boxes])
+    )
+    np.testing.assert_array_equal(stacked, [box_points_3d(b) for b in boxes])
 
 
 def test_project_known_point():
     cam = CameraModel(fx=700.0, fy=710.0, cx=600.0, cy=180.0)
-    uv = project(cam, np.array([2.0, -1.0, 10.0]))
-    np.testing.assert_allclose(uv, [600.0 + 700.0 * 0.2, 180.0 - 710.0 * 0.1])
+    uv = project_points(cam, np.array([2.0, -1.0, 10.0]))
+    np.testing.assert_allclose(uv, [[600.0 + 700.0 * 0.2, 180.0 - 710.0 * 0.1]])
 
 
 def test_project_behind_camera_raises():
     cam = CameraModel(fx=700.0, fy=700.0, cx=600.0, cy=180.0)
     with pytest.raises(BehindCamera):
-        project(cam, np.array([0.0, 0.0, -1.0]))
+        project_points(cam, np.array([0.0, 0.0, -1.0]))
     with pytest.raises(BehindCamera):
         project_points(cam, np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 0.0]]))
+    # Depth exactly MIN_DEPTH, after the camera offset, is behind for every
+    # caller of the pinhole kernel; the next double above it is in front.  A
+    # yaw-0 box of width 1 with its bottom center at z = 0.5 has corners 1, 2,
+    # 5 and 6 at z = 0.
+    box = Box3D(dims=np.array([1.5, 1.0, 4.0]), t=np.array([0.0, 1.5, 0.5]), yaw=0.0)
+    near = [1, 2, 5, 6]
+    np.testing.assert_array_equal(box_points_3d(box)[near, 2], 0.0)
+    kps = KeypointSet(pts=np.zeros((9, 2)), conf=np.ones(9), visible=np.ones(9, dtype=bool))
+    for depth in (MIN_DEPTH, np.nextafter(MIN_DEPTH, 1.0)):
+        cam = CameraModel(fx=700.0, fy=700.0, cx=600.0, cy=180.0, t_cam=np.array([0.0, 0.0, depth]))
+        on_camera = np.zeros(3)
+        projected = synth._project_keypoints(box, cam)
+        assert not projected.visible[near].any()
+        if depth == MIN_DEPTH:
+            with pytest.raises(BehindCamera):
+                project_points(cam, on_camera)
+            with pytest.raises(BehindCamera):
+                residual_camera_point(box, kps, cam)
+            # synth places a keypoint behind the camera at (0, 0).
+            np.testing.assert_array_equal(projected.pts[near], 0.0)
+        else:
+            assert np.isfinite(project_points(cam, on_camera)).all()
+            assert np.isfinite(residual_camera_point(box, kps, cam)).all()
+            assert (np.abs(projected.pts[near, 0]) > 1e9).all()
 
 
 def test_project_with_camera_translation():
     cam = CameraModel(fx=700.0, fy=700.0, cx=600.0, cy=180.0, t_cam=np.array([0.06, 0.0, 0.0]))
-    uv = project(cam, np.array([0.0, 0.0, 10.0]))
-    np.testing.assert_allclose(uv, [600.0 + 700.0 * 0.006, 180.0])
+    uv = project_points(cam, np.array([0.0, 0.0, 10.0]))
+    np.testing.assert_allclose(uv, [[600.0 + 700.0 * 0.006, 180.0]])
 
 
 @given(angles, st.floats(-20.0, 20.0), st.floats(2.0, 80.0))
@@ -174,11 +188,3 @@ def test_alpha_yaw_roundtrip(yaw, x, z):
     alpha = yaw_to_alpha(yaw, t)
     assert -math.pi <= alpha <= math.pi
     assert abs(wrap_to_pi(alpha_to_yaw(alpha, t) - yaw)) < 1e-9
-
-
-def test_pose_compose_identity():
-    xi = Twist(v=np.array([0.3, -0.2, 1.0]), w=np.array([0.1, 0.4, -0.2]))
-    pose = exp_se3(xi)
-    inv = PoseSE3(r=pose.r.T, t=-pose.r.T @ pose.t)
-    np.testing.assert_allclose(inv.r @ pose.r, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(inv.r @ pose.t + inv.t, np.zeros(3), atol=1e-12)

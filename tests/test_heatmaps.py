@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from rtm3d import synth
 from rtm3d.cli import EXIT_OK, main
 from rtm3d.heatmaps import (
+    AREA_MAX,
+    AREA_MIN,
     DIM_MEAN,
     DIM_STD,
-    GaussianSpec,
+    SIGMA_MAX,
+    SIGMA_MIN,
     GroundTruthObject,
     HeadMaps,
     MultiTaskWeights,
@@ -73,15 +76,14 @@ def test_render_gaussian_max_compose():
 
 
 def test_adaptive_sigma_clamps_and_scales():
-    spec = GaussianSpec()
-    slope = (spec.sigma_max - spec.sigma_min) / (spec.a_max - spec.a_min)
-    assert adaptive_sigma(100000.0, spec) == pytest.approx(100000.0 * slope)
-    assert adaptive_sigma(10 * spec.a_max, spec) == spec.sigma_max
-    assert adaptive_sigma(1.0, spec) == spec.sigma_min
+    slope = (SIGMA_MAX - SIGMA_MIN) / (AREA_MAX - AREA_MIN)
+    assert adaptive_sigma(100000.0) == pytest.approx(100000.0 * slope)
+    assert adaptive_sigma(10 * AREA_MAX) == SIGMA_MAX
+    assert adaptive_sigma(1.0) == SIGMA_MIN
     with pytest.raises(ValueError):
-        adaptive_sigma(0.0, spec)
-    mid = 0.5 * (spec.a_max + spec.a_min)
-    assert spec.sigma_min <= adaptive_sigma(mid, spec) <= spec.sigma_max
+        adaptive_sigma(0.0)
+    mid = 0.5 * (AREA_MAX + AREA_MIN)
+    assert SIGMA_MIN <= adaptive_sigma(mid) <= SIGMA_MAX
 
 
 def test_focal_loss_matches_naive():

@@ -165,7 +165,7 @@ def test_to_camera_model_projection_matches_matrix():
             [0.0, 0.0, 1.0, 0.002745884],
         ]
     )
-    from rtm3d.geometry import project
+    from rtm3d.geometry import project_points
     from rtm3d.kitti import KittiCalib
 
     cam = to_camera_model(KittiCalib(p2=p2))
@@ -173,7 +173,7 @@ def test_to_camera_model_projection_matches_matrix():
     for _ in range(20):
         p = np.array([rng.uniform(-10, 10), rng.uniform(-2, 2), rng.uniform(5, 60)])
         homo = p2 @ np.append(p, 1.0)
-        np.testing.assert_allclose(project(cam, p), homo[:2] / homo[2], atol=1e-9)
+        np.testing.assert_allclose(project_points(cam, p)[0], homo[:2] / homo[2], atol=1e-9)
 
 
 def test_label_box_conversion():

@@ -78,7 +78,9 @@ def test_residual_masks_invisible_rows():
 
 
 def test_jacobian_matches_finite_differences():
-    from rtm3d.geometry import Twist, corner_offsets, exp_se3, rot_y
+    from scipy.spatial.transform import Rotation  # a test-only oracle
+
+    from rtm3d.geometry import corner_offsets, rot_y
 
     rng = np.random.default_rng(2)
     box = _random_box(rng)
@@ -89,10 +91,12 @@ def test_jacobian_matches_finite_differences():
     r0 = rot_y(box.yaw)
 
     def perturbed(s):
-        # Left-multiplicative pose perturbation plus a dimension step.
-        delta = exp_se3(Twist(v=s[:3], w=s[3:6]))
-        r = delta.r @ r0
-        t = delta.r @ box.t + delta.t
+        # Left-multiplicative pose perturbation plus a dimension step.  Each
+        # step moves one coordinate, so the twist (v, w) is the rotation
+        # exp(w) followed by the translation v.
+        delta = Rotation.from_rotvec(s[3:6]).as_matrix()
+        r = delta @ r0
+        t = delta @ box.t + s[:3]
         pts3d = corner_offsets(box.dims + s[6:]) @ r.T + t
         return (kps.pts - project_points(CAM, pts3d)).reshape(-1)
 
