@@ -18,7 +18,6 @@ import numpy as np
 
 from .geometry import KeypointSet, wrap_to_pi
 from .kitti import InputError
-from .solver import MEAN_CAR_DIMS as DIM_MEAN
 
 __all__ = [
     "GroundTruthObject",
@@ -56,8 +55,9 @@ FALLBACK_CONF = 0.05
 SIGMA_MIN, SIGMA_MAX = 3.0, 19.0
 AREA_MIN, AREA_MAX = 500.0, 200000.0
 
-# Standardization statistics for car dimensions (h, w, l): DIM_MEAN is the
-# solver's mean car, DIM_STD its spread.
+# Standardization statistics for car dimensions (h, w, l): the dataset's
+# mean car and its spread.
+DIM_MEAN = np.array([1.53, 1.62, 3.89])
 DIM_STD = np.array([0.13, 0.10, 0.41])
 
 MULTIBIN_CENTERS = (-math.pi / 2.0, math.pi / 2.0)

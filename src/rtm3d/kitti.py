@@ -205,18 +205,15 @@ def label_to_box3d(label: KittiLabel) -> Box3D:
 
 def box3d_to_label(
     box: Box3D,
-    category: str = "Car",
-    alpha: float | None = None,
     bbox: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
     score: float | None = None,
 ) -> KittiLabel:
-    if alpha is None:
-        alpha = yaw_to_alpha(box.yaw, box.t)
+    """A Car label of ``box``, with alpha computed from its yaw and position."""
     return KittiLabel(
-        type=category,
+        type="Car",
         truncated=0.0,
         occluded=0,
-        alpha=alpha,
+        alpha=yaw_to_alpha(box.yaw, box.t),
         bbox=bbox,
         dimensions=(box.h, box.w, box.l),
         location=tuple(box.t),

@@ -1,7 +1,9 @@
 """Energy minimization recovering a 3D box from 9 image keypoints.
 
+Every object carries all three priors: dimensions, yaw and center depth.
 The objective stacks a confidence-weighted reprojection term over the
-nine keypoints with soft priors on dimensions and orientation, and is
+nine keypoints with soft priors on dimensions and yaw; the depth prior
+only seeds the start, since the energy has no depth term.  It is
 minimized by Levenberg-Marquardt over the pose KITTI can write: the
 bottom-center translation t, the yaw about the camera y axis, and the
 three dimensions.  That is the ground-plane subgroup of SE(3), so every
@@ -42,7 +44,6 @@ __all__ = [
     "Priors",
     "SolveReport",
     "SolverConfig",
-    "MEAN_CAR_DIMS",
     "initialize",
     "jacobian_camera_point",
     "residual_camera_point",
@@ -53,8 +54,8 @@ __all__ = [
     "total_energy",
 ]
 
-# Dataset mean car dimensions (h, w, l) used when no dimension prior exists.
-MEAN_CAR_DIMS = np.array([1.53, 1.62, 3.89])
+# Visible keypoints an object needs: with all three priors, two pin the box.
+MIN_VISIBLE = 2
 
 # Levenberg-Marquardt damping: its start, and the value past which an object
 # stops as being at a (numerical) local minimum.
@@ -70,7 +71,7 @@ _STATE_COLS = [0, 1, 2, 4, 6, 7, 8]
 
 
 class InsufficientConstraints(ValueError):
-    """Too few visible keypoints for the available priors."""
+    """Fewer than :data:`MIN_VISIBLE` keypoints are visible."""
 
 
 class DivergedError(RuntimeError):
@@ -79,19 +80,20 @@ class DivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Priors:
-    """Optional per-object priors: dimensions, orientation, center depth."""
+    """Per-object priors, all three required: dimensions (h, w, l), yaw and
+    center depth.  The dimension and yaw priors are soft energy terms; the
+    depth prior seeds the start only."""
 
-    d_hat: np.ndarray | None = None
-    theta_hat: float | None = None
-    z_hat: float | None = None
+    d_hat: np.ndarray
+    theta_hat: float
+    z_hat: float
 
     def __post_init__(self):
-        if self.d_hat is not None:
-            d = np.asarray(self.d_hat, dtype=float).reshape(3)
-            if np.any(d <= 0):
-                raise ValueError("dimension prior must be positive")
-            object.__setattr__(self, "d_hat", d)
-        if self.z_hat is not None and self.z_hat <= 0:
+        d = np.asarray(self.d_hat, dtype=float).reshape(3)
+        if np.any(d <= 0):
+            raise ValueError("dimension prior must be positive")
+        object.__setattr__(self, "d_hat", d)
+        if self.z_hat <= 0:
             raise ValueError("depth prior must be positive")
 
 
@@ -146,17 +148,16 @@ class _Batch(NamedTuple):
     kp: np.ndarray  # (N, 9, 2) measured keypoints
     vis: np.ndarray  # (N, 9) keypoint visibility
     sqrt_w: np.ndarray  # (N, 18) root confidence weights, zero on invisible rows
-    d_hat: np.ndarray  # (N, 3) dimension priors, zero where absent
-    theta_hat: np.ndarray  # (N,) yaw priors, zero where absent
-    sqrt_wd: np.ndarray  # (N, 1) root dimension weights, zero where the term is off
-    sqrt_wr: np.ndarray  # (N,) root rotation weights, zero where the term is off
+    d_hat: np.ndarray  # (N, 3) dimension priors
+    theta_hat: np.ndarray  # (N,) yaw priors
+    sqrt_wd: np.ndarray  # (N, 1) root dimension weights
+    sqrt_wr: np.ndarray  # (N,) root rotation weights
 
     @staticmethod
     def stack(kps, cams, priors, weights: EnergyWeights) -> "_Batch":
+        n = len(kps)
         vis = np.array([k.visible for k in kps])
         sigma = _softmax_rows(np.array([k.conf for k in kps]))
-        use_d = np.array([p.d_hat is not None for p in priors]) & (weights.w_d > 0)
-        use_r = np.array([p.theta_hat is not None for p in priors]) & (weights.w_r > 0)
         return _Batch(
             f=np.array([[(c.fx, c.fy)] for c in cams], dtype=float),
             c=np.array([[(c.cx, c.cy)] for c in cams], dtype=float),
@@ -164,10 +165,10 @@ class _Batch(NamedTuple):
             kp=np.array([k.pts for k in kps]),
             vis=vis,
             sqrt_w=np.sqrt(sigma) * np.repeat(vis, 2, axis=1),
-            d_hat=np.array([np.zeros(3) if p.d_hat is None else p.d_hat for p in priors]),
-            theta_hat=np.array([p.theta_hat or 0.0 for p in priors], dtype=float),
-            sqrt_wd=(math.sqrt(weights.w_d) * use_d)[:, None],
-            sqrt_wr=math.sqrt(weights.w_r) * use_r,
+            d_hat=np.array([p.d_hat for p in priors]),
+            theta_hat=np.array([p.theta_hat for p in priors], dtype=float),
+            sqrt_wd=np.full((n, 1), math.sqrt(weights.w_d)),
+            sqrt_wr=np.full(n, math.sqrt(weights.w_r)),
         )
 
     def take(self, idx: np.ndarray) -> "_Batch":
@@ -215,7 +216,7 @@ def _residuals(b: _Batch, x: np.ndarray):
     pts = box_points(x[:, 4:], x[:, :3], rot_y(x[:, 3]))
     res_cp, behind = _residual_cp(b.f, b.c, b.t_cam, b.kp, b.vis, pts)
     res[:, :18] = b.sqrt_w * res_cp
-    res[:, 18:21] = b.sqrt_wd * (b.d_hat - x[:, 4:])
+    res[:, 18:21] = b.sqrt_wd * residual_dimension(x[:, 4:], b.d_hat)
     res[:, 21] = b.sqrt_wr * residual_rotation(x[:, 3], b.theta_hat)
     return res, behind
 
@@ -255,7 +256,9 @@ def jacobian_camera_point(box: Box3D, cam: CameraModel) -> np.ndarray:
 
 
 def residual_dimension(dims: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
-    return np.asarray(d_hat, dtype=float).reshape(3) - np.asarray(dims, dtype=float).reshape(3)
+    """Dimension prior minus dimensions: the solver's dimension residual
+    before weighting.  Takes (3,) or stacked (N, 3) arrays."""
+    return d_hat - dims
 
 
 def residual_rotation(yaw, theta_hat):
@@ -291,13 +294,10 @@ def initialize(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Initial yaw, bottom-center translation and dimensions.
 
-    Depth comes from the prior when present, otherwise from a
-    similar-triangles estimate using the vertical keypoint extent; the box
-    center is back-projected through the pinhole at that depth.
+    Yaw and dimensions are the priors.  The box center is back-projected
+    through the pinhole at the depth prior, from the center keypoint, else
+    the mean visible keypoint, else the principal point.
     """
-    d0 = priors.d_hat.copy() if priors.d_hat is not None else MEAN_CAR_DIMS.copy()
-    yaw0 = priors.theta_hat if priors.theta_hat is not None else 0.0
-
     if kps.visible[8]:
         anchor = kps.pts[8]
     elif kps.n_visible > 0:
@@ -305,12 +305,7 @@ def initialize(
     else:
         anchor = np.array([cam.cx, cam.cy])
 
-    if priors.z_hat is not None:
-        depth = float(priors.z_hat)
-    else:
-        vis = kps.pts[kps.visible]
-        extent = vis[:, 1].max() - vis[:, 1].min() if len(vis) >= 2 else 0.0
-        depth = cam.fy * d0[0] / max(extent, 1.0)
+    depth = float(priors.z_hat)
     zp = depth + cam.t_cam[2]
     center = np.array(
         [
@@ -320,14 +315,8 @@ def initialize(
         ]
     )
     # Center sits half a height above the bottom-face anchor (y points down).
-    t0 = center + np.array([0.0, d0[0] / 2.0, 0.0])
-    return yaw0, t0, d0
-
-
-def _required_visible(priors: Priors) -> int:
-    if priors.d_hat is not None and priors.theta_hat is not None and priors.z_hat is not None:
-        return 2
-    return 5
+    t0 = center + np.array([0.0, priors.d_hat[0] / 2.0, 0.0])
+    return priors.theta_hat, t0, priors.d_hat.copy()
 
 
 def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -360,7 +349,10 @@ def solve_batch(
     follows the same sequence of trials as it would alone: a rejected trial
     multiplies its damping by 10 and is retried on the next pass with the
     same Jacobian.  A trial is rejected when its cost is not lower or not
-    finite, and when it puts a visible keypoint behind the camera.
+    finite, and when it puts a visible keypoint behind the camera.  Each
+    way an object stops has one site, marked ``stop:``: a gradient below
+    ``g_tol`` (gtol), an accepted step shorter than ``step_tol`` (step),
+    damping past ``LM_LAMBDA_MAX`` (damping) and ``max_iter`` (max_iter).
 
     Returns one entry per object: a :class:`SolveReport`, or the exception
     that ended that object's solve (:class:`InsufficientConstraints`;
@@ -369,7 +361,7 @@ def solve_batch(
     """
     out: list = [
         InsufficientConstraints(f"{k.n_visible} visible keypoints with priors {p} are not enough")
-        if k.n_visible < _required_visible(p)
+        if k.n_visible < MIN_VISIBLE
         else None
         for k, p in zip(kps, priors)
     ]
@@ -389,54 +381,55 @@ def solve_batch(
     with np.errstate(all="ignore"):
         res, behind = _residuals(b, x)
         cost = np.sum(res * res, axis=1)
-        errors = [BehindCamera("a visible keypoint starts behind the camera") if bc else None
-                  for bc in behind]
+        # An accepted trial has a finite cost, so only the start can lack one.
+        errors = [
+            BehindCamera("a visible keypoint starts behind the camera") if bc
+            else DivergedError("non-finite cost") if not np.isfinite(c) else None
+            for bc, c in zip(behind, cost)
+        ]
         lam = np.full(n, LM_LAMBDA0)
         iters = np.zeros(n, dtype=int)
         converged = np.zeros(n, dtype=bool)
-        fresh = np.ones(n, dtype=bool)  # the state moved, so its Jacobian is due
         jtj, grad = np.empty((n, 7, 7)), np.empty((n, 7))
-        live = np.flatnonzero(~behind)
+
+        def begin(i: np.ndarray) -> np.ndarray:
+            """Begin an iteration for objects ``i`` (sorted); return those that step."""
+            i = i[iters[i] < config.max_iter]  # stop: max_iter
+            if not i.size:
+                return i
+            jac = _jacobians(b.take(i), x[i])
+            jac_t = jac.transpose(0, 2, 1)
+            jtj[i], grad[i] = jac_t @ jac, (jac_t @ res[i][..., None])[..., 0]
+            flat = np.abs(grad[i]).max(axis=1) < config.g_tol
+            converged[i[flat]] = True  # stop: gtol, not counted as an iteration
+            i = i[~flat]
+            iters[i] += 1
+            return i
+
+        live = begin(np.flatnonzero([e is None for e in errors]))
         while live.size:
-            on = np.zeros(n, dtype=bool)  # still iterating after this pass
-            on[live] = True
-            # Objects whose state moved begin an iteration.
-            new = live[fresh[live]]
-            on[new[iters[new] >= config.max_iter]] = False
-            new = new[iters[new] < config.max_iter]
-            iters[new] += 1
-            for j in new[~np.isfinite(cost[new])]:
-                errors[j] = DivergedError("non-finite cost")
-                on[j] = False
-            new = new[np.isfinite(cost[new])]
-            if new.size:
-                jac = _jacobians(b.take(new), x[new])
-                jac_t = jac.transpose(0, 2, 1)
-                jtj[new], grad[new] = jac_t @ jac, (jac_t @ res[new][..., None])[..., 0]
-                fresh[new] = False
-                flat = new[np.abs(grad[new]).max(axis=1) < config.g_tol]
-                iters[flat] -= 1
-                converged[flat], on[flat] = True, False
-            # Damping exhausted: at a (numerical) local minimum.
-            ex = live[on[live] & (lam[live] > LM_LAMBDA_MAX)]
+            exhausted = lam[live] > LM_LAMBDA_MAX
+            ex = live[exhausted]
+            # stop: damping, at a (numerical) local minimum
             converged[ex] = np.abs(grad[ex]).max(axis=1) < math.sqrt(config.g_tol)
-            on[ex] = False
-            # The others try a damped step.  A singular system gives a NaN step,
-            # whose cost is not finite.
-            i = live[on[live]]
-            if i.size:
-                step = _lm_steps(jtj[i], grad[i], lam[i])
-                x_new = x[i] + step
-                x_new[:, 4:] = np.maximum(x_new[:, 4:], 1e-2)
-                res_new, behind = _residuals(b.take(i), x_new)
-                cost_new = np.sum(res_new * res_new, axis=1)
-                ok = ~behind & np.isfinite(cost_new) & (cost_new < cost[i])
-                lam[i] = np.where(ok, np.maximum(lam[i] / 10.0, 1e-12), lam[i] * 10.0)
-                acc = i[ok]
-                x[acc], res[acc], cost[acc], fresh[acc] = x_new[ok], res_new[ok], cost_new[ok], True
-                small = acc[np.linalg.norm(step[ok], axis=1) < config.step_tol]
-                converged[small], on[small] = True, False
-            live = live[on[live]]
+            i = live[~exhausted]
+            if not i.size:
+                break
+            # A damped step.  A singular system gives a NaN step, whose cost
+            # is not finite.
+            step = _lm_steps(jtj[i], grad[i], lam[i])
+            x_new = x[i] + step
+            x_new[:, 4:] = np.maximum(x_new[:, 4:], 1e-2)
+            res_new, behind = _residuals(b.take(i), x_new)
+            cost_new = np.sum(res_new * res_new, axis=1)
+            ok = ~behind & np.isfinite(cost_new) & (cost_new < cost[i])
+            lam[i] = np.where(ok, np.maximum(lam[i] / 10.0, 1e-12), lam[i] * 10.0)
+            acc = i[ok]
+            x[acc], res[acc], cost[acc] = x_new[ok], res_new[ok], cost_new[ok]
+            small = np.linalg.norm(step[ok], axis=1) < config.step_tol
+            converged[acc[small]] = True  # stop: step
+            # Rejected objects retry with the same Jacobian; moved ones begin anew.
+            live = np.union1d(i[~ok], begin(acc[~small]))
 
         terms = _term_costs(res)
     for j, i in enumerate(idx):

@@ -177,13 +177,13 @@ def apply_noise(scene: list[SceneObject], noise: NoiseSpec, seed: int = 0) -> li
             conf = np.where(drop, 0.0, conf)
         p = obj.priors
         d_hat = p.d_hat
-        if d_hat is not None and noise.dim_sigma > 0:
+        if noise.dim_sigma > 0:
             d_hat = np.maximum(d_hat + rng.normal(0.0, noise.dim_sigma, size=3), 0.1)
         theta_hat = p.theta_hat
-        if theta_hat is not None and noise.yaw_sigma > 0:
+        if noise.yaw_sigma > 0:
             theta_hat = wrap_to_pi(theta_hat + rng.normal(0.0, noise.yaw_sigma))
         z_hat = p.z_hat
-        if z_hat is not None and noise.depth_rel_sigma > 0:
+        if noise.depth_rel_sigma > 0:
             z_hat = max(z_hat * (1.0 + rng.normal(0.0, noise.depth_rel_sigma)), 0.5)
         noisy.append(
             SceneObject(
@@ -270,11 +270,7 @@ def scene_priors_text(scene: list[SceneObject]) -> str:
     lines = []
     for obj in scene:
         p = obj.priors
-        box = Box3D(
-            dims=p.d_hat if p.d_hat is not None else DIM_MEAN,
-            t=np.array([0.0, 0.0, p.z_hat if p.z_hat is not None else 1.0]),
-            yaw=p.theta_hat if p.theta_hat is not None else 0.0,
-        )
+        box = Box3D(dims=p.d_hat, t=np.array([0.0, 0.0, p.z_hat]), yaw=p.theta_hat)
         lines.append(format_label(box3d_to_label(box, bbox=bbox_2d(obj)), 6))
     return "".join(line + "\n" for line in lines)
 

@@ -301,6 +301,19 @@ def test_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_heatmaps_import_loads_no_solver():
+    # The package __init__ imports the solver itself, so the package is
+    # registered bare: this checks what heatmaps and its imports load.
+    code = (
+        "import sys, types\n"
+        f"sys.modules['rtm3d'] = types.ModuleType('rtm3d'); sys.modules['rtm3d'].__path__ = {rtm3d.__path__!r}\n"
+        "import rtm3d.heatmaps\n"
+        "print(sorted(m for m in sys.modules if m.startswith('rtm3d')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "['rtm3d', 'rtm3d.geometry', 'rtm3d.heatmaps', 'rtm3d.kitti']"
+
+
 def test_end_to_end_script_runs_from_a_checkout(tmp_path):
     script = Path(__file__).parents[1] / "scripts" / "end_to_end.sh"
     env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}

@@ -183,5 +183,5 @@ def test_label_box_conversion():
     np.testing.assert_allclose(box.dims, [1.65, 1.67, 3.64])
     np.testing.assert_allclose(box.t, [-0.65, 1.71, 46.70])
     assert box.yaw == pytest.approx(-1.59)
-    back = box3d_to_label(box, category="Car", alpha=lb.alpha, bbox=lb.bbox)
+    back = box3d_to_label(box, bbox=lb.bbox)
     assert format_label(back) == LABEL_LINE

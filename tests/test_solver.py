@@ -16,8 +16,8 @@ from rtm3d.geometry import (
     project_points,
     wrap_to_pi,
 )
+from rtm3d.heatmaps import DIM_MEAN
 from rtm3d.solver import (
-    MEAN_CAR_DIMS,
     DivergedError,
     EnergyWeights,
     InsufficientConstraints,
@@ -151,17 +151,6 @@ def test_initialize_backprojects_center():
         np.testing.assert_allclose(start[:2], center[:2], atol=1e-6)
 
 
-def test_initialize_without_depth_prior_uses_vertical_extent():
-    rng = np.random.default_rng(5)
-    box = _random_box(rng)
-    priors = Priors(d_hat=box.dims.copy())
-    yaw, t, dims = initialize(priors, _keypoints_of(box), CAM)
-    assert yaw == 0.0
-
-    # Similar triangles on the box height give a usable depth guess.
-    assert 0.5 * box.t[2] < t[2] < 2.0 * box.t[2]
-
-
 def test_solve_recovers_noiseless_box():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -185,13 +174,31 @@ def test_solve_requires_enough_keypoints():
     rng = np.random.default_rng(7)
     box = _random_box(rng)
     kps = _keypoints_of(box)
-    few = KeypointSet(pts=kps.pts, conf=kps.conf, visible=np.array([True] * 4 + [False] * 5))
+    priors = Priors(d_hat=box.dims.copy(), theta_hat=box.yaw, z_hat=box.t[2])
+    one = KeypointSet(pts=kps.pts, conf=kps.conf, visible=np.array([True] + [False] * 8))
     with pytest.raises(InsufficientConstraints):
-        solve(few, CAM, Priors())
+        solve(one, CAM, priors)
     # With all three priors two visible keypoints suffice.
     two = KeypointSet(pts=kps.pts, conf=kps.conf, visible=np.array([True, True] + [False] * 7))
-    report = solve(two, CAM, Priors(d_hat=box.dims.copy(), theta_hat=box.yaw, z_hat=box.t[2]))
+    report = solve(two, CAM, priors)
     assert report.iterations >= 0
+
+
+def test_each_lm_exit():
+    obj = generate_scene(SceneSpec(n_objects=3, seed=5))[0]
+    cam = default_camera()
+    # A flat gradient at the start: converged, with no iteration counted.
+    at_truth = solve(obj.kps, cam, obj.priors, config=SolverConfig(init_box=obj.box))
+    assert at_truth.iterations == 0 and at_truth.converged
+    assert at_truth.final_cost == 0.0
+    # The iteration cap.
+    off = Box3D(dims=obj.box.dims * 1.05, t=obj.box.t + [0.3, 0.0, 1.0], yaw=obj.box.yaw + 0.1)
+    capped = solve(obj.kps, cam, obj.priors, config=SolverConfig(max_iter=1, init_box=off))
+    assert capped.iterations == 1 and not capped.converged
+    # With both tolerances 0 only exhausted damping stops the fit.
+    exhausted = solve(obj.kps, cam, obj.priors, config=SolverConfig(g_tol=0.0, step_tol=0.0))
+    assert not exhausted.converged
+    assert exhausted.iterations < SolverConfig().max_iter
 
 
 def test_total_energy_terms():
@@ -210,7 +217,7 @@ def test_total_energy_terms():
 
 
 def test_mean_car_dims_constant():
-    np.testing.assert_allclose(MEAN_CAR_DIMS, [1.53, 1.62, 3.89])
+    np.testing.assert_allclose(DIM_MEAN, [1.53, 1.62, 3.89])
 
 
 def test_solver_jacobian_matches_finite_differences():
