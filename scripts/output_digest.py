@@ -1,0 +1,137 @@
+"""Hash every output the byte-identity checks compare, one line per group.
+
+Usage: PYTHONPATH=src python3 scripts/output_digest.py OUTDIR
+
+Runs the CLI in process on fixed workloads under OUTDIR and prints one
+``<group> <sha256>`` line per output group.  Run it on two checkouts and
+diff the printed lines: a change that keeps every output byte-identical
+prints the same lines.  The groups are:
+
+- ``fixed-*``: the fixed workload (200 frames x 5 cars, sigma 1 px,
+  dropout 0.1, seed 42): the synth files, the result files plus
+  ``solve_log.txt``, ``metrics.txt`` with no flags, ``--iou 0.7``,
+  ``--forty-point`` and ``--difficulty easy``, and the render-bev SVG of
+  frame 000000;
+- ``sparse-*``: 30 frames x 5 cars at dropout 0.8, seed 7, where many
+  objects have too few keypoints;
+- ``empty-*``: 3 frames with no objects;
+- ``headmaps-*``: the ``.rtmh`` files and sidecars of two ``headmaps=1``
+  blocks (16 x 5, seed 42; 8 x 20, seed 7, sigma 1, dropout 0.1);
+- ``decode``: every :func:`rtm3d.heatmaps.decode_objects` field (type,
+  dtype and bytes) of both blocks.
+
+Each group hash also covers the exit codes of the commands behind it.
+Imports only the standard library and ``rtm3d``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from rtm3d import cli, heatmaps
+
+FIXED = "frames=200\nn_objects=5\npixel_sigma=1.0\ndropout=0.1\nseed=42\n"
+SPARSE = "frames=30\nn_objects=5\npixel_sigma=1.0\ndropout=0.8\nseed=7\n"
+EMPTY = "frames=3\nn_objects=0\nseed=42\n"
+HEADMAP_BLOCKS = {
+    "headmaps-16x5": "frames=16\nn_objects=5\nseed=42\nheadmaps=1\n",
+    "headmaps-8x20": "frames=8\nn_objects=20\npixel_sigma=1.0\ndropout=0.1\nseed=7\nheadmaps=1\n",
+}
+
+
+def run(*argv: str) -> bytes:
+    """Exit code of ``rtm3d argv``, with its console output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return f"exit {code}\n".encode()
+
+
+def file_hash(paths, root: Path, extra: bytes = b"") -> str:
+    """SHA-256 over each file's path relative to ``root`` and its bytes."""
+    h = hashlib.sha256(extra)
+    for path in sorted(paths):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root)}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def tree_hash(root: Path, extra: bytes = b"") -> str:
+    return file_hash((p for p in root.rglob("*") if p.is_file()), root, extra)
+
+
+def pipeline(out: Path, name: str, spec: str) -> dict:
+    """synth, solve and eval (four flag sets) of one spec under ``out/name``."""
+    work = out / name
+    work.mkdir(parents=True)
+    (work / "scenes.cfg").write_text(spec)
+    data, results = work / "dataset", work / "results"
+    groups = {
+        f"{name}-synth": tree_hash(data, run("synth", str(work / "scenes.cfg"), str(data))),
+        f"{name}-solve": tree_hash(results, run("solve", str(data), str(results))),
+    }
+    for flag, args in (("", ()), ("-iou0.7", ("--iou", "0.7")),
+                       ("-forty-point", ("--forty-point",)),
+                       ("-easy", ("--difficulty", "easy"))):
+        metrics = work / f"metrics{flag}.txt"
+        code = run("eval", str(results), str(data), *args, "--out", str(metrics))
+        groups[f"{name}-metrics{flag}"] = file_hash([metrics], work, code)
+    return groups
+
+
+def decode_hash(blocks) -> tuple[str, int]:
+    """SHA-256 over every field of every decoded object, and the object count."""
+    h, count = hashlib.sha256(), 0
+    for block in blocks:
+        for path in sorted((block / "headmaps").glob("*.rtmh")):
+            for obj in heatmaps.decode_objects(heatmaps.read_headmaps(path)):
+                count += 1
+                kps = obj.kps
+                values = [getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name != "kps"]
+                for v in values + [kps.pts, kps.conf, kps.visible]:
+                    # Arrays and numpy scalars by dtype and bytes, the rest by repr.
+                    if hasattr(v, "tobytes"):
+                        h.update(f"{type(v).__name__} {v.dtype.str} {v.shape}\0".encode())
+                        h.update(v.tobytes())
+                    else:
+                        h.update(f"{type(v).__name__} {v!r}\0".encode())
+    return h.hexdigest(), count
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 1
+    out = Path(argv[0])
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 1
+    groups = pipeline(out, "fixed", FIXED)
+    svg = out / "fixed" / "frame000000_bev.svg"
+    code = run("render-bev", "--results", str(out / "fixed/results/data/000000.txt"),
+               "--gt", str(out / "fixed/dataset/label_2/000000.txt"), str(svg))
+    groups["fixed-bev"] = file_hash([svg], out, code)
+    groups.update(pipeline(out, "sparse", SPARSE))
+    groups.update(pipeline(out, "empty", EMPTY))
+    blocks = []
+    for name, spec in HEADMAP_BLOCKS.items():
+        block = out / name
+        block.mkdir()
+        (block / "scenes.cfg").write_text(spec)
+        code = run("synth", str(block / "scenes.cfg"), str(block / "data"))
+        groups[name] = tree_hash(block / "data" / "headmaps", code)
+        blocks.append(block / "data")
+    groups["decode"], count = decode_hash(blocks)
+    for group, digest in groups.items():
+        print(f"{group} {digest}")
+    print(f"decoded-objects {count}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,9 +1,10 @@
 """Deterministic bird's-eye-view SVG rendering.
 
 Ground-truth boxes are drawn green, results blue, each with a heading
-tick from the footprint center toward the box front.  The plot uses
-x right, z up, origin at the camera, 10 px per meter by default; all
-coordinates are formatted with two decimals so reruns are byte-identical.
+tick from the footprint center toward the box front.  The canvas is a
+fixed 800 x 800 px at 10 px per meter, with x right, z up and the camera
+at the bottom center, and a grid line every 10 m; all coordinates are
+formatted with two decimals so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,28 +19,27 @@ __all__ = ["render_bev_svg"]
 GT_COLOR = "#2e8b2e"
 RESULT_COLOR = "#2e5bd7"
 GRID_COLOR = "#d0d0d0"
+WIDTH = HEIGHT = 800  # px
+SCALE = 10.0  # px per meter
+GRID_STEP = 10.0 * SCALE  # px between grid lines: 10 m
 
 
 def _fmt(v: float) -> str:
     return f"{v + 0.0:.2f}"  # +0.0 normalizes -0.0
 
 
-def _to_svg(x: float, z: float, width: float, height: float, scale: float):
-    return width / 2.0 + x * scale, height - z * scale
+def _to_svg(x: float, z: float):
+    return WIDTH / 2.0 + x * SCALE, HEIGHT - z * SCALE
 
 
-def _box_svg(box: Box3D, color: str, width: float, height: float, scale: float) -> str:
-    corners = bev_corners(box)
-    pts = " ".join(
-        f"{_fmt(sx)},{_fmt(sy)}"
-        for sx, sy in (_to_svg(x, z, width, height, scale) for x, z in corners)
-    )
+def _box_svg(box: Box3D, color: str) -> str:
+    pts = " ".join(f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in map(_to_svg, *bev_corners(box).T))
     cx, cz = box.t[0], box.t[2]
     # Heading tick: footprint center toward the front face (+length axis).
     hx = cx + (box.l / 2.0) * math.cos(box.yaw)
     hz = cz - (box.l / 2.0) * math.sin(box.yaw)
-    sx0, sy0 = _to_svg(cx, cz, width, height, scale)
-    sx1, sy1 = _to_svg(hx, hz, width, height, scale)
+    sx0, sy0 = _to_svg(cx, cz)
+    sx1, sy1 = _to_svg(hx, hz)
     return (
         f'<polygon points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         f'<line x1="{_fmt(sx0)}" y1="{_fmt(sy0)}" x2="{_fmt(sx1)}" y2="{_fmt(sy1)}" '
@@ -47,38 +47,30 @@ def _box_svg(box: Box3D, color: str, width: float, height: float, scale: float) 
     )
 
 
-def render_bev_svg(
-    results: list[Box3D],
-    ground_truths: list[Box3D],
-    width: int = 800,
-    height: int = 800,
-    scale: float = 10.0,
-    grid_step_m: float = 10.0,
-) -> str:
+def render_bev_svg(results: list[Box3D], ground_truths: list[Box3D]) -> str:
     """Standalone SVG text for one frame's boxes."""
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    step = grid_step_m * scale
-    x = width / 2.0 % step
-    while x <= width:
+    x = WIDTH / 2.0 % GRID_STEP
+    while x <= WIDTH:
         parts.append(
-            f'<line x1="{_fmt(x)}" y1="0" x2="{_fmt(x)}" y2="{height}" '
+            f'<line x1="{_fmt(x)}" y1="0" x2="{_fmt(x)}" y2="{HEIGHT}" '
             f'stroke="{GRID_COLOR}" stroke-width="0.5"/>'
         )
-        x += step
-    y = height % step
-    while y <= height:
+        x += GRID_STEP
+    y = HEIGHT % GRID_STEP
+    while y <= HEIGHT:
         parts.append(
-            f'<line x1="0" y1="{_fmt(y)}" x2="{width}" y2="{_fmt(y)}" '
+            f'<line x1="0" y1="{_fmt(y)}" x2="{WIDTH}" y2="{_fmt(y)}" '
             f'stroke="{GRID_COLOR}" stroke-width="0.5"/>'
         )
-        y += step
+        y += GRID_STEP
     for box in ground_truths:
-        parts.append(_box_svg(box, GT_COLOR, width, height, scale))
+        parts.append(_box_svg(box, GT_COLOR))
     for box in results:
-        parts.append(_box_svg(box, RESULT_COLOR, width, height, scale))
+        parts.append(_box_svg(box, RESULT_COLOR))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

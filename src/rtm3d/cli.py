@@ -79,19 +79,21 @@ def cmd_synth(args) -> int:
 # solve
 
 
-def _result_row(k, report):
-    """One object's result label (None when it has no result), its log entry
-    and whether it failed."""
-    if isinstance(report, Exception):
-        failed = not isinstance(report, InsufficientConstraints)
-        return None, f"{'failed' if failed else 'skipped'} ({report})", failed
-    box = report.box
+def _result_label(k, report):
+    """One fitted object's result label."""
     score = float(k.conf[k.visible].mean()) if k.n_visible else 0.0
     vis = k.pts[k.visible] if k.n_visible else k.pts
     bbox = (*map(float, vis.min(axis=0)), *map(float, vis.max(axis=0)))
-    label = kitti.box3d_to_label(box, bbox=bbox, score=score)
-    entry = f"iters={report.iterations} cost={report.final_cost:.3e} converged={report.converged}"
-    return label, entry, False
+    return kitti.box3d_to_label(report.box, bbox=bbox, score=score)
+
+
+def _log_entry(report) -> str:
+    """One object's line in solve_log.txt, after its frame and index."""
+    if isinstance(report, InsufficientConstraints):
+        return f"skipped ({report})"
+    if isinstance(report, Exception):
+        return f"failed ({report})"
+    return f"iters={report.iterations} cost={report.final_cost:.3e} converged={report.converged}"
 
 
 def cmd_solve(args) -> int:
@@ -110,7 +112,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     (out / "data").mkdir(parents=True, exist_ok=True)
     # Parse every frame once, then solve all objects in fixed-size chunks.
-    frames = []  # (frame id, number of objects)
+    frames = []  # (frame id, slice of its objects in kps, cams and priors)
     kps, cams, priors = [], [], []
     cameras = {}  # calib path -> camera, so a shared --calib file is parsed once
     for priors_path in sorted(priors_dir.glob("*.txt")):
@@ -126,7 +128,7 @@ def cmd_solve(args) -> int:
         objects = synth.parse_scene_objects(
             priors_path.read_text(), kp_path.read_text(), kp_path, priors_path
         )
-        frames.append((frame, len(objects)))
+        frames.append((frame, slice(len(kps), len(kps) + len(objects))))
         for k, p in objects:
             kps.append(k)
             cams.append(cameras[calib_path])
@@ -134,31 +136,25 @@ def cmd_solve(args) -> int:
     if not frames:
         raise InputError(f"no frames found under {priors_dir}")
 
-    rows, fitted, solve_s = [], 0, 0.0
+    t0 = time.perf_counter()
+    reports = []
     for i in range(0, len(kps), SOLVE_CHUNK):
-        chunk = kps[i : i + SOLVE_CHUNK]
-        t0 = time.perf_counter()
-        reports = solve_batch(
-            chunk, cams[i : i + SOLVE_CHUNK], priors[i : i + SOLVE_CHUNK], weights, solver_cfg
-        )
-        solve_s += time.perf_counter() - t0
-        fitted += sum(not isinstance(r, InsufficientConstraints) for r in reports)
-        rows.extend(map(_result_row, chunk, reports))
+        chunk = slice(i, i + SOLVE_CHUNK)
+        reports += solve_batch(kps[chunk], cams[chunk], priors[chunk], weights, solver_cfg)
+    solve_s = time.perf_counter() - t0
+    skipped = sum(isinstance(r, InsufficientConstraints) for r in reports)
+    failed = sum(isinstance(r, Exception) for r in reports) - skipped
+    fitted = len(reports) - skipped
 
     log_lines = []
-    start = 0
-    for frame, count in frames:
-        labels = []
-        for i, (label, entry, _) in enumerate(rows[start : start + count]):
-            if label is not None:
-                labels.append(label)
-            log_lines.append(f"{frame} object {i}: {entry}")
-        start += count
+    for frame, objects in frames:
+        rows = list(zip(kps[objects], reports[objects]))
+        labels = [_result_label(k, r) for k, r in rows if not isinstance(r, Exception)]
+        log_lines += (f"{frame} object {i}: {_log_entry(r)}" for i, (_, r) in enumerate(rows))
         (out / "data" / f"{frame}.txt").write_text(kitti.write_result_file(labels))
     (out / "solve_log.txt").write_text("".join(line + "\n" for line in log_lines))
     ms = 1000.0 * solve_s / fitted if fitted else 0.0
     print(f"solved {len(frames)} frame(s); solve time {ms:.3f} ms/object (over fitted objects)")
-    failed = sum(row[2] for row in rows)
     if failed:
         print(f"rtm3d: input error: {failed} object(s) failed; see solve_log.txt", file=sys.stderr)
         return EXIT_INPUT
@@ -201,11 +197,10 @@ def cmd_eval(args) -> int:
         log.info("frame %s has results but no ground truth", frame)
 
     difficulties = [args.difficulty] if args.difficulty else ["easy", "moderate", "hard"]
-    iou = args.iou if args.iou is not None else 0.5
     n_points = 40 if args.forty_point else 11
     filters = [evaluation.DifficultyFilter.by_name(name) for name in difficulties]
-    curves = evaluation.evaluate(det_frames, gt_frames, filters, iou, n_points=n_points)
-    lines = [f"interpolation={n_points}point", f"iou_threshold={iou}"]
+    curves = evaluation.evaluate(det_frames, gt_frames, filters, args.iou, n_points=n_points)
+    lines = [f"interpolation={n_points}point", f"iou_threshold={args.iou}"]
     for name in difficulties:
         for key, metric in (("ap_3d", "3d"), ("ap_bev", "bev"), ("aos", "aos"), ("ap_2d", "2d")):
             lines.append(f"{key}_{name}={curves[name][metric].ap:.6f}")
@@ -261,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="compute AP/AOS metrics")
     p_eval.add_argument("results", help="results directory (or its data/ parent)")
     p_eval.add_argument("gt", help="ground-truth label directory")
-    p_eval.add_argument("--iou", type=float, choices=[0.5, 0.7], default=None)
+    p_eval.add_argument("--iou", type=float, choices=[0.5, 0.7], default=0.5)
     p_eval.add_argument(
         "--difficulty", choices=["easy", "moderate", "hard"], default=None
     )

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _AREA_EPS = 1e-9
+# The one class scored: result files (kitti.box3d_to_label) hold only cars.
+CATEGORY = "Car"
 # The box template's bottom corners 0, 3, 2, 1 in the ground plane (x, z),
 # counterclockwise; length scales x and width z.
 _FOOTPRINT = BOX_TEMPLATE[[0, 3, 2, 1]][:, [0, 2]]
@@ -203,10 +205,11 @@ def box_2d_iou(a, b) -> float:
     return inter / union
 
 
-def _frame_overlaps(dets: list, gts: list, category: str) -> dict:
+def _frame_overlaps(dets: list, gts: list) -> dict:
     """One frame's detection x ground-truth IoU rows per metric; ground truth
-    of another category gets no box and reads 0 in 3D and BEV."""
-    boxes = [label_to_box3d(g) if g.type == category else None for g in gts]
+    of another category than :data:`CATEGORY` gets no box and reads 0 in 3D
+    and BEV."""
+    boxes = [label_to_box3d(g) if g.type == CATEGORY else None for g in gts]
     pairs = [[_footprint_ious(d.box, b) if b is not None else (0.0, 0.0) for b in boxes] for d in dets]
     return {
         "bev": [[p[0] for p in row] for row in pairs],
@@ -259,7 +262,6 @@ def evaluate(
     difficulties: list[DifficultyFilter],
     iou_threshold: float = 0.5,
     iou_2d: float = 0.7,
-    category: str = "Car",
     n_points: int = 11,
 ) -> dict:
     """Every curve of a run in one pass over the frames, as
@@ -274,15 +276,15 @@ def evaluate(
     outcomes = {(diff.name, m): [] for diff in difficulties for m in thresholds}
     n_gt = dict.fromkeys((diff.name for diff in difficulties), 0)
     for frame in sorted(set(detections) | set(ground_truths)):
-        dets = [d for d in detections.get(frame, []) if d.category == category]
+        dets = [d for d in detections.get(frame, []) if d.category == CATEGORY]
         dets.sort(key=lambda d: -d.score)
         gts = ground_truths.get(frame, [])
-        overlaps = _frame_overlaps(dets, gts, category)
+        overlaps = _frame_overlaps(dets, gts)
         for diff in difficulties:
-            counted = [j for j, g in enumerate(gts) if g.type == category and diff.accepts(g)]
+            counted = [j for j, g in enumerate(gts) if g.type == CATEGORY and diff.accepts(g)]
             ignored = [
                 j for j, g in enumerate(gts)
-                if g.is_dontcare or (g.type == category and j not in counted)
+                if g.is_dontcare or (g.type == CATEGORY and j not in counted)
             ]
             n_gt[diff.name] += len(counted)
             for m, threshold in thresholds.items():
@@ -303,7 +305,6 @@ def average_precision(
     iou_threshold: float = 0.5,
     difficulty: DifficultyFilter | None = None,
     metric: str = "3d",
-    category: str = "Car",
     n_points: int = 11,
 ) -> PRCurve:
     """Interpolated AP over frames of one ``metric`` ("3d", "bev" or "2d")
@@ -312,7 +313,7 @@ def average_precision(
         raise ValueError(f"unknown metric {metric!r}")
     difficulty = difficulty or DifficultyFilter.moderate()
     curves = evaluate(
-        detections, ground_truths, [difficulty], iou_threshold, iou_threshold, category, n_points
+        detections, ground_truths, [difficulty], iou_threshold, iou_threshold, n_points
     )
     return curves[difficulty.name][metric]
 
@@ -322,7 +323,6 @@ def aos(
     ground_truths: dict,
     difficulty: DifficultyFilter | None = None,
     iou_threshold: float = 0.7,
-    category: str = "Car",
     n_points: int = 11,
 ) -> tuple[float, float]:
     """Average orientation similarity and the matching 2D AP.
@@ -332,7 +332,6 @@ def aos(
     """
     difficulty = difficulty or DifficultyFilter.moderate()
     curves = evaluate(
-        detections, ground_truths, [difficulty], iou_2d=iou_threshold, category=category,
-        n_points=n_points,
+        detections, ground_truths, [difficulty], iou_2d=iou_threshold, n_points=n_points
     )[difficulty.name]
     return curves["aos"].ap, curves["2d"].ap

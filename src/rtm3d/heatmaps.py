@@ -1,7 +1,7 @@
 """Dense detection-head map encoding and decoding.
 
 All maps are numpy arrays shaped (H, W) or (H, W, C) on the downsampled
-grid (stride 4 by default).  Encoding renders training targets from
+grid (stride :data:`DOWNSAMPLE`).  Encoding renders training targets from
 ground truth; decoding runs max-pool peak extraction, keypoint grouping
 and per-cell regression readout.  Losses are plain forward evaluations
 used as test oracles; there is no autodiff here.
@@ -116,7 +116,7 @@ def render_gaussian(heatmap, center, sigma):
 
 @dataclass
 class HeadMaps:
-    """Detection-head output planes on the stride-S grid, shaped (H, W, C)."""
+    """Detection-head output planes on the :data:`DOWNSAMPLE` grid, shaped (H, W, C)."""
 
     main: np.ndarray
     vertex: np.ndarray
@@ -126,7 +126,6 @@ class HeadMaps:
     dims: np.ndarray
     orientation: np.ndarray
     depth: np.ndarray
-    stride: int = DOWNSAMPLE
 
     PLANES = (
         ("main", None),
@@ -295,41 +294,32 @@ def group_keypoints(
 
     For each maincenter, the regressed keypoint positions (maincenter cell
     plus the coordinate-regression vector) pick the nearest same-channel
-    vertex peak within :data:`MATCH_RADIUS`; unmatched keypoints keep their
-    regressed position at :data:`FALLBACK_CONF` and are flagged invisible.
-    Final coordinates are sub-cell refined by the offset planes and scaled
-    back to input pixels.  ``config`` is not read; it stays in the
-    signature because existing callers pass it.
+    vertex peak within :data:`MATCH_RADIUS` cells, the first listed of
+    equally near peaks; a NaN distance never matches.  Unmatched keypoints
+    keep their regressed position at :data:`FALLBACK_CONF` and are flagged
+    invisible.  Final coordinates are sub-cell refined by the offset planes
+    and scaled back to input pixels.  ``config`` is not read; it stays in
+    the signature because existing callers pass it.
     """
-    s = maps.stride
-    by_channel = {}
-    for (x, y), score, c in vertex_peaks:
-        by_channel.setdefault(c, []).append(((x, y), score))
+    # The vertex peaks as aligned arrays, and which keypoint each may serve.
+    xy = np.array([p[0] for p in vertex_peaks], dtype=int).reshape(-1, 2)
+    score = np.array([p[1] for p in vertex_peaks], dtype=float)
+    on_channel = np.array([p[2] for p in vertex_peaks], dtype=int) == np.arange(9)[:, None]
 
     objects = []
     for (mx, my), mscore, mclass in main_peaks:
-        vc = maps.vertex_coord[my, mx, :].reshape(9, 2)
-        regressed = np.array([mx, my], dtype=float) + vc
-        pts = np.zeros((9, 2))
-        conf = np.zeros(9)
-        visible = np.zeros(9, dtype=bool)
-        for k in range(9):
-            best = None
-            for (px, py), score in by_channel.get(k, []):
-                d = math.hypot(px - regressed[k, 0], py - regressed[k, 1])
-                if d <= MATCH_RADIUS and (best is None or d < best[0]):
-                    best = (d, px, py, score)
-            if best is not None:
-                _, px, py, score = best
-                off = maps.vertex_offset[py, px, :]
-                pts[k] = (np.array([px, py], dtype=float) + off) * s
-                conf[k] = min(max(score, 0.0), 1.0)
-                visible[k] = True
-            else:
-                pts[k] = regressed[k] * s
-                conf[k] = FALLBACK_CONF
-                visible[k] = False
-        center = (np.array([mx, my], dtype=float) + maps.center_offset[my, mx, :]) * s
+        regressed = np.array([mx, my], dtype=float) + maps.vertex_coord[my, mx, :].reshape(9, 2)
+        d = np.hypot(*(xy - regressed[:, None]).transpose(2, 0, 1))  # (9, peaks)
+        near = on_channel & (d <= MATCH_RADIUS)
+        visible = near.any(axis=1)
+        pts = regressed * DOWNSAMPLE
+        conf = np.full(9, FALLBACK_CONF)
+        if visible.any():
+            j = np.where(near, d, np.inf)[visible].argmin(axis=1)
+            px, py = xy[j].T
+            pts[visible] = (xy[j] + maps.vertex_offset[py, px, :]) * DOWNSAMPLE
+            conf[visible] = np.clip(score[j], 0.0, 1.0)
+        center = (np.array([mx, my], dtype=float) + maps.center_offset[my, mx, :]) * DOWNSAMPLE
         d_hat = DIM_MEAN + DIM_STD * maps.dims[my, mx, :]
         alpha_hat = multibin_decode(maps.orientation[my, mx, :])
         # exp of the float64 value: a float32 exp would round z_hat differently.
@@ -405,7 +395,7 @@ def regression_losses(maps: HeadMaps, objects: list[GroundTruthObject]):
     supervised at maincenter cells; the vertex-offset term at vertex cells.
     The depth plane stores log-depth.
     """
-    s = maps.stride
+    s = DOWNSAMPLE
     n = max(len(objects), 1)
     l_d = l_z = l_off_m = l_ver = 0.0
     l_off_v = 0.0

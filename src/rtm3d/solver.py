@@ -354,22 +354,15 @@ def solve_batch(
     ``g_tol`` (gtol), an accepted step shorter than ``step_tol`` (step),
     damping past ``LM_LAMBDA_MAX`` (damping) and ``max_iter`` (max_iter).
 
-    Returns one entry per object: a :class:`SolveReport`, or the exception
-    that ended that object's solve (:class:`InsufficientConstraints`;
-    :class:`DivergedError` for a non-finite cost; :class:`BehindCamera` when
-    the start puts a visible keypoint behind the camera).
+    Returns one entry per object, in input order: a :class:`SolveReport`,
+    or the exception that kept the object from starting:
+    :class:`InsufficientConstraints` (fewer than :data:`MIN_VISIBLE` visible
+    keypoints), else :class:`BehindCamera` (a visible keypoint starts behind
+    the camera), else :class:`DivergedError` (a non-finite start cost).
     """
-    out: list = [
-        InsufficientConstraints(f"{k.n_visible} visible keypoints with priors {p} are not enough")
-        if k.n_visible < MIN_VISIBLE
-        else None
-        for k, p in zip(kps, priors)
-    ]
-    idx = [i for i, o in enumerate(out) if o is None]
-    if not idx:
-        return out
-    n = len(idx)
-    kps, cams, priors = ([seq[i] for i in idx] for seq in (kps, cams, priors))
+    n = len(kps)
+    if not n:
+        return []
     b = _Batch.stack(kps, cams, priors, weights)
     if config.init_box is None:
         starts = map(initialize, priors, kps, cams)
@@ -383,9 +376,12 @@ def solve_batch(
         cost = np.sum(res * res, axis=1)
         # An accepted trial has a finite cost, so only the start can lack one.
         errors = [
-            BehindCamera("a visible keypoint starts behind the camera") if bc
+            InsufficientConstraints(
+                f"{k.n_visible} visible keypoints with priors {p} are not enough"
+            ) if k.n_visible < MIN_VISIBLE
+            else BehindCamera("a visible keypoint starts behind the camera") if bc
             else DivergedError("non-finite cost") if not np.isfinite(c) else None
-            for bc, c in zip(behind, cost)
+            for k, p, bc, c in zip(kps, priors, behind, cost)
         ]
         lam = np.full(n, LM_LAMBDA0)
         iters = np.zeros(n, dtype=int)
@@ -432,18 +428,17 @@ def solve_batch(
             live = np.union1d(i[~ok], begin(acc[~small]))
 
         terms = _term_costs(res)
-    for j, i in enumerate(idx):
-        if errors[j] is not None:
-            out[i] = errors[j]
-            continue
-        out[i] = SolveReport(
+    return [
+        e if e is not None
+        else SolveReport(
             box=Box3D(dims=x[j, 4:].copy(), t=x[j, :3].copy(), yaw=x[j, 3]),
             iterations=int(iters[j]),
             final_cost=float(cost[j]),
             converged=bool(converged[j]),
             term_costs=terms[j],
         )
-    return out
+        for j, e in enumerate(errors)
+    ]
 
 
 def solve(

@@ -228,7 +228,7 @@ def encode_headmaps(scene: list[SceneObject], camera: CameraModel | None = None)
         center_px = np.array([(left + right) / 2.0, (top + bottom) / 2.0])
         ccell = np.floor(center_px / stride).astype(int)
         ccell = np.clip(ccell, [0, 0], [gw - 1, gh - 1])
-        _render_at(maps.main[:, :, 0], ccell, sigma)
+        render_gaussian(maps.main[:, :, 0], ccell, sigma)
         maps.center_offset[ccell[1], ccell[0], :] = center_px / stride - ccell
         rel = obj.kps.pts / stride - ccell
         maps.vertex_coord[ccell[1], ccell[0], :] = rel.reshape(-1)
@@ -242,13 +242,9 @@ def encode_headmaps(scene: list[SceneObject], camera: CameraModel | None = None)
             vcell = np.floor(obj.kps.pts[k] / stride).astype(int)
             if not (0 <= vcell[0] < gw and 0 <= vcell[1] < gh):
                 continue
-            _render_at(maps.vertex[:, :, k], vcell, sigma)
+            render_gaussian(maps.vertex[:, :, k], vcell, sigma)
             maps.vertex_offset[vcell[1], vcell[0], :] = obj.kps.pts[k] / stride - vcell
     return maps
-
-
-def _render_at(plane, cell, sigma) -> None:
-    render_gaussian(plane, (int(cell[0]), int(cell[1])), max(sigma, 1e-3))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from rtm3d.heatmaps import (
     AREA_MIN,
     DIM_MEAN,
     DIM_STD,
+    DOWNSAMPLE,
+    FALLBACK_CONF,
     SIGMA_MAX,
     SIGMA_MIN,
     GroundTruthObject,
@@ -27,6 +29,7 @@ from rtm3d.heatmaps import (
     dimension_target,
     extract_peaks,
     focal_loss,
+    group_keypoints,
     kfpn_fuse,
     multibin_decode,
     multibin_encode,
@@ -53,7 +56,6 @@ def test_headmaps_zeros_planes():
     assert maps.dims.shape == (96, 320, 3)
     assert maps.orientation.shape == (96, 320, 8)
     assert maps.depth.shape == (96, 320, 1)
-    assert maps.stride == 4
 
 
 def test_render_gaussian_peak_and_symmetry():
@@ -318,6 +320,55 @@ def test_extract_peaks_nan_cell_vetoes_its_neighbours():
     m[3, 4] = np.nan
     m[0, 0] = 0.5
     assert extract_peaks(m, 0.1) == [((0, 0), 0.5, 0)]
+
+
+def _grouped(vertex_coord, vertex_peaks, maps=None):
+    """The keypoints group_keypoints gives one main peak at cell (10, 10)."""
+    maps = maps or HeadMaps.zeros(24, 24)
+    maps.vertex_coord[10, 10, :] = np.asarray(vertex_coord, dtype=float).reshape(18)
+    (obj,) = group_keypoints([((10, 10), 0.9, 0)], vertex_peaks, maps)
+    return obj.kps
+
+
+def test_group_keypoints_matches_nearest_same_channel_peak_within_radius():
+    vc = np.zeros((9, 2))
+    vc[4] = (1.5, -2.25)
+    vc[5] = (-8.0, -8.0)
+    vc[6] = np.nan
+    maps = HeadMaps.zeros(24, 24)
+    maps.vertex_offset[10, 12] = (0.25, 0.5)
+    peaks = [
+        ((14, 10), 0.5, 0),  # 4.0 cells from keypoint 0: matches
+        ((15, 10), 0.9, 1),  # 5.0 cells from keypoint 1: too far
+        ((10, 10), 0.8, 5),  # on keypoint 1's spot, but channel 5
+        ((12, 10), 0.7, 2),  # keypoint 2: two peaks 2.0 cells away,
+        ((8, 10), 0.6, 2),   # the first listed wins
+        ((13, 10), 0.6, 3),  # keypoint 3: the nearer, later peak wins
+        ((11, 10), 1.5, 3),
+        ((10, 10), 0.8, 6),  # keypoint 6 regresses to NaN: never matches
+    ]
+    kps = _grouped(vc, peaks, maps)
+    regressed = (np.array([10.0, 10.0]) + vc) * DOWNSAMPLE
+    np.testing.assert_array_equal(kps.visible, [True, False, True, True] + [False] * 5)
+    np.testing.assert_array_equal(kps.pts[0], np.array([14.0, 10.0]) * DOWNSAMPLE)
+    np.testing.assert_array_equal(kps.pts[2], np.array([12.25, 10.5]) * DOWNSAMPLE)
+    np.testing.assert_array_equal(kps.pts[3], np.array([11.0, 10.0]) * DOWNSAMPLE)
+    np.testing.assert_array_equal(kps.conf[:4], [0.5, FALLBACK_CONF, 0.7, 1.0])
+    for k in (1, 4, 5, 6, 7, 8):
+        np.testing.assert_array_equal(kps.pts[k], regressed[k])
+        assert kps.conf[k] == FALLBACK_CONF
+    # Listed the other way round, the other equidistant peak wins.
+    kps = _grouped(vc, [peaks[4], peaks[3]])
+    np.testing.assert_array_equal(kps.pts[2], np.array([8.0, 10.0]) * DOWNSAMPLE)
+    assert kps.conf[2] == 0.6
+
+
+def test_group_keypoints_nan_regression_never_matches():
+    vc = np.zeros((9, 2))
+    vc[0] = (np.nan, 0.0)
+    kps = _grouped(vc, [((10, 10), 0.8, 0), ((10, 10), 0.8, 1)])
+    assert not kps.visible[0] and kps.conf[0] == FALLBACK_CONF
+    assert kps.visible[1] and kps.conf[1] == 0.8
 
 
 @given(st.floats(-math.pi + 1e-6, math.pi - 1e-6))

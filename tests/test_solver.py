@@ -294,6 +294,38 @@ def test_solve_batch_matches_single_solves():
     assert solved >= 300
 
 
+def _report_bits(r):
+    """Every field of a SolveReport as bytes, so equal means bit-equal."""
+    box = r.box
+    floats = np.r_[box.t, box.dims, box.yaw, r.final_cost, list(r.term_costs.values())]
+    return floats.tobytes(), list(r.term_costs), r.iterations, r.converged
+
+
+def test_solve_batch_keeps_input_order_around_underconstrained_objects():
+    cam, objects = _noisy_objects(60, 8000)
+    kps = [k for k, _ in objects]
+    priors = [p for _, p in objects]
+    want = solve_batch(kps, [cam] * len(kps), priors)
+    assert not any(isinstance(r, Exception) for r in want)
+    # Every fourth object gets a copy with 0 or 1 visible keypoints before it.
+    mixed_kps, mixed_priors, sparse = [], [], []
+    for i, (k, p) in enumerate(zip(kps, priors)):
+        if i % 4 == 0:
+            visible = np.zeros(9, dtype=bool)
+            visible[i % 9] = i % 8 == 0
+            sparse.append(len(mixed_kps))
+            mixed_kps.append(KeypointSet(pts=k.pts, conf=k.conf, visible=visible))
+            mixed_priors.append(p)
+        mixed_kps.append(k)
+        mixed_priors.append(p)
+    got = solve_batch(mixed_kps, [cam] * len(mixed_kps), mixed_priors)
+    assert len(got) == len(mixed_kps) == len(kps) + 15
+    assert all(isinstance(got[i], InsufficientConstraints) for i in sparse)
+    fitted = [r for i, r in enumerate(got) if i not in sparse]
+    assert [_report_bits(r) for r in fitted] == [_report_bits(r) for r in want]
+    assert solve_batch([], [], []) == []
+
+
 def test_nan_keypoint_fails_only_its_object():
     rng = np.random.default_rng(10)
     boxes = [_random_box(rng) for _ in range(3)]
