@@ -3,11 +3,13 @@
 Bird's-eye-view IoU intersects the two yaw-rotated footprints by
 Sutherland-Hodgman polygon clipping, skipped when their circumcircles do not
 meet; 3D IoU multiplies that area by the vertical interval overlap.
-:func:`evaluate` scores a run in one pass: per frame it builds the
-detection x ground-truth IoU matrices once (BEV and 3D from one footprint
-intersection per pair, 2D against every ground truth), then matches greedily
-per difficulty and metric, with difficulties as masks over ground-truth
-columns.  AP is 11-point interpolated (40-point behind a flag); DontCare
+:func:`evaluate` scores a run in one pass: it lists every frame's detection
+x ground-truth pairs, computes their BEV, 3D and 2D IoUs as arrays with one
+batched clip over the run's candidate pairs (those whose circumcircles
+meet), then matches greedily per frame, difficulty and metric, with
+difficulties as masks over ground-truth columns.  The one-pair functions
+(:func:`bev_iou`, :func:`iou_3d`, ...) are calls of the same kernels on one
+pair.  AP is 11-point interpolated (40-point behind a flag); DontCare
 regions and out-of-difficulty ground truth are ignored rather than counted.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BOX_TEMPLATE, Box3D, wrap_to_pi
+from .geometry import Box3D, box_points, rot_y, wrap_to_pi
 from .kitti import KittiLabel, label_to_box3d
 
 __all__ = [
@@ -38,9 +40,6 @@ __all__ = [
 _AREA_EPS = 1e-9
 # The one class scored: result files (kitti.box3d_to_label) hold only cars.
 CATEGORY = "Car"
-# The box template's bottom corners 0, 3, 2, 1 in the ground plane (x, z),
-# counterclockwise; length scales x and width z.
-_FOOTPRINT = BOX_TEMPLATE[[0, 3, 2, 1]][:, [0, 2]]
 
 
 @dataclass(frozen=True)
@@ -106,116 +105,150 @@ class DetectionRecord:
         )
 
 
+def _box_rows(boxes) -> np.ndarray:
+    """(N, 7) rows (x, y, z, h, w, l, yaw) of Box3Ds."""
+    return np.array([(*b.t, *b.dims, b.yaw) for b in boxes], dtype=float).reshape(-1, 7)
+
+
+def _footprints(rows: np.ndarray) -> np.ndarray:
+    """Footprint corners (N, 4, 2) in the x-z ground plane, counterclockwise,
+    of (N, 7) box rows: the box points' bottom corners 0, 3, 2, 1."""
+    pts = box_points(rows[:, 3:6], rows[:, :3], rot_y(rows[:, 6]))
+    return pts[:, [0, 3, 2, 1]][:, :, [0, 2]]
+
+
 def bev_corners(box: Box3D) -> np.ndarray:
     """Footprint corners (4, 2) in the x-z ground plane, counterclockwise."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    local = _FOOTPRINT * box.dims[[2, 1]]
-    # Rotation about y maps (x, z) -> (x cos + z sin, -x sin + z cos).
-    rot = np.array([[c, s], [-s, c]])
-    return local @ rot.T + np.array([box.t[0], box.t[2]])
+    return _footprints(_box_rows([box]))[0]
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, z = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1))))
+def _clip_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Intersection areas (N,) of N pairs of counterclockwise convex quads
+    (N, 4, 2), such as :func:`_footprints` returns, by Sutherland-Hodgman
+    clipping vectorized over the pairs: each pass keeps every pair's polygon
+    in one vertex buffer, as wide as the largest polygon (8 vertices for two
+    quads), with a vertex count per pair.  A
+    pair's area comes from its own lane's arithmetic alone, whatever else
+    shares the call.  The inside test's tolerance makes clipping a by b
+    differ from clipping b by a in the last bits when edges nearly coincide,
+    so each pair is taken in lexicographic order: swapping the arguments
+    gives the same polygon."""
+    n = len(subject)
+    rows = np.arange(n)[:, None]
+    flat_s, flat_c = subject.reshape(n, 8), clip.reshape(n, 8)
+    first = (flat_s != flat_c).argmax(axis=1)[:, None]
+    swap = (flat_c[rows, first] < flat_s[rows, first])[..., None]
+    poly, clip = np.where(swap, clip, subject), np.where(swap, subject, clip)
+    edges = np.roll(clip, -1, axis=1) - clip
+    count = np.full(n, 4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(4):
+            width = poly.shape[1]
+            live, nxt = _ring(count, width)
+            (ax, az), (ex, ez) = clip[:, i].T[..., None], edges[:, i].T[..., None]
+            px, pz, q = poly[..., 0], poly[..., 1], poly[rows, nxt]
+            side = ex * (pz - az) - ez * (px - ax)
+            p_in = side >= -_AREA_EPS
+            denom = ex * (q[..., 1] - pz) - ez * (q[..., 0] - px)
+            cross = live & (p_in != p_in[rows, nxt]) & (abs(denom) > 1e-15)
+            # The edge line crosses p -> q at t = -side / denom.
+            hit = poly - (side / denom)[..., None] * (q - poly)
+            # Each vertex emits itself if inside, then its edge's crossing.
+            keep = np.stack([live & p_in, cross], axis=2).reshape(n, 2 * width)
+            emitted = np.stack([poly, hit], axis=2).reshape(n, 2 * width, 2)
+            count = keep.sum(axis=1)
+            poly = np.zeros((n, max(count.max(initial=0), 1), 2))
+            poly[np.nonzero(keep)[0], (np.cumsum(keep, axis=1) - 1)[keep]] = emitted[keep]
+    # Shoelace sums accumulated in vertex order: empty slots add exact zeros.
+    live, nxt = _ring(count, poly.shape[1])
+    x, z = poly[..., 0], poly[..., 1]
+    s1 = np.cumsum(np.where(live, x * z[rows, nxt], 0.0), axis=1)[:, -1]
+    s2 = np.cumsum(np.where(live, z * x[rows, nxt], 0.0), axis=1)[:, -1]
+    return np.where(count >= 3, 0.5 * abs(s1 - s2), 0.0)
 
 
-def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Intersection of two counterclockwise convex polygons, such as
-    :func:`bev_corners` returns (its rotation has determinant +1 and box
-    dimensions are positive), by Sutherland-Hodgman clipping.
+def _ring(count: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which slots of an (N, width) vertex buffer hold each lane's ``count``
+    vertices, and each slot's successor around its polygon."""
+    slot = np.arange(width)
+    return slot < count[:, None], np.where(slot + 1 < count[:, None], slot + 1, 0)
 
-    The inside test's tolerance makes clipping a by b differ from clipping b
-    by a in the last bits when edges nearly coincide, so the pair is taken
-    in a fixed order: swapping the arguments gives the same polygon."""
-    if tuple(clip.ravel()) < tuple(subject.ravel()):
-        subject, clip = clip, subject
-    output = list(subject)
-    for i in range(len(clip)):
-        a, b = clip[i], clip[(i + 1) % len(clip)]
-        edge = b - a
-        if not output:
-            return np.zeros((0, 2))
-        input_pts = output
-        output = []
-        for j in range(len(input_pts)):
-            p, q = input_pts[j], input_pts[(j + 1) % len(input_pts)]
-            p_in = edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) >= -_AREA_EPS
-            q_in = edge[0] * (q[1] - a[1]) - edge[1] * (q[0] - a[0]) >= -_AREA_EPS
-            if p_in:
-                output.append(p)
-            if p_in != q_in:
-                denom = edge[0] * (q[1] - p[1]) - edge[1] * (q[0] - p[0])
-                if abs(denom) > 1e-15:
-                    t = (edge[0] * (a[1] - p[1]) - edge[1] * (a[0] - p[0])) / denom
-                    output.append(p + t * (q - p))
-    return np.array(output) if output else np.zeros((0, 2))
+
+def _bounded_ratio(inter: np.ndarray, total: np.ndarray) -> np.ndarray:
+    union = total - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union <= _AREA_EPS, 0.0, np.minimum(np.maximum(inter / union, 0.0), 1.0))
+
+
+def _pair_overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Footprint intersection areas, BEV IoUs and 3D IoUs (each (N,)) of the
+    box row pairs a[k], b[k]; boxes are bottom-anchored with y pointing down.
+    Pairs whose footprints' circumcircles do not meet are not clipped."""
+    xa, ya, za, ha, wa, la, _ = a.T
+    xb, yb, zb, hb, wb, lb, _ = b.T
+    near = np.hypot(xa - xb, za - zb) <= 0.5 * (np.hypot(la, wa) + np.hypot(lb, wb))
+    inter = np.zeros(len(a))
+    inter[near] = _clip_areas(_footprints(a[near]), _footprints(b[near]))
+    y_overlap = np.maximum(0.0, np.minimum(ya, yb) - np.maximum(ya - ha, yb - hb))
+    bev = _bounded_ratio(inter, wa * la + wb * lb)
+    return inter, bev, _bounded_ratio(inter * y_overlap, ha * wa * la + hb * wb * lb)
 
 
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
     """Footprint intersection area; 0 without clipping when the footprints'
     circumcircles do not meet."""
-    reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(b.l, b.w))
-    if math.hypot(a.t[0] - b.t[0], a.t[2] - b.t[2]) > reach:
-        return 0.0
-    return _polygon_area(_clip_polygon(bev_corners(a), bev_corners(b)))
-
-
-def _bounded_ratio(inter: float, total: float) -> float:
-    union = total - inter
-    if union <= _AREA_EPS:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
-
-
-def _footprint_ious(a: Box3D, b: Box3D) -> tuple[float, float]:
-    """(BEV IoU, 3D IoU) from one footprint intersection; boxes are
-    bottom-anchored with y pointing down."""
-    inter_area = bev_intersection_area(a, b)
-    y_overlap = max(0.0, min(a.t[1], b.t[1]) - max(a.t[1] - a.h, b.t[1] - b.h))
-    return (
-        _bounded_ratio(inter_area, a.w * a.l + b.w * b.l),
-        _bounded_ratio(inter_area * y_overlap, a.h * a.w * a.l + b.h * b.w * b.l),
-    )
+    return float(_pair_overlaps(_box_rows([a]), _box_rows([b]))[0][0])
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """IoU of the yaw-rotated footprints in the ground plane."""
-    return _footprint_ious(a, b)[0]
+    return float(_pair_overlaps(_box_rows([a]), _box_rows([b]))[1][0])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume IoU; boxes are bottom-anchored with y pointing down."""
-    return _footprint_ious(a, b)[1]
+    return float(_pair_overlaps(_box_rows([a]), _box_rows([b]))[2][0])
+
+
+def _iou_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Axis-aligned IoU (N,) of the (left, top, right, bottom) row pairs a[k], b[k]."""
+    inter = np.prod(np.maximum(0.0, np.minimum(a[:, 2:], b[:, 2:]) - np.maximum(a[:, :2], b[:, :2])), axis=1)
+    union = np.prod(a[:, 2:] - a[:, :2], axis=1) + np.prod(b[:, 2:] - b[:, :2], axis=1) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)
 
 
 def box_2d_iou(a, b) -> float:
     """Axis-aligned IoU of (left, top, right, bottom) boxes."""
-    il = max(a[0], b[0])
-    it = max(a[1], b[1])
-    ir = min(a[2], b[2])
-    ib = min(a[3], b[3])
-    iw, ih = max(ir - il, 0.0), max(ib - it, 0.0)
-    inter = iw * ih
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+    return float(_iou_2d(np.array([a], dtype=float), np.array([b], dtype=float))[0])
 
 
-def _frame_overlaps(dets: list, gts: list) -> dict:
-    """One frame's detection x ground-truth IoU rows per metric; ground truth
-    of another category than :data:`CATEGORY` gets no box and reads 0 in 3D
-    and BEV."""
-    boxes = [label_to_box3d(g) if g.type == CATEGORY else None for g in gts]
-    pairs = [[_footprint_ious(d.box, b) if b is not None else (0.0, 0.0) for b in boxes] for d in dets]
-    return {
-        "bev": [[p[0] for p in row] for row in pairs],
-        "3d": [[p[1] for p in row] for row in pairs],
-        "2d": [[box_2d_iou(d.bbox, g.bbox) for g in gts] for d in dets],
-    }
+def _run_overlaps(frames: list) -> list:
+    """Each frame's detection x ground-truth IoU rows per metric, from one
+    pass over the pairs of every frame of ``frames``, a list of
+    (detections, ground truths).  Ground truth of another category than
+    :data:`CATEGORY` gets no box and reads 0 in 3D and BEV."""
+    dets = [d for ds, _ in frames for d in ds]
+    gts = [g for _, gs in frames for g in gs]
+    is_box = np.array([g.type == CATEGORY for g in gts], dtype=bool)
+    gt_rows = np.zeros((len(gts), 7))
+    gt_rows[is_box] = _box_rows([label_to_box3d(g) for g in gts if g.type == CATEGORY])
+    # Frame f's pair k is (its detection k // n_gt, its ground truth k % n_gt).
+    n_det, n_gt = np.array([(len(ds), len(gs)) for ds, gs in frames], dtype=int).reshape(-1, 2).T
+    bounds = np.concatenate([[0], np.cumsum(n_det * n_gt)])
+    frame = np.repeat(np.arange(len(frames)), n_det * n_gt)
+    local, per_row = np.arange(bounds[-1]) - bounds[frame], np.maximum(n_gt, 1)[frame]
+    det = (np.cumsum(n_det) - n_det)[frame] + local // per_row
+    gt = (np.cumsum(n_gt) - n_gt)[frame] + local % per_row
+    boxed = is_box[gt]
+    bev, iou3d = np.zeros(len(gt)), np.zeros(len(gt))
+    _, bev[boxed], iou3d[boxed] = _pair_overlaps(_box_rows([d.box for d in dets])[det[boxed]], gt_rows[gt[boxed]])
+    bbox = [np.array([o.bbox for o in objs], dtype=float).reshape(-1, 4) for objs in (dets, gts)]
+    by_metric = {"bev": bev, "3d": iou3d, "2d": _iou_2d(bbox[0][det], bbox[1][gt])}
+    return [
+        {m: v[bounds[f]:bounds[f + 1]].reshape(n_det[f], n_gt[f]).tolist() for m, v in by_metric.items()}
+        for f in range(len(frames))
+    ]
 
 
 def _match(dets, gts, overlap, overlap_2d, counted, ignored, threshold) -> list:
@@ -252,7 +285,9 @@ def _curve(outcomes: list, n_gt: int, n_points: int, use_similarity=False) -> PR
         samples = np.linspace(0.0, 1.0, 11)
     else:
         samples = np.arange(1, n_points + 1) / n_points
-    interp = np.array([precision[recall >= r - 1e-12].max(initial=0.0) for r in samples])
+    # The best precision at or beyond each recall sample, 0 past the last one.
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    interp = envelope[np.searchsorted(recall, samples - 1e-12)]
     return PRCurve(recall=samples, precision=interp, ap=float(interp.mean()))
 
 
@@ -275,11 +310,12 @@ def evaluate(
     thresholds = {"3d": iou_threshold, "bev": iou_threshold, "2d": iou_2d}
     outcomes = {(diff.name, m): [] for diff in difficulties for m in thresholds}
     n_gt = dict.fromkeys((diff.name for diff in difficulties), 0)
+    frames = []
     for frame in sorted(set(detections) | set(ground_truths)):
         dets = [d for d in detections.get(frame, []) if d.category == CATEGORY]
         dets.sort(key=lambda d: -d.score)
-        gts = ground_truths.get(frame, [])
-        overlaps = _frame_overlaps(dets, gts)
+        frames.append((dets, ground_truths.get(frame, [])))
+    for (dets, gts), overlaps in zip(frames, _run_overlaps(frames)):
         for diff in difficulties:
             counted = [j for j, g in enumerate(gts) if g.type == CATEGORY and diff.accepts(g)]
             ignored = [

@@ -8,7 +8,7 @@ convention, so parse(write(x)) reproduces every field within 0.005.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,8 @@ class KittiLabel:
     location: tuple[float, float, float]  # x, y, z (bottom center)
     rotation_y: float
     score: float | None = None
+    # "<file>, line <n>" for a parsed label, named in errors about its values.
+    origin: str | None = field(default=None, compare=False)
 
     @property
     def is_dontcare(self) -> bool:
@@ -123,6 +125,7 @@ def parse_labels(text: str, source="label text") -> list[KittiLabel]:
                 location=(vals[10], vals[11], vals[12]),
                 rotation_y=vals[13],
                 score=vals[14] if len(vals) == 15 else None,
+                origin=f"{source}, line {line_no}",
             )
         )
     return labels
@@ -199,7 +202,11 @@ def write_calib(calib: KittiCalib) -> str:
 
 def label_to_box3d(label: KittiLabel) -> Box3D:
     """KITTI (h, w, l, location, rotation_y) to a Box3D; both are
-    bottom-center anchored."""
+    bottom-center anchored.  Dimensions are checked here, not at parse,
+    since DontCare lines carry -1 and never become boxes."""
+    if min(label.dimensions) <= 0:
+        where = f"{label.origin}: " if label.origin else ""
+        raise InputError(f"{where}box dimensions must be positive, got h, w, l = {label.dimensions}")
     return Box3D(dims=np.array(label.dimensions), t=np.array(label.location), yaw=label.rotation_y)
 
 

@@ -144,6 +144,19 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("priors", "Car 0 0 0 0 0 0 0 1.5 1.6 3.9 0 0 10 inf\n", "line 1"),
         ("result", "Car 0 nan 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0 0.9\n", "line 1"),
         ("label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 -inf\n", "line 1"),
+        # Non-positive box dimensions, named where a label becomes a box.
+        ("result", "Car 0 0 0 0 0 10 10 0 1.6 3.9 0 0 10 0 0.9\n", "line 1"),
+        ("result", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0 0.9\nCar 0 0 0 0 0 10 10 1.5 -1 3.9 0 0 10 0 0.9\n", "line 2"),
+        ("result", "Car 0 0 0 0 0 10 10 1.5 1.6 0 0 0 10 0 0.9\n", "line 1"),
+        ("label", "Car 0 0 0 0 0 10 10 0 1.6 3.9 0 0 10 0\n", "line 1"),
+        ("label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0\nCar 0 0 0 0 0 10 10 1.5 -1 3.9 0 0 10 0\n", "line 2"),
+        ("label", "DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 -1000 -10\nCar 0 0 0 0 0 10 10 1.5 1.6 0 0 0 10 0\n", "line 2"),
+        ("bev-result", "Car 0 0 0 0 0 10 10 0 1.6 3.9 0 0 10 0 0.9\n", "line 1"),
+        ("bev-result", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0 0.9\nCar 0 0 0 0 0 10 10 1.5 -1 3.9 0 0 10 0 0.9\n", "line 2"),
+        ("bev-result", "Car 0 0 0 0 0 10 10 1.5 1.6 0 0 0 10 0 0.9\n", "line 1"),
+        ("bev-label", "Car 0 0 0 0 0 10 10 0 1.6 3.9 0 0 10 0\n", "line 1"),
+        ("bev-label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0\nCar 0 0 0 0 0 10 10 1.5 -1 3.9 0 0 10 0\n", "line 2"),
+        ("bev-label", "DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 -1000 -10\nCar 0 0 0 0 0 10 10 1.5 1.6 0 0 0 10 0\n", "line 2"),
     ],
 )
 def test_malformed_input_exits_2_and_names_its_file(kind, text, where, dataset, tmp_path, capsys):
@@ -153,6 +166,8 @@ def test_malformed_input_exits_2_and_names_its_file(kind, text, where, dataset, 
         "priors": dataset / "priors" / "000001.txt",
         "label": dataset / "label_2" / "000001.txt",
         "result": results / "data" / "000001.txt",
+        "bev-label": dataset / "label_2" / "000001.txt",
+        "bev-result": results / "data" / "000001.txt",
     }.get(kind, tmp_path / "bad.cfg")
     (results / "data").mkdir(parents=True)
     bad.write_text(text)
@@ -162,6 +177,8 @@ def test_malformed_input_exits_2_and_names_its_file(kind, text, where, dataset, 
         "config": ["solve", str(dataset), str(out), "--config", str(bad)],
         "result": ["eval", str(results), str(dataset)],
         "label": ["eval", str(results), str(dataset)],
+        "bev-result": ["render-bev", "--results", str(bad), str(tmp_path / "bev.svg")],
+        "bev-label": ["render-bev", "--gt", str(bad), str(tmp_path / "bev.svg")],
     }.get(kind, ["solve", str(dataset), str(out)])
     assert main(argv) == EXIT_INPUT
     assert f"{bad}, {where}: " in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Evaluation tests: rotated IoU, difficulty filters, AP and AOS."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,13 @@ from hypothesis import strategies as st
 from rtm3d.evaluation import (
     DetectionRecord,
     DifficultyFilter,
-    _clip_polygon,
-    _polygon_area,
+    _box_rows,
+    _clip_areas,
+    _curve,
+    _footprints,
+    _iou_2d,
+    _pair_overlaps,
+    _run_overlaps,
     aos,
     average_precision,
     bev_corners,
@@ -79,21 +85,26 @@ def test_bev_iou_symmetric_and_bounded(dx, dz, ya, yb):
     assert iou == pytest.approx(bev_iou(b, a), abs=1e-12)
 
 
-def _clipped_ious(a, b):
-    """(BEV, 3D) IoU from an unconditional clip of the two footprints."""
-    inter = _polygon_area(_clip_polygon(bev_corners(a), bev_corners(b)))
-    y_overlap = max(0.0, min(a.t[1], b.t[1]) - max(a.t[1] - a.h, b.t[1] - b.h))
+def _clipped_ious(pairs):
+    """(BEV, 3D) IoU of each pair from one batched clip of every pair's
+    footprints, with no circumcircle skip."""
+    inters = _clip_areas(_footprints(_box_rows([a for a, _ in pairs])),
+                         _footprints(_box_rows([b for _, b in pairs])))
     out = []
-    for inter_m, total in ((inter, a.w * a.l + b.w * b.l),
-                           (inter * y_overlap, a.h * a.w * a.l + b.h * b.w * b.l)):
-        union = total - inter_m
-        out.append(min(max(inter_m / union, 0.0), 1.0) if union > 1e-9 else 0.0)
-    return tuple(out)
+    for (a, b), inter in zip(pairs, inters.tolist()):
+        y_overlap = max(0.0, min(a.t[1], b.t[1]) - max(a.t[1] - a.h, b.t[1] - b.h))
+        ious = []
+        for inter_m, total in ((inter, a.w * a.l + b.w * b.l),
+                               (inter * y_overlap, a.h * a.w * a.l + b.h * b.w * b.l)):
+            union = total - inter_m
+            ious.append(min(max(inter_m / union, 0.0), 1.0) if union > 1e-9 else 0.0)
+        out.append(tuple(ious))
+    return out
 
 
 def test_circumcircle_skip_equals_clipping_bit_for_bit():
     rng = np.random.default_rng(4)
-    clipped = 0
+    pairs, tangent = [], []
     for _ in range(300):
         a = _box(x=rng.uniform(-5, 5), z=rng.uniform(8, 30), w=rng.uniform(1.4, 2.0),
                  l=rng.uniform(3.0, 5.0), h=rng.uniform(1.3, 1.9),
@@ -103,24 +114,87 @@ def test_circumcircle_skip_equals_clipping_bit_for_bit():
         c, s = math.cos(a.yaw), math.sin(a.yaw)
         gap = 0.5 * (a.w + w)
         # Same yaw, one half-width sum apart across the long side: edges touch.
-        pairs = [(a, _box(x=a.t[0] + gap * s, z=a.t[2] + gap * c, w=w, l=a.l, yaw=a.yaw))]
+        pairs.append((a, _box(x=a.t[0] + gap * s, z=a.t[2] + gap * c, w=w, l=a.l, yaw=a.yaw)))
         for d in (reach * (1 - 1e-9), reach * (1 + 1e-9), reach * (1 + 1e-6), rng.uniform(0.0, reach)):
             heading = rng.uniform(-math.pi, math.pi)
             b = _box(x=a.t[0] + d * math.cos(heading), z=a.t[2] + d * math.sin(heading), w=w, l=l,
                      h=rng.uniform(1.3, 1.9), yaw=rng.uniform(-math.pi, math.pi), y=rng.uniform(1.0, 2.0))
             pairs.append((a, b))
-        for a, b in pairs:
-            want = _clipped_ious(a, b)
-            clipped += want[0] > 0.0
-            assert (bev_iou(a, b), iou_3d(a, b)) == want
-        # Corner to corner along the diagonal, circumcircles tangent: the true
-        # overlap is 0, and clipping, with its 1e-9 inside tolerance, may
-        # report rounding noise where the skip reports 0.
+        # Corner to corner along the diagonal, circumcircles tangent.
         off = np.array([[c, s], [-s, c]]) @ np.array([a.l, a.w])
-        b = _box(x=a.t[0] + off[0], z=a.t[2] + off[1], w=a.w, l=a.l, h=a.h, yaw=a.yaw, y=a.t[1])
-        want, got = _clipped_ious(a, b), (bev_iou(a, b), iou_3d(a, b))
+        tangent.append((a, _box(x=a.t[0] + off[0], z=a.t[2] + off[1], w=a.w, l=a.l, h=a.h,
+                                yaw=a.yaw, y=a.t[1])))
+    clipped = 0
+    for (a, b), want in zip(pairs, _clipped_ious(pairs)):
+        clipped += want[0] > 0.0
+        assert (bev_iou(a, b), iou_3d(a, b)) == want
+    # Tangent pairs: the true overlap is 0, and clipping, with its 1e-9 inside
+    # tolerance, may report rounding noise where the skip reports 0.
+    for (a, b), want in zip(tangent, _clipped_ious(tangent)):
+        got = (bev_iou(a, b), iou_3d(a, b))
         assert got == want or (got == (0.0, 0.0) and max(want) < 1e-12)
     assert clipped > 150
+
+
+def _random_pairs(rng, n):
+    """Box pairs and 2D box pairs over the IoU kernels' hard cases: yaw at
+    -pi, 0, pi and uniform, identical boxes, edge-touching boxes and
+    circumcircles within 1e-9 of tangent."""
+    pairs = []
+    for k in range(n):
+        yaw = [-math.pi, 0.0, math.pi, rng.uniform(-math.pi, math.pi)][k % 4]
+        a = _box(x=rng.uniform(-5, 5), z=rng.uniform(8, 30), w=rng.uniform(1.4, 2.0),
+                 l=rng.uniform(3.0, 5.0), h=rng.uniform(1.3, 1.9), yaw=yaw, y=rng.uniform(1.0, 2.0))
+        w, l = rng.uniform(1.4, 2.0), rng.uniform(3.0, 5.0)
+        kind = k % 5
+        if kind == 0:
+            b = Box3D(dims=a.dims.copy(), t=a.t.copy(), yaw=a.yaw)
+        elif kind == 1:
+            gap = 0.5 * (a.w + w)
+            b = _box(x=a.t[0] + gap * math.sin(a.yaw), z=a.t[2] + gap * math.cos(a.yaw),
+                     w=w, l=a.l, yaw=a.yaw)
+        else:
+            reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(l, w))
+            d = (reach * (1 - 1e-9), reach * (1 + 1e-9), rng.uniform(0.0, reach))[kind - 2]
+            heading = rng.uniform(-math.pi, math.pi)
+            b_yaw = [-math.pi, 0.0, math.pi, rng.uniform(-math.pi, math.pi)][(k // 5) % 4]
+            b = _box(x=a.t[0] + d * math.cos(heading), z=a.t[2] + d * math.sin(heading), w=w, l=l,
+                     h=rng.uniform(1.3, 1.9), yaw=b_yaw, y=rng.uniform(1.0, 2.0))
+        left, top = rng.uniform(0, 600, 2)
+        box_a = (left, top, left + rng.uniform(1, 200), top + rng.uniform(1, 100))
+        box_b = [box_a, (box_a[2], top, box_a[2] + 50.0, top + 40.0),
+                 tuple(np.add(box_a, rng.normal(0, 20, 4)))][k % 3]
+        pairs.append((a, b, box_a, box_b))
+    return pairs
+
+
+def _kernel_ious(pairs, swap=False):
+    """(BEV, 3D, 2D) IoU arrays of ``pairs`` from one call of each kernel."""
+    first, second = (1, 0) if swap else (0, 1)
+    boxes = [_box_rows([p[first] for p in pairs]), _box_rows([p[second] for p in pairs])]
+    bbox = [np.array([p[first + 2] for p in pairs]), np.array([p[second + 2] for p in pairs])]
+    _, bev, iou3d = _pair_overlaps(*boxes)
+    return np.stack([bev, iou3d, _iou_2d(*bbox)], axis=1)
+
+
+def test_batched_ious_equal_one_pair_calls_and_are_symmetric_bit_for_bit():
+    rng = np.random.default_rng(11)
+    pairs = _random_pairs(rng, 2000)
+    whole = _kernel_ious(pairs)
+    assert (whole[:, 0] > 0).sum() > 600 and (whole[:, 0] == 0).sum() > 100
+    # (b) Swapping the arguments gives the same bits.
+    np.testing.assert_array_equal(_kernel_ious(pairs, swap=True), whole)
+    # (a) Whatever shares the batch: reversed, shuffled into chunks, one by one.
+    np.testing.assert_array_equal(_kernel_ious(pairs[::-1])[::-1], whole)
+    order = rng.permutation(len(pairs))
+    shuffled = np.concatenate([_kernel_ious([pairs[i] for i in chunk])
+                               for chunk in np.array_split(order, 37)])
+    np.testing.assert_array_equal(shuffled[np.argsort(order)], whole)
+    for (a, b, box_a, box_b), want in zip(pairs[:300], whole[:300].tolist()):
+        assert [bev_iou(a, b), iou_3d(a, b), box_2d_iou(box_a, box_b)] == want
+        assert [bev_iou(b, a), iou_3d(b, a), box_2d_iou(box_b, box_a)] == want
+    for k in range(300, len(pairs)):
+        np.testing.assert_array_equal(_kernel_ious(pairs[k:k + 1]), whole[k:k + 1])
 
 
 def test_iou_3d_identity_and_height_overlap():
@@ -376,3 +450,97 @@ def test_forty_point_interpolation_option():
     gts = {"0": [_gt_label(gt_box)]}
     dets = {"0": [_det(gt_box, score=0.9)]}
     assert average_precision(dets, gts, 0.5, n_points=40).ap == pytest.approx(1.0)
+
+
+def test_curve_envelope_equals_per_sample_maximum():
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        n = int(rng.integers(1, 60))
+        outcomes = [(float(rng.uniform()), float(tp), float(rng.uniform()) * tp)
+                    for tp in rng.uniform(size=n) < rng.uniform()]
+        n_gt = int(rng.integers(1, 40)) + sum(o[1] > 0 for o in outcomes)
+        for n_points in (11, 40):
+            for use_similarity in (False, True):
+                curve = _curve(outcomes, n_gt, n_points, use_similarity)
+                _, tp, sim = np.array(sorted(outcomes, key=lambda o: -o[0])).T
+                recall = np.cumsum(tp) / n_gt
+                precision = np.cumsum(sim if use_similarity else tp) / np.arange(1, n + 1)
+                want = [precision[recall >= r - 1e-12].max(initial=0.0) for r in curve.recall]
+                np.testing.assert_array_equal(curve.precision, want)
+                assert curve.ap == float(np.mean(want))
+
+
+def _edge_case_curves(dets, gts):
+    moderate = DifficultyFilter.moderate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = evaluate(dets, gts, [moderate], 0.5, 0.7)["moderate"]
+    return {m: c.ap for m, c in curves.items()}
+
+
+_DONTCARE = KittiLabel(
+    type="DontCare", truncated=-1, occluded=-1, alpha=-10, bbox=(400, 100, 500, 160),
+    dimensions=(-1, -1, -1), location=(-1000, -1000, -1000), rotation_y=-10, score=None,
+)
+
+
+@pytest.mark.parametrize(
+    "case, ap",
+    [
+        # A false positive (0.95) in a frame without ground truth, then the
+        # true positive (0.9): precision 1/2 at every recall.
+        ("detections without ground truth", 0.5),
+        # One of two cars found at precision 1: recall samples 0 ... 0.5.
+        ("ground truth without detections", 6.0 / 11.0),
+        # The detection on the DontCare region (0.99) is ignored; the other
+        # one (0.95) is a false positive before the true positive.
+        ("only DontCare ground truth", 0.5),
+        # A pedestrian is neither counted nor ignored: the detection on it
+        # (0.95) is a false positive in every metric.
+        ("non-Car ground truth", 0.5),
+        # Detections and ground truth never share a frame: no pairs at all.
+        ("no pairs", 0.0),
+        # Every pair is far apart in BEV (no clip) and in 2D.
+        ("no candidate pairs", 0.0),
+        ("empty run", 0.0),
+    ],
+)
+def test_evaluate_edge_frames(case, ap, capsys):
+    car = _box()
+    found = {"0": [_det(car, 0.9)]}
+    gt = {"0": [_gt_label(car)]}
+    far = _det(_box(x=30.0), 0.95, bbox=(600, 100, 700, 160))
+    dets, gts = {
+        "detections without ground truth": ({**found, "1": [far]}, gt),
+        "ground truth without detections": (found, {**gt, "1": [_gt_label(_box(x=5.0))]}),
+        "only DontCare ground truth": (
+            {**found, "1": [_det(_box(x=30.0), 0.99, bbox=_DONTCARE.bbox), far]},
+            {**gt, "1": [_DONTCARE]},
+        ),
+        "non-Car ground truth": (
+            {**found, "1": [_det(car, 0.95)]},
+            {**gt, "1": [_gt_label(car, category="Pedestrian")]},
+        ),
+        "no pairs": ({"1": [_det(car, 0.9)]}, gt),
+        "no candidate pairs": ({"0": [far]}, gt),
+        "empty run": ({}, {}),
+    }[case]
+    got = _edge_case_curves(dets, gts)
+    # Every true positive has alpha error 0, so AOS equals AP_2d.
+    assert got == {"3d": ap, "bev": ap, "2d": ap, "aos": ap}
+    assert capsys.readouterr() == ("", "")
+
+
+def test_run_overlaps_non_car_columns_read_zero_in_3d_and_bev():
+    car = _box()
+    dets = [_det(car, 0.9), _det(_box(x=1.0), 0.8)]
+    gts = [_gt_label(car, category="Pedestrian"), _DONTCARE, _gt_label(car)]
+    (rows,) = _run_overlaps([(dets, gts)])
+    assert [r[:2] for r in rows["bev"]] == [[0.0, 0.0], [0.0, 0.0]]
+    assert [r[:2] for r in rows["3d"]] == [[0.0, 0.0], [0.0, 0.0]]
+    assert rows["bev"][0][2] == 1.0 and rows["3d"][0][2] == 1.0
+    assert rows["2d"][0] == [1.0, 0.0, 1.0]
+    assert _run_overlaps([([], gts), (dets, [])]) == [
+        {"bev": [], "3d": [], "2d": []},
+        {"bev": [[], []], "3d": [[], []], "2d": [[], []]},
+    ]
