@@ -15,6 +15,12 @@ prints the same lines.  The groups are:
 - ``sparse-*``: 30 frames x 5 cars at dropout 0.8, seed 7, where many
   objects have too few keypoints;
 - ``empty-*``: 3 frames with no objects;
+- ``priors-noise-*``: 30 frames x 5 cars, seed 11, with every noise key
+  set (sigma 1 px, dropout 0.1, and dimension, yaw and relative depth
+  noise on the priors);
+- ``exhausted-*``: 10 frames x 10 cars at depths 1-3 m, seed 3, where every
+  box runs out of its 200 draws: 38 keep a keypoint behind the camera at
+  (0, 0), and solve skips 77 for too few visible keypoints;
 - ``headmaps-*``: the ``.rtmh`` files and sidecars of two ``headmaps=1``
   blocks (16 x 5, seed 42; 8 x 20, seed 7, sigma 1, dropout 0.1);
 - ``decode``: every :func:`rtm3d.heatmaps.decode_objects` field (type,
@@ -38,6 +44,9 @@ from rtm3d import cli, heatmaps
 FIXED = "frames=200\nn_objects=5\npixel_sigma=1.0\ndropout=0.1\nseed=42\n"
 SPARSE = "frames=30\nn_objects=5\npixel_sigma=1.0\ndropout=0.8\nseed=7\n"
 EMPTY = "frames=3\nn_objects=0\nseed=42\n"
+PRIORS_NOISE = ("frames=30\nn_objects=5\npixel_sigma=1.0\ndropout=0.1\ndim_sigma=0.1\n"
+                "yaw_sigma=0.1\ndepth_rel_sigma=0.05\nseed=11\n")
+EXHAUSTED = "frames=10\nn_objects=10\ndepth_min=1\ndepth_max=3\nseed=3\n"
 HEADMAP_BLOCKS = {
     "headmaps-16x5": "frames=16\nn_objects=5\nseed=42\nheadmaps=1\n",
     "headmaps-8x20": "frames=8\nn_objects=20\npixel_sigma=1.0\ndropout=0.1\nseed=7\nheadmaps=1\n",
@@ -118,6 +127,8 @@ def main(argv) -> int:
     groups["fixed-bev"] = file_hash([svg], out, code)
     groups.update(pipeline(out, "sparse", SPARSE))
     groups.update(pipeline(out, "empty", EMPTY))
+    groups.update(pipeline(out, "priors-noise", PRIORS_NOISE))
+    groups.update(pipeline(out, "exhausted", EXHAUSTED))
     blocks = []
     for name, spec in HEADMAP_BLOCKS.items():
         block = out / name

@@ -7,17 +7,25 @@ Subpackages: geometry (the box model, projection and rotations), solver
 cli (rendering and the command line).
 """
 
-from .geometry import Box3D, CameraModel, KeypointSet
-from .solver import EnergyWeights, Priors, SolveReport, solve
+import importlib
 
-__all__ = [
-    "Box3D",
-    "CameraModel",
-    "EnergyWeights",
-    "KeypointSet",
-    "Priors",
-    "SolveReport",
-    "solve",
-]
+# The package's top-level names, each loaded from its module on first use,
+# so that importing one submodule (rtm3d.kitti, say) loads no other.
+_EXPORTS = {
+    "Box3D": "geometry",
+    "CameraModel": "geometry",
+    "KeypointSet": "geometry",
+    "EnergyWeights": "solver",
+    "Priors": "solver",
+    "SolveReport": "solver",
+    "solve": "solver",
+}
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,15 +10,13 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import bev_svg, evaluation, heatmaps, kitti, synth
-from .config import load_config, load_synth_spec
+import numpy as np
+
+# Each command imports the modules only it uses, so that a process loads
+# (and, without cached bytecode, compiles) no module its command does not run.
+from . import kitti
+from .geometry import wrap_to_pi
 from .kitti import InputError
-from .solver import (
-    EnergyWeights,
-    InsufficientConstraints,
-    SolverConfig,
-    solve_batch,
-)
 
 log = logging.getLogger("rtm3d")
 
@@ -27,7 +25,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-# Objects per solve_batch call; bounds the solver's working memory.  256 is
+# Objects per solve_arrays call; bounds the solver's working memory.  256 is
 # the largest power of two at which solving the 200 x 5 benchmark workload
 # peaks below the memory of synthesizing it; one batch of all 1000 objects
 # peaks above it.  The chunk size changes no result.
@@ -53,6 +51,9 @@ def _setup_logging():
 
 
 def cmd_synth(args) -> int:
+    from . import heatmaps, synth
+    from .config import load_synth_spec
+
     frames, with_headmaps, scene_spec, noise = load_synth_spec(args.spec)
     out = Path(args.out)
     for sub in ("calib", "label_2", "priors", "keypoints") + (("headmaps",) if with_headmaps else ()):
@@ -61,15 +62,15 @@ def cmd_synth(args) -> int:
     calib_text = kitti.write_calib(kitti.camera_to_calib(camera))
     for frame in range(frames):
         seed = scene_spec.seed + frame
-        scene = synth.generate_scene(replace(scene_spec, seed=seed), camera)
-        noisy = synth.apply_noise(scene, noise, seed=seed + 1_000_003)
+        scene = synth.SceneArrays.draw(replace(scene_spec, seed=seed), camera)
+        noisy = scene.noisy(noise, seed=seed + 1_000_003)
         name = f"{frame:06d}"
         (out / "calib" / f"{name}.txt").write_text(calib_text)
-        (out / "label_2" / f"{name}.txt").write_text(synth.scene_gt_text(scene))
-        (out / "priors" / f"{name}.txt").write_text(synth.scene_priors_text(noisy))
-        (out / "keypoints" / f"{name}.txt").write_text(synth.keypoints_sidecar_text(noisy))
+        (out / "label_2" / f"{name}.txt").write_text(scene.gt_text())
+        (out / "priors" / f"{name}.txt").write_text(noisy.priors_text())
+        (out / "keypoints" / f"{name}.txt").write_text(noisy.sidecar_text())
         if with_headmaps:
-            maps = synth.encode_headmaps(scene, camera)
+            maps = synth.encode_headmaps(scene.objects(), camera)
             heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", maps)
     print(f"wrote {frames} synthetic frame(s) to {out}")
     return EXIT_OK
@@ -79,24 +80,39 @@ def cmd_synth(args) -> int:
 # solve
 
 
-def _result_label(k, report):
-    """One fitted object's result label."""
-    score = float(k.conf[k.visible].mean()) if k.n_visible else 0.0
-    vis = k.pts[k.visible] if k.n_visible else k.pts
-    bbox = (*map(float, vis.min(axis=0)), *map(float, vis.max(axis=0)))
-    return kitti.box3d_to_label(report.box, bbox=bbox, score=score)
+def _result_lines(inputs: SolveInputs, x: np.ndarray) -> list[str]:
+    """Result label lines of fitted states x (N, 7): each box with the image
+    box of its visible keypoints and, as its score, their mean confidence."""
+    from .synth import keypoint_boxes
+
+    # One object at a time, so that each mean sums in the N = 1 order.
+    score = [float(c[v].mean()) for c, v in zip(inputs.conf, inputs.vis)]
+    yaw = [wrap_to_pi(v) for v in x[:, 3].tolist()]  # the written box's yaw, as Box3D wraps it
+    return kitti.car_lines(x[:, 4:], x[:, :3], yaw, keypoint_boxes(inputs.kp, inputs.vis), score)
 
 
-def _log_entry(report) -> str:
+def _log_entry(error, skipped, iterations, cost, converged) -> str:
     """One object's line in solve_log.txt, after its frame and index."""
-    if isinstance(report, InsufficientConstraints):
-        return f"skipped ({report})"
-    if isinstance(report, Exception):
-        return f"failed ({report})"
-    return f"iters={report.iterations} cost={report.final_cost:.3e} converged={report.converged}"
+    if skipped:
+        return f"skipped ({error})"
+    if error is not None:
+        return f"failed ({error})"
+    return f"iters={iterations} cost={cost:.3e} converged={converged}"
 
 
 def cmd_solve(args) -> int:
+    from . import synth
+    from .config import load_config
+    from .solver import (
+        EnergyWeights,
+        Fit,
+        InsufficientConstraints,
+        SolveInputs,
+        SolverConfig,
+        camera_rows,
+        solve_arrays,
+    )
+
     weights, solver_cfg = (
         load_config(args.config) if args.config else (EnergyWeights(), SolverConfig())
     )
@@ -111,10 +127,10 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out)
     (out / "data").mkdir(parents=True, exist_ok=True)
-    # Parse every frame once, then solve all objects in fixed-size chunks.
-    frames = []  # (frame id, slice of its objects in kps, cams and priors)
-    kps, cams, priors = [], [], []
-    cameras = {}  # calib path -> camera, so a shared --calib file is parsed once
+    # Parse every frame once into arrays, then solve all objects in
+    # fixed-size chunks.
+    frames, parts, cam_parts = [], [], []  # (frame id, object count); inputs and camera rows
+    cameras = {}  # calib path -> camera row, so a shared --calib file is parsed once
     for priors_path in sorted(priors_dir.glob("*.txt")):
         frame = priors_path.stem
         kp_path = kp_dir / f"{frame}.txt"
@@ -124,34 +140,42 @@ def cmd_solve(args) -> int:
         if not calib_path.exists():
             raise InputError(f"missing calibration for frame {frame}")
         if calib_path not in cameras:
-            cameras[calib_path] = kitti.to_camera_model(kitti.parse_calib_file(calib_path))
-        objects = synth.parse_scene_objects(
+            cameras[calib_path] = camera_rows([kitti.to_camera_model(kitti.parse_calib_file(calib_path))])
+        objects = synth.parse_scene_inputs(
             priors_path.read_text(), kp_path.read_text(), kp_path, priors_path
         )
-        frames.append((frame, slice(len(kps), len(kps) + len(objects))))
-        for k, p in objects:
-            kps.append(k)
-            cams.append(cameras[calib_path])
-            priors.append(p)
+        frames.append((frame, len(objects.kp)))
+        parts.append(objects)
+        cam_parts.append(np.repeat(cameras[calib_path], len(objects.kp), axis=0))
     if not frames:
         raise InputError(f"no frames found under {priors_dir}")
+    inputs = SolveInputs(*map(np.concatenate, zip(*parts)))
+    cams = np.concatenate(cam_parts)
 
     t0 = time.perf_counter()
-    reports = []
-    for i in range(0, len(kps), SOLVE_CHUNK):
-        chunk = slice(i, i + SOLVE_CHUNK)
-        reports += solve_batch(kps[chunk], cams[chunk], priors[chunk], weights, solver_cfg)
+    n = len(cams)
+    chunks = [
+        solve_arrays(inputs.take(slice(i, i + SOLVE_CHUNK)), cams[i:i + SOLVE_CHUNK], weights, solver_cfg)
+        for i in range(0, max(n, 1), SOLVE_CHUNK)
+    ]
+    fit = Fit(*map(np.concatenate, zip(*chunks)))
     solve_s = time.perf_counter() - t0
-    skipped = sum(isinstance(r, InsufficientConstraints) for r in reports)
-    failed = sum(isinstance(r, Exception) for r in reports) - skipped
-    fitted = len(reports) - skipped
+    is_skipped = [isinstance(e, InsufficientConstraints) for e in fit.errors]
+    skipped = sum(is_skipped)
+    failed = sum(e is not None for e in fit.errors) - skipped
+    fitted = n - skipped
 
-    log_lines = []
-    for frame, objects in frames:
-        rows = list(zip(kps[objects], reports[objects]))
-        labels = [_result_label(k, r) for k, r in rows if not isinstance(r, Exception)]
-        log_lines += (f"{frame} object {i}: {_log_entry(r)}" for i, (_, r) in enumerate(rows))
-        (out / "data" / f"{frame}.txt").write_text(kitti.write_result_file(labels))
+    ok = np.array([e is None for e in fit.errors], dtype=bool)
+    results = iter(_result_lines(inputs.take(ok), fit.x[ok]))
+    entries = list(map(_log_entry, fit.errors, is_skipped, fit.iterations.tolist(),
+                       fit.cost.tolist(), fit.converged.tolist()))
+    log_lines, start = [], 0
+    for frame, count in frames:
+        objects = slice(start, start + count)
+        start += count
+        log_lines += (f"{frame} object {i}: {e}" for i, e in enumerate(entries[objects]))
+        text = "".join(next(results) for _ in range(int(ok[objects].sum())))
+        (out / "data" / f"{frame}.txt").write_text(text)
     (out / "solve_log.txt").write_text("".join(line + "\n" for line in log_lines))
     ms = 1000.0 * solve_s / fitted if fitted else 0.0
     print(f"solved {len(frames)} frame(s); solve time {ms:.3f} ms/object (over fitted objects)")
@@ -173,6 +197,8 @@ def _load_frames(directory: Path, parse):
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation
+
     results_dir = Path(args.results)
     if (results_dir / "data").is_dir():
         results_dir = results_dir / "data"
@@ -216,6 +242,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render_bev(args) -> int:
+    from . import bev_svg
+
     def boxes_of(path):
         p = Path(path)
         if not p.exists():

@@ -251,12 +251,12 @@ def _run_overlaps(frames: list) -> list:
     ]
 
 
-def _match(dets, gts, overlap, overlap_2d, counted, ignored, threshold) -> list:
+def _match(dets, gts, overlap, counted, ignored_2d, threshold) -> list:
     """Greedy matching of score-sorted detections (rows) to the counted
     columns: the first largest unmatched overlap wins if it reaches
     ``threshold``.  Returns (score, tp, orientation similarity) per detection,
-    leaving out an unmatched one that reaches ``threshold`` in 2D on an
-    ignored column."""
+    leaving out an unmatched one whose largest 2D overlap with an ignored
+    column, ``ignored_2d``, reaches ``threshold``."""
     free = list(counted)
     outcomes = []
     for i, det in enumerate(dets):
@@ -268,7 +268,7 @@ def _match(dets, gts, overlap, overlap_2d, counted, ignored, threshold) -> list:
             free.remove(best)
             sim = 0.5 * (1.0 + math.cos(wrap_to_pi(det.alpha - gts[best].alpha)))
             outcomes.append((det.score, 1.0, sim))
-        elif not any(overlap_2d[i][j] >= threshold for j in ignored):
+        elif ignored_2d[i] < threshold:
             outcomes.append((det.score, 0.0, 0.0))
     return outcomes
 
@@ -323,9 +323,10 @@ def evaluate(
                 if g.is_dontcare or (g.type == CATEGORY and j not in counted)
             ]
             n_gt[diff.name] += len(counted)
+            ignored_2d = [max((row[j] for j in ignored), default=-math.inf) for row in overlaps["2d"]]
             for m, threshold in thresholds.items():
                 outcomes[diff.name, m] += _match(
-                    dets, gts, overlaps[m], overlaps["2d"], counted, ignored, threshold
+                    dets, gts, overlaps[m], counted, ignored_2d, threshold
                 )
     curves = {}
     for diff in difficulties:

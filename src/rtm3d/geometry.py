@@ -243,13 +243,11 @@ def project_points(camera: CameraModel, pts: np.ndarray) -> np.ndarray:
     return uv
 
 
-def alpha_to_yaw(alpha: float, t: np.ndarray) -> float:
+def alpha_to_yaw(alpha: float, t) -> float:
     """Global yaw from the observation angle and the object translation."""
-    t = np.asarray(t, dtype=float).reshape(3)
     return wrap_to_pi(alpha + math.atan2(t[0], t[2]))
 
 
-def yaw_to_alpha(yaw: float, t: np.ndarray) -> float:
+def yaw_to_alpha(yaw: float, t) -> float:
     """Observation angle from the global yaw; inverse of :func:`alpha_to_yaw`."""
-    t = np.asarray(t, dtype=float).reshape(3)
     return wrap_to_pi(yaw - math.atan2(t[0], t[2]))

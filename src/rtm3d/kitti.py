@@ -24,11 +24,13 @@ __all__ = [
     "NumericParseError",
     "box3d_to_label",
     "camera_to_calib",
+    "car_lines",
     "format_label",
     "label_to_box3d",
     "parse_calib",
     "parse_calib_file",
     "parse_label_file",
+    "parse_label_values",
     "parse_labels",
     "to_camera_model",
     "write_calib",
@@ -94,62 +96,89 @@ class KittiCalib:
         self.p2 = p2
 
 
-def parse_labels(text: str, source="label text") -> list[KittiLabel]:
-    """Parse label/result text; a field that is not a finite number, or a
-    line with the wrong field count, raises an error carrying the line
-    number, and ``source`` names the file in its message."""
-    labels = []
+def _is_finite_number(token: str) -> bool:
+    try:
+        return math.isfinite(float(token))
+    except ValueError:
+        return False
+
+
+def parse_label_values(text: str, source="label text") -> list[tuple[int, str, list[float]]]:
+    """(line number, type, the 14 or 15 numeric fields) of each label line;
+    a field that is not a finite number, or a line with the wrong field
+    count, raises an error carrying the line number, and ``source`` names
+    the file in its message."""
+    rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) not in (15, 16):
             raise FieldCountError(line_no, len(fields), source)
-        vals = []
-        for token in fields[1:]:
-            try:
-                value = float(token)
-            except ValueError:
-                raise NumericParseError(line_no, token, source) from None
-            if not math.isfinite(value):
-                raise NumericParseError(line_no, token, source)
-            vals.append(value)
-        labels.append(
-            KittiLabel(
-                type=fields[0],
-                truncated=vals[0],
-                occluded=int(vals[1]),
-                alpha=vals[2],
-                bbox=(vals[3], vals[4], vals[5], vals[6]),
-                dimensions=(vals[7], vals[8], vals[9]),
-                location=(vals[10], vals[11], vals[12]),
-                rotation_y=vals[13],
-                score=vals[14] if len(vals) == 15 else None,
-                origin=f"{source}, line {line_no}",
-            )
+        try:
+            vals = list(map(float, fields[1:]))
+            finite = all(map(math.isfinite, vals))
+        except ValueError:
+            finite = False
+        if not finite:
+            token = next(t for t in fields[1:] if not _is_finite_number(t))
+            raise NumericParseError(line_no, token, source)
+        rows.append((line_no, fields[0], vals))
+    return rows
+
+
+def parse_labels(text: str, source="label text") -> list[KittiLabel]:
+    """Parse label/result text, checked as :func:`parse_label_values` checks it."""
+    return [
+        KittiLabel(
+            type=kind,
+            truncated=v[0],
+            occluded=int(v[1]),
+            alpha=v[2],
+            bbox=tuple(v[3:7]),
+            dimensions=tuple(v[7:10]),
+            location=tuple(v[10:13]),
+            rotation_y=v[13],
+            score=v[14] if len(v) == 15 else None,
+            origin=f"{source}, line {line_no}",
         )
-    return labels
+        for line_no, kind, v in parse_label_values(text, source)
+    ]
 
 
 def parse_label_file(path) -> list[KittiLabel]:
     return parse_labels(Path(path).read_text(), path)
 
 
+def _label_format(decimals: int) -> str:
+    """printf template of a label line's fields after its type, up to the
+    score: truncated, occluded, alpha, bbox, dimensions, location and
+    rotation_y."""
+    f = f"%.{decimals}f"
+    return " ".join([f, "%d"] + [f] * 12)
+
+
 def format_label(label: KittiLabel, decimals: int = 2) -> str:
     """One label line; results use the KITTI submission's 2 decimals, and the
     synthetic ground truth and priors 6."""
-    fmt = f".{decimals}f"
-    fields = [
-        label.type,
-        format(label.truncated, fmt),
-        str(int(label.occluded)),
-        format(label.alpha, fmt),
-        *(format(v, fmt) for v in (*label.bbox, *label.dimensions, *label.location)),
-        format(label.rotation_y, fmt),
-    ]
-    if label.score is not None:
-        fields.append(format(label.score, fmt))
-    return " ".join(fields)
+    line = f"{label.type} " + _label_format(decimals) % (
+        label.truncated, int(label.occluded), label.alpha,
+        *label.bbox, *label.dimensions, *label.location, label.rotation_y,
+    )
+    return line if label.score is None else f"{line} {label.score:.{decimals}f}"
+
+
+def car_lines(dims, t, yaw, bbox, score=None, decimals: int = 2) -> list[str]:
+    """Newline-terminated label lines of N cars, as :func:`format_label`
+    writes :func:`box3d_to_label` of each: dims (N, 3), bottom centers t
+    (N, 3), (wrapped) yaws (N,), image boxes (N, 4) and, for results,
+    scores (N,); alpha is computed from each yaw and position."""
+    line = "Car " + _label_format(decimals)
+    rows = zip(*(np.asarray(v, dtype=float).tolist() for v in (dims, t, yaw, bbox)))
+    lines = [line % (0.0, 0, yaw_to_alpha(y, p), *b, *d, *p, y) for d, p, y, b in rows]
+    if score is not None:
+        lines = [f"{text} {s:.{decimals}f}" for text, s in zip(lines, score)]
+    return [text + "\n" for text in lines]
 
 
 def write_result_file(labels: list[KittiLabel]) -> str:

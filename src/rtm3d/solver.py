@@ -9,10 +9,12 @@ bottom-center translation t, the yaw about the camera y axis, and the
 three dimensions.  That is the ground-plane subgroup of SE(3), so every
 step is additive and the state is the written box.
 
-One LM loop serves every caller: :func:`solve_batch` fits N objects at
-once, with states (N, 7) ordered (t, yaw, dims), residuals (N, 22),
-Jacobians (N, 22, 7) and normal equations (N, 7, 7) stacked along the
-first axis; :func:`solve` is its N = 1 case.
+One LM loop serves every caller: :func:`solve_arrays` fits N objects at
+once from stacked arrays (:class:`SolveInputs`), with states (N, 7)
+ordered (t, yaw, dims), residuals (N, 22), Jacobians (N, 22, 7) and
+normal equations (N, 7, 7) stacked along the first axis;
+:func:`solve_batch` stacks per-object inputs for it and reports per
+object, and :func:`solve` is its N = 1 case.
 """
 
 from __future__ import annotations
@@ -40,16 +42,20 @@ from .geometry import (
 __all__ = [
     "DivergedError",
     "EnergyWeights",
+    "Fit",
     "InsufficientConstraints",
     "Priors",
+    "SolveInputs",
     "SolveReport",
     "SolverConfig",
+    "camera_rows",
     "initialize",
     "jacobian_camera_point",
     "residual_camera_point",
     "residual_dimension",
     "residual_rotation",
     "solve",
+    "solve_arrays",
     "solve_batch",
     "total_energy",
 ]
@@ -139,6 +145,38 @@ def _softmax_rows(conf: np.ndarray) -> np.ndarray:
     return np.repeat(e / e.sum(axis=-1, keepdims=True), 2, axis=-1)
 
 
+class SolveInputs(NamedTuple):
+    """The keypoints and priors of N objects stacked along the first axis,
+    as :func:`solve_arrays` takes them."""
+
+    kp: np.ndarray  # (N, 9, 2) measured keypoints
+    conf: np.ndarray  # (N, 9) keypoint confidences in [0, 1]
+    vis: np.ndarray  # (N, 9) keypoint visibility
+    d_hat: np.ndarray  # (N, 3) dimension priors
+    theta_hat: np.ndarray  # (N,) yaw priors
+    z_hat: np.ndarray  # (N,) depth priors
+
+    @staticmethod
+    def stack(kps: Sequence[KeypointSet], priors: Sequence[Priors]) -> "SolveInputs":
+        n = len(kps)
+        return SolveInputs(
+            kp=np.array([k.pts for k in kps], dtype=float).reshape(n, 9, 2),
+            conf=np.array([k.conf for k in kps], dtype=float).reshape(n, 9),
+            vis=np.array([k.visible for k in kps], dtype=bool).reshape(n, 9),
+            d_hat=np.array([p.d_hat for p in priors], dtype=float).reshape(n, 3),
+            theta_hat=np.array([p.theta_hat for p in priors], dtype=float),
+            z_hat=np.array([p.z_hat for p in priors], dtype=float),
+        )
+
+    def take(self, rows) -> "SolveInputs":
+        return SolveInputs(*(a[rows] for a in self))
+
+
+def camera_rows(cams: Sequence[CameraModel]) -> np.ndarray:
+    """Rows (N, 7) of fx, fy, cx, cy and t_cam, one per camera."""
+    return np.array([(c.fx, c.fy, c.cx, c.cy, *c.t_cam) for c in cams], dtype=float).reshape(-1, 7)
+
+
 class _Batch(NamedTuple):
     """Inputs of N objects stacked along the first axis."""
 
@@ -154,22 +192,24 @@ class _Batch(NamedTuple):
     sqrt_wr: np.ndarray  # (N,) root rotation weights
 
     @staticmethod
-    def stack(kps, cams, priors, weights: EnergyWeights) -> "_Batch":
-        n = len(kps)
-        vis = np.array([k.visible for k in kps])
-        sigma = _softmax_rows(np.array([k.conf for k in kps]))
+    def of(inputs: SolveInputs, cams: np.ndarray, weights: EnergyWeights) -> "_Batch":
+        n = len(inputs.kp)
         return _Batch(
-            f=np.array([[(c.fx, c.fy)] for c in cams], dtype=float),
-            c=np.array([[(c.cx, c.cy)] for c in cams], dtype=float),
-            t_cam=np.array([c.t_cam for c in cams])[:, None, :],
-            kp=np.array([k.pts for k in kps]),
-            vis=vis,
-            sqrt_w=np.sqrt(sigma) * np.repeat(vis, 2, axis=1),
-            d_hat=np.array([p.d_hat for p in priors]),
-            theta_hat=np.array([p.theta_hat for p in priors], dtype=float),
+            f=cams[:, None, 0:2],
+            c=cams[:, None, 2:4],
+            t_cam=cams[:, None, 4:7],
+            kp=inputs.kp,
+            vis=inputs.vis,
+            sqrt_w=np.sqrt(_softmax_rows(inputs.conf)) * np.repeat(inputs.vis, 2, axis=1),
+            d_hat=inputs.d_hat,
+            theta_hat=inputs.theta_hat,
             sqrt_wd=np.full((n, 1), math.sqrt(weights.w_d)),
             sqrt_wr=np.full(n, math.sqrt(weights.w_r)),
         )
+
+    @staticmethod
+    def stack(kps, cams, priors, weights: EnergyWeights) -> "_Batch":
+        return _Batch.of(SolveInputs.stack(kps, priors), camera_rows(cams), weights)
 
     def take(self, idx: np.ndarray) -> "_Batch":
         """Rows ``idx`` (sorted, unique) of every input."""
@@ -267,10 +307,14 @@ def residual_rotation(yaw, theta_hat):
     return (theta_hat - yaw + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _term_costs(res: np.ndarray) -> list:
-    """Camera-point, dimension and rotation costs of weighted residuals (N, 22)."""
-    sums = np.add.reduceat(res * res, [0, 18, 21], axis=1)
-    return [dict(zip(("camera_point", "dimension", "rotation"), map(float, row))) for row in sums]
+def _term_sums(res: np.ndarray) -> np.ndarray:
+    """Camera-point, dimension and rotation costs (N, 3) of weighted residuals (N, 22)."""
+    return np.add.reduceat(res * res, [0, 18, 21], axis=1)
+
+
+def _term_costs(sums: np.ndarray) -> list:
+    """The rows of :func:`_term_sums` as dicts by term name."""
+    return [dict(zip(("camera_point", "dimension", "rotation"), row)) for row in sums.tolist()]
 
 
 def total_energy(
@@ -281,7 +325,7 @@ def total_energy(
     res, behind = _residuals(b, np.r_[box.t, box.yaw, box.dims][None])
     if behind[0]:
         raise BehindCamera("a visible keypoint projects behind the camera")
-    (terms,) = _term_costs(res)
+    (terms,) = _term_costs(_term_sums(res))
     return sum(terms.values()), terms
 
 
@@ -289,34 +333,36 @@ def total_energy(
 # Levenberg-Marquardt
 
 
+def _starts(inputs: SolveInputs, cams: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Start states (N, 7) = (t, yaw, dims): ``config.init_box`` for every
+    object, else the priors' yaw and dimensions, with the box center
+    back-projected through the pinhole at the depth prior from the center
+    keypoint, else the mean visible keypoint, else the principal point."""
+    n = len(inputs.kp)
+    if config.init_box is not None:
+        box = config.init_box
+        return np.tile(np.r_[box.t, box.yaw, box.dims], (n, 1))
+    vis = inputs.vis
+    anchor = np.where(vis[:, 8, None], inputs.kp[:, 8], cams[:, 2:4])
+    for i in np.flatnonzero(~vis[:, 8] & vis.any(axis=1)):
+        # One object at a time, so that the mean sums in its N = 1 order.
+        anchor[i] = inputs.kp[i][vis[i]].mean(axis=0)
+    zp = inputs.z_hat + cams[:, 6]
+    x = np.empty((n, 7))
+    x[:, 0] = (anchor[:, 0] - cams[:, 2]) * zp / cams[:, 0] - cams[:, 4]
+    # The center sits half a height above the bottom-face anchor (y points down).
+    x[:, 1] = (anchor[:, 1] - cams[:, 3]) * zp / cams[:, 1] - cams[:, 5] + inputs.d_hat[:, 0] / 2.0
+    x[:, 2], x[:, 3], x[:, 4:] = inputs.z_hat, inputs.theta_hat, inputs.d_hat
+    return x
+
+
 def initialize(
     priors: Priors, kps: KeypointSet, cam: CameraModel
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Initial yaw, bottom-center translation and dimensions.
-
-    Yaw and dimensions are the priors.  The box center is back-projected
-    through the pinhole at the depth prior, from the center keypoint, else
-    the mean visible keypoint, else the principal point.
-    """
-    if kps.visible[8]:
-        anchor = kps.pts[8]
-    elif kps.n_visible > 0:
-        anchor = kps.pts[kps.visible].mean(axis=0)
-    else:
-        anchor = np.array([cam.cx, cam.cy])
-
-    depth = float(priors.z_hat)
-    zp = depth + cam.t_cam[2]
-    center = np.array(
-        [
-            (anchor[0] - cam.cx) * zp / cam.fx - cam.t_cam[0],
-            (anchor[1] - cam.cy) * zp / cam.fy - cam.t_cam[1],
-            depth,
-        ]
-    )
-    # Center sits half a height above the bottom-face anchor (y points down).
-    t0 = center + np.array([0.0, priors.d_hat[0] / 2.0, 0.0])
-    return priors.theta_hat, t0, priors.d_hat.copy()
+    """Initial yaw, bottom-center translation and dimensions of one object:
+    the N = 1 case of the solver's start."""
+    x = _starts(SolveInputs.stack([kps], [priors]), camera_rows([cam]), SolverConfig())[0]
+    return priors.theta_hat, x[:3], x[4:]
 
 
 def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -336,14 +382,36 @@ def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
         return steps
 
 
-def solve_batch(
-    kps: Sequence[KeypointSet],
-    cams: Sequence[CameraModel],
-    priors: Sequence[Priors],
+class Fit(NamedTuple):
+    """What :func:`solve_arrays` found for N objects, in input order."""
+
+    x: np.ndarray  # (N, 7) final states (t, yaw, dims)
+    iterations: np.ndarray  # (N,) LM iterations
+    cost: np.ndarray  # (N,) final costs
+    converged: np.ndarray  # (N,) whether each stopped converged
+    terms: np.ndarray  # (N, 3) final camera-point, dimension and rotation costs
+    errors: np.ndarray  # (N,) objects: what kept each from starting, else None
+
+
+def _start_error(inputs: SolveInputs, i: int, behind: bool) -> Exception:
+    n_visible = int(inputs.vis[i].sum())
+    if n_visible < MIN_VISIBLE:
+        p = Priors(d_hat=inputs.d_hat[i], theta_hat=float(inputs.theta_hat[i]),
+                   z_hat=float(inputs.z_hat[i]))
+        return InsufficientConstraints(f"{n_visible} visible keypoints with priors {p} are not enough")
+    if behind:
+        return BehindCamera("a visible keypoint starts behind the camera")
+    return DivergedError("non-finite cost")
+
+
+def solve_arrays(
+    inputs: SolveInputs,
+    cams: np.ndarray,
     weights: EnergyWeights = EnergyWeights(),
     config: SolverConfig = SolverConfig(),
-) -> list:
-    """Levenberg-Marquardt over (t, yaw, dims) for N objects in one loop.
+) -> Fit:
+    """Levenberg-Marquardt over (t, yaw, dims) for N objects in one loop;
+    ``cams`` holds each object's :func:`camera_rows` row.
 
     Each object keeps its own damping, iteration count and done flag, and
     follows the same sequence of trials as it would alone: a rejected trial
@@ -354,35 +422,19 @@ def solve_batch(
     ``g_tol`` (gtol), an accepted step shorter than ``step_tol`` (step),
     damping past ``LM_LAMBDA_MAX`` (damping) and ``max_iter`` (max_iter).
 
-    Returns one entry per object, in input order: a :class:`SolveReport`,
-    or the exception that kept the object from starting:
+    An object that cannot start gets its error in ``Fit.errors``:
     :class:`InsufficientConstraints` (fewer than :data:`MIN_VISIBLE` visible
     keypoints), else :class:`BehindCamera` (a visible keypoint starts behind
     the camera), else :class:`DivergedError` (a non-finite start cost).
     """
-    n = len(kps)
-    if not n:
-        return []
-    b = _Batch.stack(kps, cams, priors, weights)
-    if config.init_box is None:
-        starts = map(initialize, priors, kps, cams)
-    else:
-        box = config.init_box
-        starts = [(box.yaw, box.t, box.dims)] * n
-    x = np.array([np.r_[t, yaw, dims] for yaw, t, dims in starts])
-
+    n = len(inputs.kp)
+    b = _Batch.of(inputs, cams, weights)
     with np.errstate(all="ignore"):
+        x = _starts(inputs, cams, config)
         res, behind = _residuals(b, x)
         cost = np.sum(res * res, axis=1)
         # An accepted trial has a finite cost, so only the start can lack one.
-        errors = [
-            InsufficientConstraints(
-                f"{k.n_visible} visible keypoints with priors {p} are not enough"
-            ) if k.n_visible < MIN_VISIBLE
-            else BehindCamera("a visible keypoint starts behind the camera") if bc
-            else DivergedError("non-finite cost") if not np.isfinite(c) else None
-            for k, p, bc, c in zip(kps, priors, behind, cost)
-        ]
+        stuck = (inputs.vis.sum(axis=1) < MIN_VISIBLE) | behind | ~np.isfinite(cost)
         lam = np.full(n, LM_LAMBDA0)
         iters = np.zeros(n, dtype=int)
         converged = np.zeros(n, dtype=bool)
@@ -402,7 +454,7 @@ def solve_batch(
             iters[i] += 1
             return i
 
-        live = begin(np.flatnonzero([e is None for e in errors]))
+        live = begin(np.flatnonzero(~stuck))
         while live.size:
             exhausted = lam[live] > LM_LAMBDA_MAX
             ex = live[exhausted]
@@ -416,28 +468,47 @@ def solve_batch(
             step = _lm_steps(jtj[i], grad[i], lam[i])
             x_new = x[i] + step
             x_new[:, 4:] = np.maximum(x_new[:, 4:], 1e-2)
-            res_new, behind = _residuals(b.take(i), x_new)
+            res_new, behind_new = _residuals(b.take(i), x_new)
             cost_new = np.sum(res_new * res_new, axis=1)
-            ok = ~behind & np.isfinite(cost_new) & (cost_new < cost[i])
+            ok = ~behind_new & np.isfinite(cost_new) & (cost_new < cost[i])
             lam[i] = np.where(ok, np.maximum(lam[i] / 10.0, 1e-12), lam[i] * 10.0)
             acc = i[ok]
             x[acc], res[acc], cost[acc] = x_new[ok], res_new[ok], cost_new[ok]
             small = np.linalg.norm(step[ok], axis=1) < config.step_tol
             converged[acc[small]] = True  # stop: step
-            # Rejected objects retry with the same Jacobian; moved ones begin anew.
-            live = np.union1d(i[~ok], begin(acc[~small]))
+            # Rejected objects retry with the same Jacobian; moved ones begin
+            # anew.  The two sets are disjoint, so sorting merges them.
+            live = np.sort(np.concatenate([i[~ok], begin(acc[~small])]))
 
-        terms = _term_costs(res)
+        terms = _term_sums(res)
+    errors = np.full(n, None, dtype=object)
+    for i in np.flatnonzero(stuck):
+        errors[i] = _start_error(inputs, i, behind[i])
+    return Fit(x, iters, cost, converged, terms, errors)
+
+
+def solve_batch(
+    kps: Sequence[KeypointSet],
+    cams: Sequence[CameraModel],
+    priors: Sequence[Priors],
+    weights: EnergyWeights = EnergyWeights(),
+    config: SolverConfig = SolverConfig(),
+) -> list:
+    """:func:`solve_arrays` of per-object inputs.  Returns one entry per
+    object, in input order: a :class:`SolveReport`, or the exception that
+    kept the object from starting."""
+    fit = solve_arrays(SolveInputs.stack(kps, priors), camera_rows(cams), weights, config)
+    terms = _term_costs(fit.terms)
     return [
         e if e is not None
         else SolveReport(
-            box=Box3D(dims=x[j, 4:].copy(), t=x[j, :3].copy(), yaw=x[j, 3]),
-            iterations=int(iters[j]),
-            final_cost=float(cost[j]),
-            converged=bool(converged[j]),
+            box=Box3D(dims=fit.x[j, 4:].copy(), t=fit.x[j, :3].copy(), yaw=fit.x[j, 3]),
+            iterations=int(fit.iterations[j]),
+            final_cost=float(fit.cost[j]),
+            converged=bool(fit.converged[j]),
             term_costs=terms[j],
         )
-        for j, e in enumerate(errors)
+        for j, e in enumerate(fit.errors)
     ]
 
 

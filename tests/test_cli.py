@@ -3,18 +3,19 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rtm3d
-from rtm3d import cli, kitti
+from rtm3d import cli, kitti, synth
 from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, SOLVE_CHUNK, main
 from rtm3d.config import Settings, load_config
 from rtm3d.geometry import wrap_to_pi
 from rtm3d.kitti import InputError, parse_label_file
-from rtm3d.solver import EnergyWeights, SolverConfig
+from rtm3d.solver import EnergyWeights, InsufficientConstraints, SolverConfig, solve_batch
 
 
 @pytest.fixture
@@ -88,6 +89,34 @@ def test_solve_is_deterministic_across_chunks(tmp_path, monkeypatch):
             assert (other / rel).read_bytes() == text
 
 
+def test_solve_writes_what_the_per_object_api_gives(tmp_path):
+    # Noise and dropout, so that some center keypoints are dropped and some
+    # objects are skipped: the array path of rtm3d solve writes, byte for
+    # byte, the labels built from solve_batch's per-object reports.
+    spec = tmp_path / "scenes.cfg"
+    spec.write_text("frames=6\nn_objects=5\npixel_sigma=1.0\ndropout=0.75\nseed=3\n")
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["synth", str(spec), str(data)]) == EXIT_OK
+    assert main(["solve", str(data), str(out)]) == EXIT_OK
+    skipped = 0
+    for frame in (f"{i:06d}" for i in range(6)):
+        cam = kitti.to_camera_model(kitti.parse_calib_file(data / "calib" / f"{frame}.txt"))
+        objects = synth.parse_scene_objects(
+            (data / "priors" / f"{frame}.txt").read_text(), (data / "keypoints" / f"{frame}.txt").read_text()
+        )
+        reports = solve_batch([k for k, _ in objects], [cam] * len(objects), [p for _, p in objects])
+        labels = []
+        for (k, _), r in zip(objects, reports):
+            if isinstance(r, InsufficientConstraints):
+                skipped += 1
+                continue
+            vis = k.pts[k.visible]
+            bbox = (*map(float, vis.min(axis=0)), *map(float, vis.max(axis=0)))
+            labels.append(kitti.box3d_to_label(r.box, bbox=bbox, score=float(k.conf[k.visible].mean())))
+        assert (out / "data" / f"{frame}.txt").read_text() == kitti.write_result_file(labels)
+    assert skipped > 0
+
+
 def test_solve_nan_keypoint_fails_one_object_and_writes_the_rest(dataset, tmp_path):
     kp_file = dataset / "keypoints" / "000001.txt"
     lines = kp_file.read_text().splitlines()
@@ -157,6 +186,10 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("bev-label", "Car 0 0 0 0 0 10 10 0 1.6 3.9 0 0 10 0\n", "line 1"),
         ("bev-label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0\nCar 0 0 0 0 0 10 10 1.5 -1 3.9 0 0 10 0\n", "line 2"),
         ("bev-label", "DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 -1000 -10\nCar 0 0 0 0 0 10 10 1.5 1.6 0 0 0 10 0\n", "line 2"),
+        ("keypoints", "abc\n", "line 1"),
+        ("keypoints", "1 2 1 " * 8 + "1 2\n", "line 1"),
+        # Three well-formed lines against the priors file's two objects.
+        ("keypoints", ("1 2 1 " * 9 + "\n") * 3, None),
     ],
 )
 def test_malformed_input_exits_2_and_names_its_file(kind, text, where, dataset, tmp_path, capsys):
@@ -168,6 +201,7 @@ def test_malformed_input_exits_2_and_names_its_file(kind, text, where, dataset, 
         "result": results / "data" / "000001.txt",
         "bev-label": dataset / "label_2" / "000001.txt",
         "bev-result": results / "data" / "000001.txt",
+        "keypoints": dataset / "keypoints" / "000001.txt",
     }.get(kind, tmp_path / "bad.cfg")
     (results / "data").mkdir(parents=True)
     bad.write_text(text)
@@ -181,9 +215,83 @@ def test_malformed_input_exits_2_and_names_its_file(kind, text, where, dataset, 
         "bev-label": ["render-bev", "--gt", str(bad), str(tmp_path / "bev.svg")],
     }.get(kind, ["solve", str(dataset), str(out)])
     assert main(argv) == EXIT_INPUT
-    assert f"{bad}, {where}: " in capsys.readouterr().err
+    assert (f"{bad}, {where}: " if where else f"{bad}: ") in capsys.readouterr().err
     if kind == "spec":
         assert not out.exists()
+
+
+@pytest.fixture
+def two_frames(tmp_path):
+    spec = tmp_path / "scenes.cfg"
+    spec.write_text("frames=2\nn_objects=2\nseed=5\n")
+    data = tmp_path / "data"
+    assert main(["synth", str(spec), str(data)]) == EXIT_OK
+    return data
+
+
+def _set_field(path, line, field, value):
+    """Replace one whitespace-separated field of one line of a text file."""
+    lines = path.read_text().splitlines()
+    fields = lines[line].split()
+    fields[field] = value
+    lines[line] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "file, field, value, code",
+    [
+        # Sidecar fields: u of keypoint 0 (field 0) and its confidence (field 2).
+        ("keypoints", 0, "inf", EXIT_INPUT),
+        ("keypoints", 0, "nan", EXIT_INPUT),
+        ("keypoints", 2, "nan", EXIT_INPUT),
+        ("keypoints", 0, "1e308", EXIT_INPUT),
+        ("keypoints", 2, "-1", EXIT_OK),
+        ("keypoints", 2, "inf", EXIT_OK),
+        # Priors fields: h (field 8) and rotation_y (field 14).
+        ("priors", 8, "1e308", EXIT_INPUT),
+        ("priors", 14, "1e308", EXIT_OK),
+    ],
+)
+def test_solve_per_object_values_fail_only_their_object(file, field, value, code, two_frames, tmp_path):
+    _set_field(two_frames / file / "000001.txt", 0, field, value)
+    out = tmp_path / "out"
+    assert main(["solve", str(two_frames), str(out)]) == code
+    assert sorted(p.name for p in (out / "data").glob("*.txt")) == ["000000.txt", "000001.txt"]
+    assert len(parse_label_file(out / "data" / "000000.txt")) == 2
+    assert len(parse_label_file(out / "data" / "000001.txt")) == (2 if code == EXIT_OK else 1)
+
+
+@pytest.mark.parametrize("file", ["keypoints", "priors"])
+@pytest.mark.parametrize("layout", ["blank middle line", "crlf"])
+def test_solve_reads_blank_lines_and_crlf(file, layout, two_frames, tmp_path):
+    expected = tmp_path / "expected"
+    assert main(["solve", str(two_frames), str(expected)]) == EXIT_OK
+    path = two_frames / file / "000001.txt"
+    lines = path.read_text().splitlines()
+    if layout == "crlf":
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    else:
+        path.write_text(lines[0] + "\n  \n" + "".join(line + "\n" for line in lines[1:]))
+    out = tmp_path / "out"
+    assert main(["solve", str(two_frames), str(out)]) == EXIT_OK
+    for rel in ("data/000000.txt", "data/000001.txt", "solve_log.txt"):
+        assert (out / rel).read_bytes() == (expected / rel).read_bytes()
+
+
+def test_solve_huge_depth_prior_fails_its_object_without_a_warning(two_frames, tmp_path, capsys):
+    # The start back-projects the center keypoint at the depth prior, which
+    # overflows at z = 1e308: the object fails and numpy prints nothing.
+    _set_field(two_frames / "priors" / "000001.txt", 0, 13, "1e308")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(two_frames), str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "rtm3d: input error: 1 object(s) failed; see solve_log.txt\n"
+    assert len(parse_label_file(out / "data" / "000000.txt")) == 2
+    assert len(parse_label_file(out / "data" / "000001.txt")) == 1
+    log = (out / "solve_log.txt").read_text()
+    assert "000001 object 0: failed (" in log and "000001 object 1: iters=" in log
 
 
 def test_solve_parses_each_calibration_file_once(dataset, tmp_path, monkeypatch):
@@ -329,6 +437,16 @@ def test_heatmaps_import_loads_no_solver():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "['rtm3d', 'rtm3d.geometry', 'rtm3d.heatmaps', 'rtm3d.kitti']"
+
+
+def test_cli_import_loads_only_what_every_command_uses():
+    # Each command imports its own modules, and the package loads its
+    # top-level names on first use: importing the CLI, as each rtm3d process
+    # does, loads neither the solver nor synth, head maps or evaluation.
+    code = "import sys, rtm3d.cli\nprint(sorted(m for m in sys.modules if m.startswith('rtm3d')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "['rtm3d', 'rtm3d.cli', 'rtm3d.geometry', 'rtm3d.kitti']"
 
 
 def test_end_to_end_script_runs_from_a_checkout(tmp_path):

@@ -160,19 +160,19 @@ def test_project_behind_camera_raises():
     for depth in (MIN_DEPTH, np.nextafter(MIN_DEPTH, 1.0)):
         cam = CameraModel(fx=700.0, fy=700.0, cx=600.0, cy=180.0, t_cam=np.array([0.0, 0.0, depth]))
         on_camera = np.zeros(3)
-        projected = synth._project_keypoints(box, cam)
-        assert not projected.visible[near].any()
+        pts, visible = synth._keypoints(cam, box.dims, box.t, box.yaw)
+        assert not visible[near].any()
         if depth == MIN_DEPTH:
             with pytest.raises(BehindCamera):
                 project_points(cam, on_camera)
             with pytest.raises(BehindCamera):
                 residual_camera_point(box, kps, cam)
             # synth places a keypoint behind the camera at (0, 0).
-            np.testing.assert_array_equal(projected.pts[near], 0.0)
+            np.testing.assert_array_equal(pts[near], 0.0)
         else:
             assert np.isfinite(project_points(cam, on_camera)).all()
             assert np.isfinite(residual_camera_point(box, kps, cam)).all()
-            assert (np.abs(projected.pts[near, 0]) > 1e9).all()
+            assert (np.abs(pts[near, 0]) > 1e9).all()
 
 
 def test_project_with_camera_translation():
