@@ -60,9 +60,11 @@ def cmd_synth(args) -> int:
         (out / sub).mkdir(parents=True, exist_ok=True)
     camera = synth.default_camera()
     calib_text = kitti.write_calib(kitti.camera_to_calib(camera))
+    unplaced = 0
     for frame in range(frames):
         seed = scene_spec.seed + frame
         scene = synth.SceneArrays.draw(replace(scene_spec, seed=seed), camera)
+        unplaced += scene.unplaced()
         noisy = scene.noisy(noise, seed=seed + 1_000_003)
         name = f"{frame:06d}"
         (out / "calib" / f"{name}.txt").write_text(calib_text)
@@ -73,6 +75,9 @@ def cmd_synth(args) -> int:
             maps = synth.encode_headmaps(scene.objects(), camera)
             heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", maps)
     print(f"wrote {frames} synthetic frame(s) to {out}")
+    if unplaced:
+        print(f"rtm3d: {unplaced} of {frames * scene_spec.n_objects} box(es) ran out of draws: not all nine "
+              "keypoints visible on distinct head-map cells", file=sys.stderr)
     return EXIT_OK
 
 

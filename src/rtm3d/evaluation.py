@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box3D, box_points, rot_y, wrap_to_pi
-from .kitti import KittiLabel, label_to_box3d
+from .kitti import CATEGORY, KittiLabel, label_to_box3d
 
 __all__ = [
     "DetectionRecord",
@@ -30,7 +30,6 @@ __all__ = [
     "aos",
     "average_precision",
     "bev_corners",
-    "bev_intersection_area",
     "bev_iou",
     "box_2d_iou",
     "evaluate",
@@ -38,8 +37,6 @@ __all__ = [
 ]
 
 _AREA_EPS = 1e-9
-# The one class scored: result files (kitti.box3d_to_label) hold only cars.
-CATEGORY = "Car"
 
 
 @dataclass(frozen=True)
@@ -192,12 +189,6 @@ def _pair_overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     y_overlap = np.maximum(0.0, np.minimum(ya, yb) - np.maximum(ya - ha, yb - hb))
     bev = _bounded_ratio(inter, wa * la + wb * lb)
     return inter, bev, _bounded_ratio(inter * y_overlap, ha * wa * la + hb * wb * lb)
-
-
-def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    """Footprint intersection area; 0 without clipping when the footprints'
-    circumcircles do not meet."""
-    return float(_pair_overlaps(_box_rows([a]), _box_rows([b]))[0][0])
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:

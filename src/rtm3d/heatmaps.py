@@ -1,10 +1,11 @@
 """Dense detection-head map encoding and decoding.
 
 All maps are numpy arrays shaped (H, W) or (H, W, C) on the downsampled
-grid (stride :data:`DOWNSAMPLE`).  Encoding renders training targets from
-ground truth; decoding runs max-pool peak extraction, keypoint grouping
-and per-cell regression readout.  Losses are plain forward evaluations
-used as test oracles; there is no autodiff here.
+grid (stride :data:`DOWNSAMPLE`): Gaussian and multi-bin targets, peak
+extraction, keypoint grouping and per-cell readout (:func:`decode_objects`),
+and the ``.rtmh`` file format.  The package is numpy-only and trains
+nothing: :func:`focal_loss`, :func:`regression_losses` and :func:`kfpn_fuse`
+are plain forward evaluations of the paper's losses and scale fusion.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "GroupedObject",
     "GroupingConfig",
     "HeadMaps",
-    "MultiTaskWeights",
     "NonPositiveDimensionStandardization",
     "adaptive_sigma",
     "decode_objects",
@@ -35,11 +35,9 @@ __all__ = [
     "kfpn_fuse",
     "multibin_decode",
     "multibin_encode",
-    "multitask_loss",
     "read_headmaps",
     "regression_losses",
     "render_gaussian",
-    "resize_bilinear",
     "write_headmaps",
 ]
 
@@ -170,29 +168,11 @@ def kfpn_fuse(scales):
     shape = scales[0].shape
     for s in scales:
         if s.shape != shape:
-            raise ValueError("all scales must share one shape; resize first")
+            raise ValueError("all scales must share one shape")
     stack = np.stack([np.asarray(s, dtype=float) for s in scales], axis=0)
     e = np.exp(stack - stack.max(axis=0, keepdims=True))
     weights = e / e.sum(axis=0, keepdims=True)
     return (stack * weights).sum(axis=0)
-
-
-def _linear_taps(n_in: int, n_out: int):
-    """Lower and upper sample index and upper weight of each of ``n_out``
-    positions spread evenly over ``n_in`` samples, ends included."""
-    pos = np.linspace(0, n_in - 1, n_out)
-    lo = np.floor(pos).astype(int)
-    return lo, np.minimum(lo + 1, n_in - 1), pos - lo
-
-
-def resize_bilinear(map2d, out_shape):
-    """Bilinear resize of a 2D map to (H, W), for pre-fusion upsampling;
-    the corner samples of input and output coincide."""
-    a = np.asarray(map2d, dtype=float)
-    y0, y1, fy = _linear_taps(a.shape[0], out_shape[0])
-    x0, x1, fx = _linear_taps(a.shape[1], out_shape[1])
-    rows = a[y0] * (1.0 - fy[:, None]) + a[y1] * fy[:, None]
-    return rows[:, x0] * (1.0 - fx) + rows[:, x1] * fx
 
 
 def _pool3_at(maps: np.ndarray, ys, xs, cs) -> np.ndarray:
@@ -366,18 +346,6 @@ class GroundTruthObject:
     vertex_cells: np.ndarray
 
 
-@dataclass(frozen=True)
-class MultiTaskWeights:
-    w_main: float = 1.0
-    w_kpver: float = 1.0
-    w_ver: float = 1.0
-    w_dim: float = 1.0
-    w_ori: float = 0.5
-    w_dis: float = 0.1
-    w_off_m: float = 0.5
-    w_off_v: float = 0.5
-
-
 def dimension_target(dims) -> np.ndarray:
     """log of the standardized dimension residual used by the L_D loss."""
     ratio = (np.asarray(dims, dtype=float) - DIM_MEAN) / DIM_STD
@@ -422,25 +390,6 @@ def regression_losses(maps: HeadMaps, objects: list[GroundTruthObject]):
         "vertex_offset": l_off_v / max(n_ver, 1),
         "vertex_coord": l_ver / n,
     }
-
-
-def multitask_loss(terms: dict, weights: MultiTaskWeights = MultiTaskWeights()) -> float:
-    """Weighted sum of the detection-head loss terms.
-
-    Recognized keys: main, kpver, vertex_coord, dims, orientation, depth,
-    center_offset, vertex_offset.  Missing keys contribute zero.
-    """
-    get = lambda k: float(terms.get(k, 0.0))  # noqa: E731
-    return (
-        weights.w_main * get("main")
-        + weights.w_kpver * get("kpver")
-        + weights.w_ver * get("vertex_coord")
-        + weights.w_dim * get("dims")
-        + weights.w_ori * get("orientation")
-        + weights.w_dis * get("depth")
-        + weights.w_off_m * get("center_offset")
-        + weights.w_off_v * get("vertex_offset")
-    )
 
 
 # ---------------------------------------------------------------------------

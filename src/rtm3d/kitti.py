@@ -37,6 +37,9 @@ __all__ = [
     "write_result_file",
 ]
 
+# The one object class: rtm3d synth and solve write it, and evaluation scores it.
+CATEGORY = "Car"
+
 
 class InputError(ValueError):
     """Malformed or missing input, named by file and line where known; the
@@ -158,22 +161,22 @@ def _label_format(decimals: int) -> str:
     return " ".join([f, "%d"] + [f] * 12)
 
 
-def format_label(label: KittiLabel, decimals: int = 2) -> str:
-    """One label line; results use the KITTI submission's 2 decimals, and the
-    synthetic ground truth and priors 6."""
-    line = f"{label.type} " + _label_format(decimals) % (
+def format_label(label: KittiLabel) -> str:
+    """One label line, at the KITTI submission's 2 decimals."""
+    line = f"{label.type} " + _label_format(2) % (
         label.truncated, int(label.occluded), label.alpha,
         *label.bbox, *label.dimensions, *label.location, label.rotation_y,
     )
-    return line if label.score is None else f"{line} {label.score:.{decimals}f}"
+    return line if label.score is None else f"{line} {label.score:.2f}"
 
 
 def car_lines(dims, t, yaw, bbox, score=None, decimals: int = 2) -> list[str]:
     """Newline-terminated label lines of N cars, as :func:`format_label`
-    writes :func:`box3d_to_label` of each: dims (N, 3), bottom centers t
-    (N, 3), (wrapped) yaws (N,), image boxes (N, 4) and, for results,
-    scores (N,); alpha is computed from each yaw and position."""
-    line = "Car " + _label_format(decimals)
+    writes :func:`box3d_to_label` of each at 2 decimals (synthetic ground
+    truth and priors use 6): dims (N, 3), bottom centers t (N, 3),
+    (wrapped) yaws (N,), image boxes (N, 4) and, for results, scores (N,);
+    alpha is computed from each yaw and position."""
+    line = f"{CATEGORY} " + _label_format(decimals)
     rows = zip(*(np.asarray(v, dtype=float).tolist() for v in (dims, t, yaw, bbox)))
     lines = [line % (0.0, 0, yaw_to_alpha(y, p), *b, *d, *p, y) for d, p, y, b in rows]
     if score is not None:
@@ -246,7 +249,7 @@ def box3d_to_label(
 ) -> KittiLabel:
     """A Car label of ``box``, with alpha computed from its yaw and position."""
     return KittiLabel(
-        type="Car",
+        type=CATEGORY,
         truncated=0.0,
         occluded=0,
         alpha=yaw_to_alpha(box.yaw, box.t),

@@ -9,12 +9,11 @@ bottom-center translation t, the yaw about the camera y axis, and the
 three dimensions.  That is the ground-plane subgroup of SE(3), so every
 step is additive and the state is the written box.
 
-One LM loop serves every caller: :func:`solve_arrays` fits N objects at
-once from stacked arrays (:class:`SolveInputs`), with states (N, 7)
-ordered (t, yaw, dims), residuals (N, 22), Jacobians (N, 22, 7) and
-normal equations (N, 7, 7) stacked along the first axis;
-:func:`solve_batch` stacks per-object inputs for it and reports per
-object, and :func:`solve` is its N = 1 case.
+One LM loop serves every caller.  :func:`solve_arrays`, the one batch
+API, fits N objects at once from stacked arrays (:class:`SolveInputs`),
+with states (N, 7) ordered (t, yaw, dims), residuals (N, 22), Jacobians
+(N, 22, 7) and normal equations (N, 7, 7) stacked along the first axis;
+:func:`solve` is its N = 1 case, reported as a :class:`SolveReport`.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ __all__ = [
     "residual_rotation",
     "solve",
     "solve_arrays",
-    "solve_batch",
     "total_energy",
 ]
 
@@ -487,31 +485,6 @@ def solve_arrays(
     return Fit(x, iters, cost, converged, terms, errors)
 
 
-def solve_batch(
-    kps: Sequence[KeypointSet],
-    cams: Sequence[CameraModel],
-    priors: Sequence[Priors],
-    weights: EnergyWeights = EnergyWeights(),
-    config: SolverConfig = SolverConfig(),
-) -> list:
-    """:func:`solve_arrays` of per-object inputs.  Returns one entry per
-    object, in input order: a :class:`SolveReport`, or the exception that
-    kept the object from starting."""
-    fit = solve_arrays(SolveInputs.stack(kps, priors), camera_rows(cams), weights, config)
-    terms = _term_costs(fit.terms)
-    return [
-        e if e is not None
-        else SolveReport(
-            box=Box3D(dims=fit.x[j, 4:].copy(), t=fit.x[j, :3].copy(), yaw=fit.x[j, 3]),
-            iterations=int(fit.iterations[j]),
-            final_cost=float(fit.cost[j]),
-            converged=bool(fit.converged[j]),
-            term_costs=terms[j],
-        )
-        for j, e in enumerate(fit.errors)
-    ]
-
-
 def solve(
     kps: KeypointSet,
     cam: CameraModel,
@@ -519,9 +492,11 @@ def solve(
     weights: EnergyWeights = EnergyWeights(),
     config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
-    """Levenberg-Marquardt over (t, yaw, dims) for one object; raises the
-    exception :func:`solve_batch` reports for it."""
-    (report,) = solve_batch([kps], [cam], [priors], weights, config)
-    if isinstance(report, Exception):
-        raise report
-    return report
+    """Levenberg-Marquardt over (t, yaw, dims) for one object: the N = 1
+    case of :func:`solve_arrays`, whose error for the object it raises."""
+    fit = solve_arrays(SolveInputs.stack([kps], [priors]), camera_rows([cam]), weights, config)
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    x = fit.x[0]
+    return SolveReport(Box3D(dims=x[4:], t=x[:3], yaw=x[3]), int(fit.iterations[0]), float(fit.cost[0]),
+                       bool(fit.converged[0]), _term_costs(fit.terms)[0])

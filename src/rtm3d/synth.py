@@ -45,13 +45,11 @@ __all__ = [
     "SceneObject",
     "SceneSpec",
     "apply_noise",
-    "bbox_2d",
     "default_camera",
     "encode_headmaps",
     "generate_scene",
     "keypoint_boxes",
     "keypoints_sidecar_text",
-    "parse_keypoints_sidecar",
     "parse_scene_inputs",
     "parse_scene_objects",
     "scene_gt_text",
@@ -135,6 +133,11 @@ def keypoint_boxes(pts: np.ndarray, visible: np.ndarray) -> np.ndarray:
     return np.concatenate([np.where(use, pts, np.inf).min(axis=1), np.where(use, pts, -np.inf).max(axis=1)], axis=1)
 
 
+def _placed(pts: np.ndarray, visible: np.ndarray) -> bool:
+    """The placement rule: all nine keypoints (9, 2) visible, on nine distinct head-map cells."""
+    return bool(visible.all()) and len(set(map(tuple, np.floor(pts / DOWNSAMPLE).tolist()))) == 9
+
+
 def _clipped_boxes(pts: np.ndarray, visible: np.ndarray) -> np.ndarray:
     """:func:`keypoint_boxes` clipped to the image."""
     return np.clip(keypoint_boxes(pts, visible), 0, np.tile(_IMAGE_LIMIT - 1, 2))
@@ -170,11 +173,15 @@ class SceneArrays(NamedTuple):
                 y = wrap_to_pi(rng.uniform(-math.pi, math.pi))
                 ti = np.array([lateral, height, depth])
                 p, v = _keypoints(camera, d, ti, y)
-                if v.all() and len(set(map(tuple, np.floor(p / DOWNSAMPLE).tolist()))) == 9:
+                if _placed(p, v):
                     break
             dims[i], t[i], yaw[i], pts[i], visible[i] = d, ti, y, p, v
         return SceneArrays(dims, t, yaw, pts, np.where(visible, 1.0, 0.0), visible,
                            dims.copy(), yaw.copy(), t[:, 2].copy())
+
+    def unplaced(self) -> int:
+        """How many boxes break the placement rule: those kept when :meth:`draw` ran out of draws."""
+        return sum(not _placed(p, v) for p, v in zip(self.pts, self.visible))
 
     def noisy(self, noise: NoiseSpec, seed: int) -> "SceneArrays":
         """The scene :func:`apply_noise` describes."""
@@ -285,11 +292,6 @@ def apply_noise(scene: list[SceneObject], noise: NoiseSpec, seed: int = 0) -> li
     return SceneArrays.of(scene).noisy(noise, seed).objects()
 
 
-def bbox_2d(obj: SceneObject) -> tuple[float, float, float, float]:
-    """Axis-aligned image box of the projected corners, clipped."""
-    return tuple(_clipped_boxes(obj.kps.pts[None], obj.kps.visible[None])[0].tolist())
-
-
 def encode_headmaps(scene: list[SceneObject], camera: CameraModel | None = None) -> HeadMaps:
     """Render the full set of head maps for a scene.
 
@@ -298,7 +300,7 @@ def encode_headmaps(scene: list[SceneObject], camera: CameraModel | None = None)
     maincenter cell (vertex offsets at each keypoint cell), exactly
     invertible by the decoder when objects do not collide on the grid.
     The maps depend only on the scene's projected keypoints and boxes;
-    ``camera`` is accepted for symmetry with :func:`generate_scene`.
+    ``camera`` is unused, and stays because ``bench/layers.py`` passes it.
     """
     stride = DOWNSAMPLE
     gw, gh = IMAGE_SIZE[0] // stride, IMAGE_SIZE[1] // stride
@@ -306,7 +308,7 @@ def encode_headmaps(scene: list[SceneObject], camera: CameraModel | None = None)
     for obj in scene:
         if obj.kps.n_visible == 0:
             continue
-        left, top, right, bottom = bbox_2d(obj)
+        left, top, right, bottom = _clipped_boxes(obj.kps.pts[None], obj.kps.visible[None])[0].tolist()
         area = max((right - left) * (bottom - top), 1.0)
         sigma = adaptive_sigma(area) / stride
         center_px = np.array([(left + right) / 2.0, (top + bottom) / 2.0])
@@ -372,11 +374,6 @@ def _sidecar_arrays(text: str, source) -> tuple[np.ndarray, np.ndarray, np.ndarr
         rows.append(vals)
     triples = np.array(rows, dtype=float).reshape(-1, 9, 3)
     return triples[..., :2], np.clip(triples[..., 2], 0.0, 1.0), triples[..., 2] > 0.0
-
-
-def parse_keypoints_sidecar(text: str, source="keypoint sidecar") -> list[KeypointSet]:
-    """Keypoint sets from sidecar text; ``source`` names the file in errors."""
-    return [KeypointSet(*kps) for kps in zip(*_sidecar_arrays(text, source))]
 
 
 def parse_scene_inputs(

@@ -15,7 +15,7 @@ from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, SOLVE_CHUNK, main
 from rtm3d.config import Settings, load_config
 from rtm3d.geometry import wrap_to_pi
 from rtm3d.kitti import InputError, parse_label_file
-from rtm3d.solver import EnergyWeights, InsufficientConstraints, SolverConfig, solve_batch
+from rtm3d.solver import EnergyWeights, InsufficientConstraints, SolverConfig, solve
 
 
 @pytest.fixture
@@ -44,6 +44,20 @@ def test_synth_headmaps_flag(tmp_path):
     assert len(decode_objects(maps)) == 1
 
 
+def test_synth_reports_boxes_that_ran_out_of_draws(tmp_path, capsys):
+    # At depths of 1-3 m no draw keeps all nine keypoints in the image, so
+    # every box is the last of its draws; the files are still written.
+    spec = tmp_path / "scenes.cfg"
+    spec.write_text("frames=10\nn_objects=10\ndepth_min=1\ndepth_max=3\nseed=3\n")
+    assert main(["synth", str(spec), str(tmp_path / "near")]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("rtm3d: 100 of 100 box(es) ran out of draws")
+    assert len(list((tmp_path / "near" / "label_2").glob("*.txt"))) == 10
+    spec.write_text("frames=3\nn_objects=5\nseed=3\n")
+    assert main(["synth", str(spec), str(tmp_path / "normal")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_synth_rejects_unknown_keys(tmp_path):
     spec = tmp_path / "scenes.cfg"
     spec.write_text("frames=1\nbogus=3\n")
@@ -66,7 +80,7 @@ def test_solve_noiseless_matches_ground_truth(dataset, tmp_path):
 
 
 def test_solve_is_deterministic_across_chunks(tmp_path, monkeypatch):
-    # More objects than one solve chunk, so the run spans two solve_batch calls.
+    # More objects than one solve chunk, so the run spans two solve_arrays calls.
     frames = SOLVE_CHUNK // 4 + 1
     spec = tmp_path / "scenes.cfg"
     spec.write_text(f"frames={frames}\nn_objects=4\npixel_sigma=1.0\ndropout=0.1\nseed=11\n")
@@ -92,7 +106,7 @@ def test_solve_is_deterministic_across_chunks(tmp_path, monkeypatch):
 def test_solve_writes_what_the_per_object_api_gives(tmp_path):
     # Noise and dropout, so that some center keypoints are dropped and some
     # objects are skipped: the array path of rtm3d solve writes, byte for
-    # byte, the labels built from solve_batch's per-object reports.
+    # byte, the labels built from per-object solve reports.
     spec = tmp_path / "scenes.cfg"
     spec.write_text("frames=6\nn_objects=5\npixel_sigma=1.0\ndropout=0.75\nseed=3\n")
     data, out = tmp_path / "data", tmp_path / "out"
@@ -104,10 +118,11 @@ def test_solve_writes_what_the_per_object_api_gives(tmp_path):
         objects = synth.parse_scene_objects(
             (data / "priors" / f"{frame}.txt").read_text(), (data / "keypoints" / f"{frame}.txt").read_text()
         )
-        reports = solve_batch([k for k, _ in objects], [cam] * len(objects), [p for _, p in objects])
         labels = []
-        for (k, _), r in zip(objects, reports):
-            if isinstance(r, InsufficientConstraints):
+        for k, p in objects:
+            try:
+                r = solve(k, cam, p)
+            except InsufficientConstraints:
                 skipped += 1
                 continue
             vis = k.pts[k.visible]

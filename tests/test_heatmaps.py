@@ -22,7 +22,6 @@ from rtm3d.heatmaps import (
     SIGMA_MIN,
     GroundTruthObject,
     HeadMaps,
-    MultiTaskWeights,
     NonPositiveDimensionStandardization,
     adaptive_sigma,
     decode_objects,
@@ -33,11 +32,9 @@ from rtm3d.heatmaps import (
     kfpn_fuse,
     multibin_decode,
     multibin_encode,
-    multitask_loss,
     read_headmaps,
     regression_losses,
     render_gaussian,
-    resize_bilinear,
     write_headmaps,
     _bump_radius,
     _pool3_at,
@@ -129,33 +126,13 @@ def test_kfpn_identity_and_hand_value():
 def test_kfpn_fuse_bounded_by_inputs():
     rng = np.random.default_rng(2)
     full = rng.uniform(size=(8, 8, 1))
-    half = resize_bilinear(rng.uniform(size=(4, 4)), (8, 8))[:, :, None]
+    half = np.kron(rng.uniform(size=(4, 4)), np.ones((2, 2)))[:, :, None]
     fused = kfpn_fuse([full, half])
     assert fused.shape == (8, 8, 1)
     assert np.all(fused >= np.minimum(full, half) - 1e-12)
     assert np.all(fused <= np.maximum(full, half) + 1e-12)
     with pytest.raises(ValueError):
         kfpn_fuse([full, rng.uniform(size=(4, 4, 1))])
-
-
-def test_resize_bilinear_identity_and_constant():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(6, 9))
-    np.testing.assert_allclose(resize_bilinear(x, (6, 9)), x, atol=1e-12)
-    up = resize_bilinear(np.full((3, 3), 0.7), (9, 12))
-    np.testing.assert_allclose(up, 0.7, atol=1e-12)
-
-
-def test_resize_bilinear_matches_map_coordinates():
-    from scipy import ndimage  # a test-only oracle
-
-    rng = np.random.default_rng(4)
-    cases = [((4, 4), (8, 8)), ((6, 9), (3, 20)), ((1, 5), (4, 11)), ((7, 1), (3, 2)), ((5, 5), (1, 1))]
-    for in_shape, out_shape in cases:
-        x = rng.normal(size=in_shape)
-        axes = [np.linspace(0, n - 1, m) for n, m in zip(in_shape, out_shape)]
-        want = ndimage.map_coordinates(x, np.meshgrid(*axes, indexing="ij"), order=1, mode="nearest")
-        np.testing.assert_allclose(resize_bilinear(x, out_shape), want, rtol=0, atol=1e-12)
 
 
 def test_max_pool_equals_maximum_filter_bit_for_bit():
@@ -418,17 +395,6 @@ def test_regression_losses_zero_at_exact_targets():
     terms = regression_losses(maps, [gt])
     for key, value in terms.items():
         assert value == pytest.approx(0.0, abs=1e-12), key
-
-
-def test_multitask_loss_weighting():
-    terms = {
-        "main": 1.0, "kpver": 2.0, "vertex_coord": 3.0, "dims": 4.0,
-        "orientation": 5.0, "depth": 6.0, "center_offset": 7.0, "vertex_offset": 8.0,
-    }
-    w = MultiTaskWeights()
-    expected = 1 + 2 + 3 + 4 + 0.5 * 5 + 0.1 * 6 + 0.5 * 7 + 0.5 * 8
-    assert multitask_loss(terms, w) == pytest.approx(expected)
-    assert multitask_loss({}) == 0.0
 
 
 def test_headmaps_file_roundtrip(tmp_path):

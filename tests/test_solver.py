@@ -22,19 +22,21 @@ from rtm3d.solver import (
     EnergyWeights,
     InsufficientConstraints,
     Priors,
+    SolveInputs,
     SolverConfig,
     _Batch,
     _jacobians,
     _lm_steps,
     _residuals,
     _softmax_rows,
+    camera_rows,
     initialize,
     jacobian_camera_point,
     residual_camera_point,
     residual_dimension,
     residual_rotation,
     solve,
-    solve_batch,
+    solve_arrays,
     total_energy,
 )
 from rtm3d.synth import NoiseSpec, SceneSpec, apply_noise, default_camera, generate_scene
@@ -274,23 +276,31 @@ def _noisy_objects(n, seed0):
     return cam, objects
 
 
+def _solve_all(kps, cams, priors):
+    return solve_arrays(SolveInputs.stack(kps, priors), camera_rows(cams))
+
+
 def test_solve_batch_matches_single_solves():
+    # Each row of a batched solve_arrays is bit-equal to the solve of its
+    # object alone, with the yaw wrapped as Box3D wraps it.
     cam, objects = _noisy_objects(320, 7000)
     kps = [k for k, _ in objects]
     priors = [p for _, p in objects]
-    batch = solve_batch(kps, [cam] * len(kps), priors)
+    fit = _solve_all(kps, [cam] * len(kps), priors)
     solved = 0
-    for k, p, b in zip(kps, priors, batch):
+    for j, (k, p) in enumerate(zip(kps, priors)):
         try:
             single = solve(k, cam, p)
         except InsufficientConstraints:
-            assert isinstance(b, InsufficientConstraints)
+            assert isinstance(fit.errors[j], InsufficientConstraints)
             continue
+        assert fit.errors[j] is None
         solved += 1
-        np.testing.assert_allclose(b.box.t, single.box.t, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(b.box.dims, single.box.dims, rtol=0, atol=1e-9)
-        assert abs(wrap_to_pi(b.box.yaw - single.box.yaw)) <= 1e-9
-        assert b.iterations == single.iterations and b.converged == single.converged
+        x = fit.x[j]
+        assert _report_bits(single) == (
+            np.r_[x[:3], x[4:], wrap_to_pi(x[3]), fit.cost[j], fit.terms[j]].tobytes(),
+            ["camera_point", "dimension", "rotation"], fit.iterations[j], fit.converged[j],
+        )
     assert solved >= 300
 
 
@@ -301,12 +311,17 @@ def _report_bits(r):
     return floats.tobytes(), list(r.term_costs), r.iterations, r.converged
 
 
+def _row_bits(fit, rows):
+    """Every field of the Fit rows ``rows`` as bytes, so equal means bit-equal."""
+    return [a[rows].tobytes() for a in fit[:5]]
+
+
 def test_solve_batch_keeps_input_order_around_underconstrained_objects():
     cam, objects = _noisy_objects(60, 8000)
     kps = [k for k, _ in objects]
     priors = [p for _, p in objects]
-    want = solve_batch(kps, [cam] * len(kps), priors)
-    assert not any(isinstance(r, Exception) for r in want)
+    want = _solve_all(kps, [cam] * len(kps), priors)
+    assert not any(want.errors)
     # Every fourth object gets a copy with 0 or 1 visible keypoints before it.
     mixed_kps, mixed_priors, sparse = [], [], []
     for i, (k, p) in enumerate(zip(kps, priors)):
@@ -318,12 +333,14 @@ def test_solve_batch_keeps_input_order_around_underconstrained_objects():
             mixed_priors.append(p)
         mixed_kps.append(k)
         mixed_priors.append(p)
-    got = solve_batch(mixed_kps, [cam] * len(mixed_kps), mixed_priors)
-    assert len(got) == len(mixed_kps) == len(kps) + 15
-    assert all(isinstance(got[i], InsufficientConstraints) for i in sparse)
-    fitted = [r for i, r in enumerate(got) if i not in sparse]
-    assert [_report_bits(r) for r in fitted] == [_report_bits(r) for r in want]
-    assert solve_batch([], [], []) == []
+    got = _solve_all(mixed_kps, [cam] * len(mixed_kps), mixed_priors)
+    assert all(len(a) == len(mixed_kps) == len(kps) + 15 for a in got)
+    assert all(isinstance(got.errors[i], InsufficientConstraints) for i in sparse)
+    fitted = np.setdiff1d(np.arange(len(mixed_kps)), sparse)
+    assert not any(got.errors[fitted])
+    assert _row_bits(got, fitted) == _row_bits(want, slice(None))
+    empty = _solve_all([], [], [])
+    assert [a.shape for a in empty] == [(0, 7), (0,), (0,), (0,), (0, 3), (0,)]
 
 
 def test_nan_keypoint_fails_only_its_object():
@@ -334,10 +351,11 @@ def test_nan_keypoint_fails_only_its_object():
     pts[3, 0] = np.nan
     kps[1] = KeypointSet(pts=pts, conf=kps[1].conf, visible=kps[1].visible)
     priors = [Priors(d_hat=b.dims.copy(), theta_hat=b.yaw, z_hat=b.t[2]) for b in boxes]
-    out = solve_batch(kps, [CAM] * 3, priors)
-    assert isinstance(out[1], DivergedError)
+    out = _solve_all(kps, [CAM] * 3, priors)
+    assert isinstance(out.errors[1], DivergedError)
     for i in (0, 2):
-        np.testing.assert_allclose(out[i].box.t, boxes[i].t, atol=1e-6)
+        assert out.errors[i] is None
+        np.testing.assert_allclose(out.x[i, :3], boxes[i].t, atol=1e-6)
     with pytest.raises(DivergedError):
         solve(kps[1], CAM, priors[1])
 

@@ -15,7 +15,7 @@ from rtm3d.synth import (
     encode_headmaps,
     generate_scene,
     keypoints_sidecar_text,
-    parse_keypoints_sidecar,
+    parse_scene_inputs,
     parse_scene_objects,
     scene_gt_text,
     scene_priors_text,
@@ -118,12 +118,12 @@ def test_sidecar_roundtrip():
     scene = apply_noise(
         generate_scene(SceneSpec(seed=10)), NoiseSpec(pixel_sigma=1.0, dropout=0.3), seed=2
     )
-    back = parse_keypoints_sidecar(keypoints_sidecar_text(scene))
-    assert len(back) == len(scene)
-    for obj, kps in zip(scene, back):
-        np.testing.assert_allclose(kps.pts[kps.visible], obj.kps.pts[obj.kps.visible], atol=1e-6)
-        np.testing.assert_allclose(kps.conf, obj.kps.conf, atol=1e-6)
-        np.testing.assert_array_equal(kps.visible, obj.kps.visible)
+    back = parse_scene_inputs(scene_priors_text(scene), keypoints_sidecar_text(scene))
+    assert len(back.kp) == len(scene)
+    for obj, pts, conf, visible in zip(scene, back.kp, back.conf, back.vis):
+        np.testing.assert_allclose(pts[visible], obj.kps.pts[obj.kps.visible], atol=1e-6)
+        np.testing.assert_allclose(conf, obj.kps.conf, atol=1e-6)
+        np.testing.assert_array_equal(visible, obj.kps.visible)
 
 
 def test_parse_scene_objects_pairs_priors_with_keypoints():
