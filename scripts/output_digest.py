@@ -21,8 +21,9 @@ prints the same lines.  The groups are:
 - ``exhausted-*``: 10 frames x 10 cars at depths 1-3 m, seed 3, where every
   box runs out of its 200 draws: 38 keep a keypoint behind the camera at
   (0, 0), and solve skips 77 for too few visible keypoints;
-- ``headmaps-*``: the ``.rtmh`` files and sidecars of two ``headmaps=1``
-  blocks (16 x 5, seed 42; 8 x 20, seed 7, sigma 1, dropout 0.1);
+- ``headmaps-*``: the ``.rtmh`` files (the only files under ``headmaps/``)
+  of two ``headmaps=1`` blocks (16 x 5, seed 42; 8 x 20, seed 7, sigma 1,
+  dropout 0.1), so equal lines mean unchanged ``.rtmh`` bytes;
 - ``decode``: every :func:`rtm3d.heatmaps.decode_objects` field (type,
   dtype and bytes) of both blocks.
 

@@ -125,8 +125,9 @@ class HeadMaps:
     orientation: np.ndarray
     depth: np.ndarray
 
+    # (name, channels) in ``.rtmh`` file order; ``main``'s one class is kitti.CATEGORY.
     PLANES = (
-        ("main", None),
+        ("main", 1),
         ("vertex", 9),
         ("vertex_coord", 18),
         ("center_offset", 2),
@@ -138,8 +139,8 @@ class HeadMaps:
 
     @staticmethod
     def zeros(height: int, width: int) -> "HeadMaps":
-        """All-zero planes; ``main`` gets one channel."""
-        return HeadMaps(**{name: np.zeros((height, width, c or 1)) for name, c in HeadMaps.PLANES})
+        """All-zero planes, each shaped (height, width, channels)."""
+        return HeadMaps(**{name: np.zeros((height, width, c)) for name, c in HeadMaps.PLANES})
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -393,62 +394,31 @@ def regression_losses(maps: HeadMaps, objects: list[GroundTruthObject]):
 
 
 # ---------------------------------------------------------------------------
-# Binary tensor file: magic "RTMH", u32 H, u32 W, then each plane as f32
-# row-major in sidecar order.  The sidecar is a text file listing
-# "name channels" per line.
+# Binary tensor file, one per frame: magic "RTMH", u32 H, u32 W (little
+# endian), then each plane of HeadMaps.PLANES in that order as (H, W, C)
+# row-major little-endian f32: 12 + 4*H*W*44 bytes in all.
 
 _MAGIC = b"RTMH"
 
 
-def _sidecar_path(path) -> Path:
-    return Path(str(path) + ".txt")
-
-
 def write_headmaps(path, maps: HeadMaps) -> None:
-    path = Path(path)
+    """Store ``maps`` at ``path``; a plane not shaped (H, W, channels) of
+    :attr:`HeadMaps.PLANES` raises ValueError before anything is written."""
     h, w = maps.grid_shape
-    names = []
+    for name, c in HeadMaps.PLANES:
+        if getattr(maps, name).shape != (h, w, c):
+            raise ValueError(f"plane {name} is shaped {getattr(maps, name).shape}, not {(h, w, c)}")
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", h, w))
+        f.write(_MAGIC + struct.pack("<II", h, w))
         for name, _ in HeadMaps.PLANES:
-            plane = getattr(maps, name)
-            names.append((name, plane.shape[2]))
-            f.write(np.ascontiguousarray(plane, dtype="<f4").tobytes())
-    with open(_sidecar_path(path), "w") as f:
-        for name, c in names:
-            f.write(f"{name} {c}\n")
-
-
-def _read_sidecar(path: Path) -> dict:
-    """Channel count by plane name, in the order the sidecar lists them.
-    Each line names a distinct plane of :attr:`HeadMaps.PLANES` and its
-    channel count (any count for ``main``); every plane is listed."""
-    wanted = dict(HeadMaps.PLANES)
-    names = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        name, count = parts if len(parts) == 2 else ("", "")
-        if not (name in wanted and name not in names and count.isdecimal()
-                and wanted[name] in (None, int(count))):
-            raise InputError(
-                f"{path}, line {line_no}: expected 'name channels' of a head-map plane, got {line!r}"
-            )
-        names[name] = int(count)
-    missing = [name for name in wanted if name not in names]
-    if missing:
-        raise InputError(f"{path}: no line for plane {', '.join(missing)}")
-    return names
+            f.write(np.ascontiguousarray(getattr(maps, name), dtype="<f4").tobytes())
 
 
 def read_headmaps(path) -> HeadMaps:
     """The head maps :func:`write_headmaps` stored at ``path``, as the float32
-    planes it stored; a malformed sidecar or a bad or truncated binary file
-    raises an InputError naming the file (and the sidecar line)."""
+    planes it stored; a bad magic, a truncated header or plane, or bytes past
+    the last plane raise an InputError naming the file."""
     path = Path(path)
-    names = _read_sidecar(_sidecar_path(path))
     with open(path, "rb") as f:
         header = f.read(12)
         if header[:4] != _MAGIC:
@@ -458,11 +428,13 @@ def read_headmaps(path) -> HeadMaps:
         h, w = struct.unpack("<II", header[4:])
         size = path.stat().st_size
         planes = {}
-        for name, c in names.items():
+        for name, c in HeadMaps.PLANES:
             # Checked before allocating, so a corrupt header cannot ask for
             # more memory than the file holds.
             if 4 * h * w * c > size - f.tell():
                 raise InputError(f"{path}: truncated plane {name}")
             planes[name] = np.empty((h, w, c), dtype="<f4")
             f.readinto(planes[name])
+        if f.tell() != size:
+            raise InputError(f"{path}: {size - f.tell()} byte(s) past the last plane of a {h}x{w} grid")
     return HeadMaps(**planes)

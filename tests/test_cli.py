@@ -37,7 +37,7 @@ def test_synth_headmaps_flag(tmp_path):
     spec = tmp_path / "scenes.cfg"
     spec.write_text("frames=1\nn_objects=1\nheadmaps=1\n")
     assert main(["synth", str(spec), str(tmp_path / "d")]) == EXIT_OK
-    assert (tmp_path / "d" / "headmaps" / "000000.rtmh").exists()
+    assert [p.name for p in (tmp_path / "d" / "headmaps").iterdir()] == ["000000.rtmh"]
     from rtm3d.heatmaps import decode_objects, read_headmaps
 
     maps = read_headmaps(tmp_path / "d" / "headmaps" / "000000.rtmh")

@@ -406,7 +406,7 @@ def test_headmaps_file_roundtrip(tmp_path):
     path = tmp_path / "frame.rtmh"
     write_headmaps(path, maps)
     assert path.read_bytes()[:4] == b"RTMH"
-    assert (tmp_path / "frame.rtmh.txt").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["frame.rtmh"]
     back = read_headmaps(path)
     assert back.grid_shape == (12, 16)
     for name, _ in HeadMaps.PLANES:
@@ -416,11 +416,20 @@ def test_headmaps_file_roundtrip(tmp_path):
 def _written_headmaps(tmp_path):
     path = tmp_path / "frame.rtmh"
     write_headmaps(path, HeadMaps.zeros(4, 6))
-    return path, tmp_path / "frame.rtmh.txt"
+    return path
+
+
+def test_write_headmaps_rejects_a_plane_of_the_wrong_shape(tmp_path):
+    maps = HeadMaps.zeros(4, 6)
+    maps.main = np.zeros((4, 6, 2))
+    path = tmp_path / "frame.rtmh"
+    with pytest.raises(ValueError, match=re.escape("plane main is shaped (4, 6, 2), not (4, 6, 1)")):
+        write_headmaps(path, maps)
+    assert not path.exists()
 
 
 def test_read_headmaps_bad_magic_is_input_error(tmp_path):
-    path, _ = _written_headmaps(tmp_path)
+    path = _written_headmaps(tmp_path)
     path.write_bytes(b"RTMX" + path.read_bytes()[4:])
     with pytest.raises(InputError, match=re.escape(f"{path}: bad magic")):
         read_headmaps(path)
@@ -430,37 +439,45 @@ def test_read_headmaps_bad_magic_is_input_error(tmp_path):
     "size, what", [(10, "truncated header"), (12 + 4 * 24 * 5, "truncated plane vertex")]
 )
 def test_read_headmaps_truncated_file_is_input_error(size, what, tmp_path):
-    path, _ = _written_headmaps(tmp_path)
+    path = _written_headmaps(tmp_path)
     path.write_bytes(path.read_bytes()[:size])
     with pytest.raises(InputError, match=re.escape(f"{path}: {what}")):
         read_headmaps(path)
 
 
 def test_read_headmaps_oversized_header_is_input_error(tmp_path):
-    path, _ = _written_headmaps(tmp_path)
+    path = _written_headmaps(tmp_path)
     data = path.read_bytes()
     path.write_bytes(data[:4] + struct.pack("<II", 2**31, 2**31) + data[12:])
     with pytest.raises(InputError, match=re.escape(f"{path}: truncated plane main")):
         read_headmaps(path)
 
 
-@pytest.mark.parametrize(
-    "line", ["vertex", "vertex nine", "vertex 9 extra", "vertex -9", "vertex 8", "bogus 3", "main 1"]
-)
-def test_read_headmaps_bad_sidecar_line_is_input_error(line, tmp_path):
-    path, sidecar = _written_headmaps(tmp_path)
-    lines = sidecar.read_text().splitlines()
-    lines[1] = line
-    sidecar.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InputError, match=re.escape(f"{sidecar}, line 2: expected 'name channels'")):
+def test_read_headmaps_every_prefix_and_header_byte_corruption_is_input_error(tmp_path):
+    rng = np.random.default_rng(15)
+    maps = HeadMaps.zeros(2, 3)
+    for name, _ in HeadMaps.PLANES:
+        plane = getattr(maps, name)
+        plane[:] = rng.normal(size=plane.shape).astype(np.float32)
+    path = tmp_path / "frame.rtmh"
+    write_headmaps(path, maps)
+    data = path.read_bytes()
+    assert len(data) == 12 + 4 * 2 * 3 * 44 == 1068
+    back = read_headmaps(path)
+    for name, _ in HeadMaps.PLANES:
+        np.testing.assert_array_equal(getattr(back, name), getattr(maps, name))
+    path.write_bytes(data + b"\xff")
+    with pytest.raises(InputError, match=re.escape(f"{path}: 1 byte(s) past the last plane of a 2x3 grid")):
         read_headmaps(path)
-
-
-def test_read_headmaps_sidecar_missing_plane_is_input_error(tmp_path):
-    path, sidecar = _written_headmaps(tmp_path)
-    sidecar.write_text("".join(line + "\n" for line in sidecar.read_text().splitlines()[:-1]))
-    with pytest.raises(InputError, match=re.escape(f"{sidecar}: no line for plane depth")):
-        read_headmaps(path)
+    corrupt = [data[:n] for n in range(len(data))]
+    for i in range(12):
+        for byte in (0x00, 0xFF):
+            if data[i] != byte:
+                corrupt.append(data[:i] + bytes([byte]) + data[i + 1:])
+    for bad in corrupt:
+        path.write_bytes(bad)
+        with pytest.raises(InputError, match=re.escape(f"{path}: ")):
+            read_headmaps(path)
 
 
 def _object_bits(obj):
