@@ -23,7 +23,10 @@ prints the same lines.  The groups are:
   (0, 0), and solve skips 77 for too few visible keypoints;
 - ``headmaps-*``: the ``.rtmh`` files (the only files under ``headmaps/``)
   of two ``headmaps=1`` blocks (16 x 5, seed 42; 8 x 20, seed 7, sigma 1,
-  dropout 0.1), so equal lines mean unchanged ``.rtmh`` bytes;
+  dropout 0.1), so equal lines mean unchanged ``.rtmh`` bytes.  The
+  second block's ``pixel_sigma`` and ``dropout`` change neither its
+  ``.rtmh`` bytes nor its ``decode`` line, since ``rtm3d synth`` encodes
+  the noiseless scene; a change that encodes noisy maps changes both;
 - ``decode``: every :func:`rtm3d.heatmaps.decode_objects` field (type,
   dtype and bytes) of both blocks.
 

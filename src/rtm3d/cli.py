@@ -72,8 +72,7 @@ def cmd_synth(args) -> int:
         (out / "priors" / f"{name}.txt").write_text(noisy.priors_text())
         (out / "keypoints" / f"{name}.txt").write_text(noisy.sidecar_text())
         if with_headmaps:
-            maps = synth.encode_headmaps(scene.objects(), camera)
-            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", maps)
+            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", scene.headmaps())
     print(f"wrote {frames} synthetic frame(s) to {out}")
     if unplaced:
         print(f"rtm3d: {unplaced} of {frames * scene_spec.n_objects} box(es) ran out of draws: not all nine "

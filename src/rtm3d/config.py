@@ -103,4 +103,6 @@ def load_synth_spec(path) -> tuple[int, bool, SceneSpec, NoiseSpec]:
     frames = s.get("frames", 1)
     if frames < 0:
         raise InputError(f"{path}, line {s.lines['frames']}: frames must be non-negative")
+    if s.get("headmaps", 0) not in (0, 1):
+        raise InputError(f"{path}, line {s.lines['headmaps']}: headmaps must be 0 or 1")
     return frames, bool(s.get("headmaps", 0)), scene, noise

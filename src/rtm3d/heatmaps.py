@@ -1,11 +1,12 @@
 """Dense detection-head map encoding and decoding.
 
 All maps are numpy arrays shaped (H, W) or (H, W, C) on the downsampled
-grid (stride :data:`DOWNSAMPLE`): Gaussian and multi-bin targets, peak
-extraction, keypoint grouping and per-cell readout (:func:`decode_objects`),
-and the ``.rtmh`` file format.  The package is numpy-only and trains
-nothing: :func:`focal_loss`, :func:`regression_losses` and :func:`kfpn_fuse`
-are plain forward evaluations of the paper's losses and scale fusion.
+grid (stride :data:`DOWNSAMPLE`): Gaussian and multi-bin targets, the
+encoder (:func:`encode_objects`), its inverse by peak extraction, keypoint
+grouping and per-cell readout (:func:`decode_objects`), and the ``.rtmh``
+file format.  The package is numpy-only and trains nothing: :func:`focal_loss`,
+:func:`regression_losses` and :func:`kfpn_fuse` are plain forward evaluations
+of the paper's losses and scale fusion.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "adaptive_sigma",
     "decode_objects",
     "dimension_target",
+    "encode_objects",
     "extract_peaks",
     "focal_loss",
     "group_keypoints",
@@ -326,6 +328,34 @@ def decode_objects(maps: HeadMaps, config: GroupingConfig = GroupingConfig()):
     return group_keypoints(main_peaks, vertex_peaks, maps)
 
 
+def encode_objects(boxes, pts, visible, dims, alpha, depth, grid_shape) -> HeadMaps:
+    """Head maps on an (H, W) grid of n objects, in the values :func:`decode_objects`
+    reads back: 2D boxes (n, 4) (left, top, right, bottom), keypoints (n, 9, 2)
+    and their visibility (n, 9), dims (n, 3), observation angles (n,) and
+    depths (n,).  README "Head maps" lists what each plane gets.  An object
+    with no visible keypoint writes nothing; on a shared cell the later wins."""
+    s, (gh, gw) = DOWNSAMPLE, grid_shape
+    maps = HeadMaps.zeros(gh, gw)
+    boxes, pts, visible = np.asarray(boxes, dtype=float), np.asarray(pts, dtype=float), np.asarray(visible)
+    area = np.maximum((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]), 1.0)
+    center = (boxes[:, :2] + boxes[:, 2:]) / 2.0
+    ccell = np.clip(np.floor(center / s).astype(int), 0, [gw - 1, gh - 1])
+    for i in np.flatnonzero(visible.any(axis=1)):
+        (cx, cy), sigma = ccell[i], adaptive_sigma(area[i]) / s
+        render_gaussian(maps.main[:, :, 0], ccell[i], sigma)
+        maps.center_offset[cy, cx] = center[i] / s - ccell[i]
+        maps.vertex_coord[cy, cx] = (pts[i] / s - ccell[i]).reshape(-1)
+        maps.dims[cy, cx] = (dims[i] - DIM_MEAN) / DIM_STD
+        maps.orientation[cy, cx] = multibin_encode(alpha[i])
+        maps.depth[cy, cx, 0] = math.log(depth[i])
+        for k in np.flatnonzero(visible[i]):
+            vcell = np.floor(pts[i, k] / s).astype(int)
+            if 0 <= vcell[0] < gw and 0 <= vcell[1] < gh:
+                render_gaussian(maps.vertex[:, :, k], vcell, sigma)
+                maps.vertex_offset[vcell[1], vcell[0]] = pts[i, k] / s - vcell
+    return maps
+
+
 # ---------------------------------------------------------------------------
 # Losses
 
@@ -362,7 +392,11 @@ def regression_losses(maps: HeadMaps, objects: list[GroundTruthObject]):
 
     Dimension, depth, maincenter-offset and vertex-coordinate terms are
     supervised at maincenter cells; the vertex-offset term at vertex cells.
-    The depth plane stores log-depth.
+    The depth plane stores log-depth.  Two targets differ from what
+    :func:`encode_objects` writes: ``dims`` is the log of the standardized
+    residual, and ``vertex_coord`` is measured from ``center_px``, not from
+    the centre cell.  Acceptance criterion 4 pins both formulas; CHANGES.md's
+    ``FOUND:`` on ``regression_losses`` has the measurement.
     """
     s = DOWNSAMPLE
     n = max(len(objects), 1)

@@ -4,8 +4,7 @@ Scenes sample boxes in front of a pinhole camera, project their nine
 keypoints, and optionally encode the full set of head maps, so the
 solver and decoder can be verified end-to-end without a network.  A
 scene is held as arrays (:class:`SceneArrays`) from its draws to its
-text; :class:`SceneObject` lists are built only for the head-map encoder
-and the per-object API.
+text and head maps; :class:`SceneObject` lists serve the per-object API.
 """
 
 from __future__ import annotations
@@ -26,15 +25,7 @@ from .geometry import (
     wrap_to_pi,
     yaw_to_alpha,
 )
-from .heatmaps import (
-    DIM_MEAN,
-    DIM_STD,
-    DOWNSAMPLE,
-    HeadMaps,
-    adaptive_sigma,
-    multibin_encode,
-    render_gaussian,
-)
+from .heatmaps import DIM_MEAN, DIM_STD, DOWNSAMPLE, HeadMaps, encode_objects
 from .kitti import InputError, car_lines, parse_label_values
 from .solver import Priors, SolveInputs
 
@@ -268,6 +259,12 @@ class SceneArrays(NamedTuple):
         line = " ".join(["%.6f"] * 27) + "\n"
         return "".join(line % tuple(row) for row in rows.tolist())
 
+    def headmaps(self) -> HeadMaps:
+        """The scene's head maps (:func:`~rtm3d.heatmaps.encode_objects`) on the image's grid."""
+        alpha = [yaw_to_alpha(y, t) for y, t in zip(self.yaw.tolist(), self.t)]
+        return encode_objects(_clipped_boxes(self.pts, self.visible), self.pts, self.visible, self.dims,
+                              alpha, self.t[:, 2], (IMAGE_SIZE[1] // DOWNSAMPLE, IMAGE_SIZE[0] // DOWNSAMPLE))
+
 
 def generate_scene(spec: SceneSpec, camera: CameraModel | None = None) -> list[SceneObject]:
     """Sample ground-truth boxes and project their keypoints.
@@ -293,44 +290,9 @@ def apply_noise(scene: list[SceneObject], noise: NoiseSpec, seed: int = 0) -> li
 
 
 def encode_headmaps(scene: list[SceneObject], camera: CameraModel | None = None) -> HeadMaps:
-    """Render the full set of head maps for a scene.
-
-    The maincenter anchors the 2D box center; the vertex planes carry the
-    nine projected keypoints.  Regression planes are written at the
-    maincenter cell (vertex offsets at each keypoint cell), exactly
-    invertible by the decoder when objects do not collide on the grid.
-    The maps depend only on the scene's projected keypoints and boxes;
-    ``camera`` is unused, and stays because ``bench/layers.py`` passes it.
-    """
-    stride = DOWNSAMPLE
-    gw, gh = IMAGE_SIZE[0] // stride, IMAGE_SIZE[1] // stride
-    maps = HeadMaps.zeros(gh, gw)
-    for obj in scene:
-        if obj.kps.n_visible == 0:
-            continue
-        left, top, right, bottom = _clipped_boxes(obj.kps.pts[None], obj.kps.visible[None])[0].tolist()
-        area = max((right - left) * (bottom - top), 1.0)
-        sigma = adaptive_sigma(area) / stride
-        center_px = np.array([(left + right) / 2.0, (top + bottom) / 2.0])
-        ccell = np.floor(center_px / stride).astype(int)
-        ccell = np.clip(ccell, [0, 0], [gw - 1, gh - 1])
-        render_gaussian(maps.main[:, :, 0], ccell, sigma)
-        maps.center_offset[ccell[1], ccell[0], :] = center_px / stride - ccell
-        rel = obj.kps.pts / stride - ccell
-        maps.vertex_coord[ccell[1], ccell[0], :] = rel.reshape(-1)
-        maps.dims[ccell[1], ccell[0], :] = (obj.box.dims - DIM_MEAN) / DIM_STD
-        alpha = yaw_to_alpha(obj.box.yaw, obj.box.t)
-        maps.orientation[ccell[1], ccell[0], :] = multibin_encode(alpha)
-        maps.depth[ccell[1], ccell[0], 0] = math.log(obj.box.t[2])
-        for k in range(9):
-            if not obj.kps.visible[k]:
-                continue
-            vcell = np.floor(obj.kps.pts[k] / stride).astype(int)
-            if not (0 <= vcell[0] < gw and 0 <= vcell[1] < gh):
-                continue
-            render_gaussian(maps.vertex[:, :, k], vcell, sigma)
-            maps.vertex_offset[vcell[1], vcell[0], :] = obj.kps.pts[k] / stride - vcell
-    return maps
+    """The head maps of :meth:`SceneArrays.headmaps`; ``camera`` is unused,
+    and stays because ``bench/layers.py`` passes it."""
+    return SceneArrays.of(scene).headmaps()
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,8 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("spec", "depth_min=nan\n", "line 1"),
         ("spec", "seed=3\nyaw_sigma=inf\n", "line 2"),
         ("spec", "pixel_sigma=nan\n", "line 1"),
+        ("spec", "headmaps=2\n", "line 1"),
+        ("spec", "seed=3\nheadmaps=-1\n", "line 2"),
         ("config", "w_d=-1\n", "line 1"),
         ("config", "w_d=nan\n", "line 1"),
         ("config", "w_r=inf\n", "line 1"),

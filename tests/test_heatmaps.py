@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtm3d import synth
+from rtm3d import heatmaps
 from rtm3d.cli import EXIT_OK, main
 from rtm3d.heatmaps import (
     AREA_MAX,
@@ -26,6 +26,7 @@ from rtm3d.heatmaps import (
     adaptive_sigma,
     decode_objects,
     dimension_target,
+    encode_objects,
     extract_peaks,
     focal_loss,
     group_keypoints,
@@ -252,7 +253,7 @@ def test_render_gaussian_matches_full_grid_reference(sigma):
 def test_encode_headmaps_f32_planes_match_full_grid_reference(n_objects, seed, monkeypatch):
     scenes = [generate_scene(SceneSpec(n_objects=n_objects, seed=seed + i)) for i in range(4)]
     got = [encode_headmaps(scene) for scene in scenes]
-    monkeypatch.setattr(synth, "render_gaussian", _render_gaussian_full)
+    monkeypatch.setattr(heatmaps, "render_gaussian", _render_gaussian_full)
     want = [encode_headmaps(scene) for scene in scenes]
     for a, b in zip(got, want):
         for name, _ in HeadMaps.PLANES:
@@ -264,13 +265,61 @@ def test_synth_headmaps_files_match_full_grid_reference(tmp_path, monkeypatch):
     spec.write_text("frames=3\nn_objects=5\nheadmaps=1\nseed=42\npixel_sigma=1\n")
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["synth", str(spec), str(a)]) == EXIT_OK
-    monkeypatch.setattr(synth, "render_gaussian", _render_gaussian_full)
+    monkeypatch.setattr(heatmaps, "render_gaussian", _render_gaussian_full)
     assert main(["synth", str(spec), str(b)]) == EXIT_OK
     files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
     assert sum(p.suffix == ".rtmh" for p in files) == 3
     for rel in files:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+# encode_objects on a 40 x 32 px image: an (H, W) = (8, 10) grid.
+GRID = (8, 10)
+
+
+def test_encode_objects_object_without_a_visible_keypoint_writes_nothing():
+    pts = np.full((1, 9, 2), 10.0)
+    maps = encode_objects([[4.0, 4.0, 20.0, 16.0]], pts, np.zeros((1, 9), bool), DIM_MEAN[None], [0.3], [12.0], GRID)
+    for name, _ in HeadMaps.PLANES:
+        assert not getattr(maps, name).any(), name
+
+
+def test_encode_objects_off_grid_keypoint_gets_no_vertex_bump_or_offset():
+    # Keypoint 0 lies left of the grid, keypoint 1 below it; the other seven
+    # on seven distinct cells, none on a cell corner.
+    on_grid = [[5.5 + 4 * k, 9.5 + k] for k in range(7)]
+    pts = np.array([[[-3.0, 10.0], [30.0, 33.0]] + on_grid])
+    dims = np.array([[1.6, 1.7, 4.0]])
+    maps = encode_objects([[5.0, 6.0, 25.0, 18.0]], pts, np.ones((1, 9), bool), dims, [0.3], [12.0], GRID)
+    assert not maps.vertex[:, :, :2].any()
+    cells = np.floor(pts[0, 2:] / DOWNSAMPLE).astype(int)
+    for k, (x, y) in enumerate(cells.tolist(), start=2):
+        assert maps.vertex[y, x, k] == 1.0
+        np.testing.assert_array_equal(maps.vertex_offset[y, x], pts[0, k] / DOWNSAMPLE - [x, y])
+    assert np.count_nonzero(maps.vertex_offset.any(axis=2)) == 7
+    # The centre (15, 12) px is cell (3, 3); its planes are written all the same.
+    assert maps.main[3, 3, 0] == 1.0
+    np.testing.assert_array_equal(maps.center_offset[3, 3], [0.75, 0.0])
+    np.testing.assert_array_equal(maps.vertex_coord[3, 3], (pts[0] / DOWNSAMPLE - [3, 3]).reshape(-1))
+    np.testing.assert_array_equal(maps.dims[3, 3], (dims[0] - DIM_MEAN) / DIM_STD)
+    np.testing.assert_array_equal(maps.orientation[3, 3], multibin_encode(0.3))
+    assert maps.depth[3, 3, 0] == math.log(12.0)
+
+
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+def test_encode_objects_later_object_wins_a_shared_centre_cell(order):
+    # Centres (15, 12) and (15.5, 13.5) px both fall in cell (3, 3).
+    boxes = np.array([[5.0, 6.0, 25.0, 18.0], [13.0, 13.0, 18.0, 14.0]])
+    pts = np.stack([np.full((9, 2), 9.0), np.full((9, 2), 26.0)])
+    dims = np.array([[1.6, 1.7, 4.0], [1.4, 1.5, 3.6]])
+    alpha, depth = np.array([0.3, -2.0]), np.array([12.0, 30.0])
+    maps = encode_objects(boxes[order], pts[order], np.ones((2, 9), bool), dims[order], alpha[order], depth[order], GRID)
+    last = order[-1]
+    np.testing.assert_array_equal(maps.vertex_coord[3, 3], (pts[last] / DOWNSAMPLE - [3, 3]).reshape(-1))
+    np.testing.assert_array_equal(maps.dims[3, 3], (dims[last] - DIM_MEAN) / DIM_STD)
+    np.testing.assert_array_equal(maps.orientation[3, 3], multibin_encode(alpha[last]))
+    assert maps.depth[3, 3, 0] == math.log(depth[last])
 
 
 def test_extract_peaks_matches_per_channel_reference():
