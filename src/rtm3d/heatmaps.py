@@ -12,6 +12,8 @@ of the paper's losses and scale fusion.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,12 +201,14 @@ def extract_peaks(maps, threshold, topk=100):
     truncated to ``topk`` per channel.  Plateau ties are broken greedily so
     no two returned peaks on one channel share a 3x3 neighborhood.  Only
     cells at or above ``threshold`` are pooled, so the cost beyond one pass
-    over the stack grows with the candidates, not the grid.
+    over the stack grows with the candidates, not the grid.  A float32 stack
+    is read as it is and the rest as float64, both tested in float64.
     """
-    maps = np.asarray(maps, dtype=float)
+    maps = np.asarray(maps)
+    maps = maps if maps.dtype == np.float32 else maps.astype(float, copy=False)
     if maps.ndim == 2:
         maps = maps[:, :, None]
-    ys, xs, cs = np.unravel_index(np.flatnonzero(maps >= threshold), maps.shape)
+    ys, xs, cs = np.unravel_index(np.flatnonzero(np.greater_equal(maps, threshold, signature="dd->?")), maps.shape)
     scores = maps[ys, xs, cs]
     peak = scores == _pool3_at(maps, ys, xs, cs)
     ys, xs, cs, scores = ys[peak], xs[peak], cs[peak], scores[peak]
@@ -437,21 +441,30 @@ _MAGIC = b"RTMH"
 
 def write_headmaps(path, maps: HeadMaps) -> None:
     """Store ``maps`` at ``path``; a plane not shaped (H, W, channels) of
-    :attr:`HeadMaps.PLANES` raises ValueError before anything is written."""
+    :attr:`HeadMaps.PLANES` raises ValueError before anything is written.
+    The file replaces ``path`` atomically, so maps read from it earlier keep
+    their bytes.  It stays dense: a sparse file made decode slower (README)."""
     h, w = maps.grid_shape
     for name, c in HeadMaps.PLANES:
         if getattr(maps, name).shape != (h, w, c):
             raise ValueError(f"plane {name} is shaped {getattr(maps, name).shape}, not {(h, w, c)}")
-    with open(path, "wb") as f:
-        f.write(_MAGIC + struct.pack("<II", h, w))
-        for name, _ in HeadMaps.PLANES:
-            f.write(np.ascontiguousarray(getattr(maps, name), dtype="<f4").tobytes())
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC + struct.pack("<II", h, w))
+            for name, _ in HeadMaps.PLANES:
+                f.write(np.ascontiguousarray(getattr(maps, name), dtype="<f4"))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_headmaps(path) -> HeadMaps:
     """The head maps :func:`write_headmaps` stored at ``path``, as the float32
     planes it stored; a bad magic, a truncated header or plane, or bytes past
-    the last plane raise an InputError naming the file."""
+    the last plane raise an InputError naming the file.  Each plane is a
+    copy-on-write view of the mapped file, so untouched pages are never read;
+    truncating the file in place while it is mapped is unsupported (SIGBUS)."""
     path = Path(path)
     with open(path, "rb") as f:
         header = f.read(12)
@@ -460,15 +473,16 @@ def read_headmaps(path) -> HeadMaps:
         if len(header) != 12:
             raise InputError(f"{path}: truncated header")
         h, w = struct.unpack("<II", header[4:])
-        size = path.stat().st_size
-        planes = {}
+        size = os.fstat(f.fileno()).st_size
+        offsets, end = {}, 12
         for name, c in HeadMaps.PLANES:
-            # Checked before allocating, so a corrupt header cannot ask for
-            # more memory than the file holds.
-            if 4 * h * w * c > size - f.tell():
+            # Checked before mapping, so a corrupt header cannot ask for
+            # more than the file holds.
+            if 4 * h * w * c > size - end:
                 raise InputError(f"{path}: truncated plane {name}")
-            planes[name] = np.empty((h, w, c), dtype="<f4")
-            f.readinto(planes[name])
-        if f.tell() != size:
-            raise InputError(f"{path}: {size - f.tell()} byte(s) past the last plane of a {h}x{w} grid")
-    return HeadMaps(**planes)
+            offsets[name], end = end, end + 4 * h * w * c
+        if end != size:
+            raise InputError(f"{path}: {size - end} byte(s) past the last plane of a {h}x{w} grid")
+        data = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_COPY)
+    return HeadMaps(**{name: np.frombuffer(data, "<f4", h * w * c, offsets[name]).reshape(h, w, c)
+                       for name, c in HeadMaps.PLANES})

@@ -340,6 +340,31 @@ def test_extract_peaks_matches_per_channel_reference():
             assert want and extract_peaks(plane, threshold, topk) == want
 
 
+def _peak_types(peaks):
+    return [(type(x), type(y), type(score), type(c)) for (x, y), score, c in peaks]
+
+
+def test_extract_peaks_float32_stack_equals_its_float64_widening():
+    rng = np.random.default_rng(17)
+    for shape in [(1, 1), (3, 3), (12, 17), (24, 40, 3), (40, 60, 9)]:
+        # Few levels, so plateaus are common; float32(0.7) < 0.7 in float64.
+        stack = (rng.integers(0, 5, size=shape) * 0.25).astype(np.float32)
+        stack[rng.uniform(size=shape) < 0.1] = np.float32(0.7)
+        stack[rng.uniform(size=shape) < 0.05] = np.nan
+        stack.reshape(-1)[0] = np.float32(0.7)
+        for threshold in (0.1, 0.5, 0.7):
+            for topk in (1, 3, 100):
+                got, want = extract_peaks(stack, threshold, topk), extract_peaks(stack.astype(float), threshold, topk)
+                assert got == want
+                assert _peak_types(got) == _peak_types(want) == [(int, int, float, int)] * len(want)
+    lone = np.zeros((3, 3), np.float32)
+    lone[1, 1] = 0.7
+    assert extract_peaks(lone, 0.7) == [] and extract_peaks(lone, 0.6) == [((1, 1), float(np.float32(0.7)), 0)]
+    # Non-float input is still read as float64.
+    peaks = extract_peaks([[0, 1, 0], [0, 0, 0]], 0.5)
+    assert peaks == [((1, 0), 1.0, 0)] and _peak_types(peaks) == [(int, int, float, int)]
+
+
 def test_extract_peaks_nan_cell_vetoes_its_neighbours():
     m = np.zeros((7, 7))
     m[3, 3] = 0.9
@@ -446,20 +471,29 @@ def test_regression_losses_zero_at_exact_targets():
         assert value == pytest.approx(0.0, abs=1e-12), key
 
 
-def test_headmaps_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    maps = HeadMaps.zeros(12, 16)
+def _random_headmaps(seed, h, w):
+    rng = np.random.default_rng(seed)
+    maps = HeadMaps.zeros(h, w)
     for name, _ in HeadMaps.PLANES:
         plane = getattr(maps, name)
         plane[:] = rng.normal(size=plane.shape).astype(np.float32)
+    return maps
+
+
+def _assert_same_planes(a, b):
+    for name, _ in HeadMaps.PLANES:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_headmaps_file_roundtrip(tmp_path):
+    maps = _random_headmaps(4, 12, 16)
     path = tmp_path / "frame.rtmh"
     write_headmaps(path, maps)
     assert path.read_bytes()[:4] == b"RTMH"
     assert [p.name for p in tmp_path.iterdir()] == ["frame.rtmh"]
     back = read_headmaps(path)
     assert back.grid_shape == (12, 16)
-    for name, _ in HeadMaps.PLANES:
-        np.testing.assert_array_equal(getattr(back, name), getattr(maps, name))
+    _assert_same_planes(back, maps)
 
 
 def _written_headmaps(tmp_path):
@@ -474,7 +508,58 @@ def test_write_headmaps_rejects_a_plane_of_the_wrong_shape(tmp_path):
     path = tmp_path / "frame.rtmh"
     with pytest.raises(ValueError, match=re.escape("plane main is shaped (4, 6, 2), not (4, 6, 1)")):
         write_headmaps(path, maps)
-    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_headmaps_failing_midway_keeps_the_old_file_and_leaves_no_other(tmp_path):
+    path = _written_headmaps(tmp_path)
+    data = path.read_bytes()
+    maps = HeadMaps.zeros(4, 6)
+    maps.depth = np.full((4, 6, 1), "not a number", dtype=object)  # fails after seven planes
+    with pytest.raises(ValueError):
+        write_headmaps(path, maps)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == data
+
+
+def test_read_headmaps_keep_their_planes_when_the_path_is_rewritten(tmp_path):
+    path = tmp_path / "frame.rtmh"
+    first = _random_headmaps(21, 12, 16)
+    write_headmaps(path, first)
+    back = read_headmaps(path)
+    write_headmaps(path, _random_headmaps(22, 5, 7))
+    _assert_same_planes(back, first)
+    assert read_headmaps(path).grid_shape == (5, 7)
+    # Maps read from a path may be written back onto that same path.
+    write_headmaps(path, back)
+    again = read_headmaps(path)
+    write_headmaps(path, again)
+    _assert_same_planes(again, first)
+    _assert_same_planes(read_headmaps(path), first)
+
+
+def test_writing_into_read_planes_leaves_the_file_unchanged(tmp_path):
+    path = tmp_path / "frame.rtmh"
+    maps = _random_headmaps(23, 6, 8)
+    write_headmaps(path, maps)
+    data = path.read_bytes()
+    back = read_headmaps(path)
+    for name, _ in HeadMaps.PLANES:
+        getattr(back, name)[:] = 7.0
+    assert back.main[0, 0, 0] == back.depth[-1, -1, 0] == 7.0
+    assert path.read_bytes() == data
+    _assert_same_planes(read_headmaps(path), maps)
+
+
+@pytest.mark.parametrize("h, w", [(0, 5), (4, 0), (0, 0)])
+def test_headmaps_file_roundtrip_of_an_empty_grid(h, w, tmp_path):
+    path = tmp_path / "frame.rtmh"
+    write_headmaps(path, HeadMaps.zeros(h, w))
+    assert path.read_bytes() == b"RTMH" + struct.pack("<II", h, w)
+    back = read_headmaps(path)
+    for name, c in HeadMaps.PLANES:
+        assert getattr(back, name).shape == (h, w, c)
+    assert back.grid_shape == (h, w) and decode_objects(back) == []
 
 
 def test_read_headmaps_bad_magic_is_input_error(tmp_path):
@@ -503,18 +588,12 @@ def test_read_headmaps_oversized_header_is_input_error(tmp_path):
 
 
 def test_read_headmaps_every_prefix_and_header_byte_corruption_is_input_error(tmp_path):
-    rng = np.random.default_rng(15)
-    maps = HeadMaps.zeros(2, 3)
-    for name, _ in HeadMaps.PLANES:
-        plane = getattr(maps, name)
-        plane[:] = rng.normal(size=plane.shape).astype(np.float32)
+    maps = _random_headmaps(15, 2, 3)
     path = tmp_path / "frame.rtmh"
     write_headmaps(path, maps)
     data = path.read_bytes()
     assert len(data) == 12 + 4 * 2 * 3 * 44 == 1068
-    back = read_headmaps(path)
-    for name, _ in HeadMaps.PLANES:
-        np.testing.assert_array_equal(getattr(back, name), getattr(maps, name))
+    _assert_same_planes(read_headmaps(path), maps)
     path.write_bytes(data + b"\xff")
     with pytest.raises(InputError, match=re.escape(f"{path}: 1 byte(s) past the last plane of a 2x3 grid")):
         read_headmaps(path)
