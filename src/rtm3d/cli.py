@@ -72,7 +72,8 @@ def cmd_synth(args) -> int:
         (out / "priors" / f"{name}.txt").write_text(noisy.priors_text())
         (out / "keypoints" / f"{name}.txt").write_text(noisy.sidecar_text())
         if with_headmaps:
-            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", scene.headmaps())
+            # Encoded in the file's float32, so the write needs no cast (README "Head maps").
+            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", scene.headmaps(np.float32))
     print(f"wrote {frames} synthetic frame(s) to {out}")
     if unplaced:
         print(f"rtm3d: {unplaced} of {frames * scene_spec.n_objects} box(es) ran out of draws: not all nine "

@@ -98,7 +98,9 @@ def render_gaussian(heatmap, center, sigma):
     float32 subnormal (about 7e-46), which rounds to +0 in float32; since
     max-composition and rounding are both monotone, the float32 planes
     :func:`write_headmaps` stores are the same as with an untruncated bump.
-    In-memory float64 maps differ only in such sub-7e-46 values.
+    In-memory float64 maps differ only in such sub-7e-46 values.  The bump is
+    computed in float64 for any map dtype; by the same monotonicity, composing
+    into a float32 map gives the float32 cast of composing into a float64 one.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -142,9 +144,9 @@ class HeadMaps:
     )
 
     @staticmethod
-    def zeros(height: int, width: int) -> "HeadMaps":
-        """All-zero planes, each shaped (height, width, channels)."""
-        return HeadMaps(**{name: np.zeros((height, width, c)) for name, c in HeadMaps.PLANES})
+    def zeros(height: int, width: int, dtype=np.float64) -> "HeadMaps":
+        """All-zero planes of ``dtype``, each shaped (height, width, channels)."""
+        return HeadMaps(**{name: np.zeros((height, width, c), dtype) for name, c in HeadMaps.PLANES})
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -332,14 +334,17 @@ def decode_objects(maps: HeadMaps, config: GroupingConfig = GroupingConfig()):
     return group_keypoints(main_peaks, vertex_peaks, maps)
 
 
-def encode_objects(boxes, pts, visible, dims, alpha, depth, grid_shape) -> HeadMaps:
+def encode_objects(boxes, pts, visible, dims, alpha, depth, grid_shape, dtype=np.float64) -> HeadMaps:
     """Head maps on an (H, W) grid of n objects, in the values :func:`decode_objects`
     reads back: 2D boxes (n, 4) (left, top, right, bottom), keypoints (n, 9, 2)
     and their visibility (n, 9), dims (n, 3), observation angles (n,) and
     depths (n,).  README "Head maps" lists what each plane gets.  An object
-    with no visible keypoint writes nothing; on a shared cell the later wins."""
+    with no visible keypoint writes nothing; on a shared cell the later wins.
+
+    Every value is computed in float64 and rounded once into planes of
+    ``dtype``, so float32 planes equal the float64 ones cast to float32."""
     s, (gh, gw) = DOWNSAMPLE, grid_shape
-    maps = HeadMaps.zeros(gh, gw)
+    maps = HeadMaps.zeros(gh, gw, dtype)
     boxes, pts, visible = np.asarray(boxes, dtype=float), np.asarray(pts, dtype=float), np.asarray(visible)
     area = np.maximum((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]), 1.0)
     center = (boxes[:, :2] + boxes[:, 2:]) / 2.0
@@ -443,7 +448,9 @@ def write_headmaps(path, maps: HeadMaps) -> None:
     """Store ``maps`` at ``path``; a plane not shaped (H, W, channels) of
     :attr:`HeadMaps.PLANES` raises ValueError before anything is written.
     The file replaces ``path`` atomically, so maps read from it earlier keep
-    their bytes.  It stays dense: a sparse file made decode slower (README)."""
+    their bytes.  It stays dense: a sparse file made decode slower (README).
+    C-contiguous float32 planes are written as they are, without a copy;
+    any other plane is cast to a float32 copy first."""
     h, w = maps.grid_shape
     for name, c in HeadMaps.PLANES:
         if getattr(maps, name).shape != (h, w, c):

@@ -259,11 +259,12 @@ class SceneArrays(NamedTuple):
         line = " ".join(["%.6f"] * 27) + "\n"
         return "".join(line % tuple(row) for row in rows.tolist())
 
-    def headmaps(self) -> HeadMaps:
+    def headmaps(self, dtype=np.float64) -> HeadMaps:
         """The scene's head maps (:func:`~rtm3d.heatmaps.encode_objects`) on the image's grid."""
         alpha = [yaw_to_alpha(y, t) for y, t in zip(self.yaw.tolist(), self.t)]
         return encode_objects(_clipped_boxes(self.pts, self.visible), self.pts, self.visible, self.dims,
-                              alpha, self.t[:, 2], (IMAGE_SIZE[1] // DOWNSAMPLE, IMAGE_SIZE[0] // DOWNSAMPLE))
+                              alpha, self.t[:, 2], (IMAGE_SIZE[1] // DOWNSAMPLE, IMAGE_SIZE[0] // DOWNSAMPLE),
+                              dtype)
 
 
 def generate_scene(spec: SceneSpec, camera: CameraModel | None = None) -> list[SceneObject]:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -42,6 +43,21 @@ def test_synth_headmaps_flag(tmp_path):
 
     maps = read_headmaps(tmp_path / "d" / "headmaps" / "000000.rtmh")
     assert len(decode_objects(maps)) == 1
+
+
+def test_synth_headmaps_hold_at_most_one_frame_in_memory(tmp_path):
+    # A frame is encoded in float32 and written without a cast, so the
+    # traced peak stays within one frame's file bytes, with 1 MiB to spare.
+    spec = tmp_path / "scenes.cfg"
+    spec.write_text("frames=2\nn_objects=5\nheadmaps=1\nseed=42\n")
+    assert main(["synth", str(spec), str(tmp_path / "warm")]) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert main(["synth", str(spec), str(tmp_path / "d")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 + 4 * 96 * 320 * 44 + 2**20
 
 
 def test_synth_reports_boxes_that_ran_out_of_draws(tmp_path, capsys):

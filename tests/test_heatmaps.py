@@ -41,7 +41,7 @@ from rtm3d.heatmaps import (
     _pool3_at,
 )
 from rtm3d.kitti import InputError
-from rtm3d.synth import SceneSpec, encode_headmaps, generate_scene
+from rtm3d.synth import NoiseSpec, SceneArrays, SceneSpec, default_camera, encode_headmaps, generate_scene
 
 
 def test_headmaps_zeros_planes():
@@ -320,6 +320,39 @@ def test_encode_objects_later_object_wins_a_shared_centre_cell(order):
     np.testing.assert_array_equal(maps.dims[3, 3], (dims[last] - DIM_MEAN) / DIM_STD)
     np.testing.assert_array_equal(maps.orientation[3, 3], multibin_encode(alpha[last]))
     assert maps.depth[3, 3, 0] == math.log(depth[last])
+
+
+def _assert_f32_is_the_f64_cast(narrow, wide):
+    """Every plane of ``narrow`` is float32 and bit-equal to ``wide``'s cast,
+    compared as uint32 so that -0 against +0 or differing NaNs cannot pass."""
+    for name, _ in HeadMaps.PLANES:
+        a, b = getattr(narrow, name), getattr(wide, name)
+        assert a.dtype == np.float32 and b.dtype == np.float64, name
+        assert np.array_equal(a.view(np.uint32), b.astype("<f4").view(np.uint32)), name
+
+
+def test_encode_objects_in_float32_equals_the_float64_encoding_cast():
+    # At 20 cars bumps overlap and centre cells are shared; noise and dropout
+    # on every other scene move keypoints across cells and hide some of them.
+    for i in range(200):
+        scene = SceneArrays.draw(SceneSpec(n_objects=(1, 5, 20)[i % 3], seed=i), default_camera())
+        if i % 2:
+            scene = scene.noisy(NoiseSpec(pixel_sigma=1.0, dropout=0.3), seed=i)
+        _assert_f32_is_the_f64_cast(scene.headmaps(np.float32), scene.headmaps())
+    empty = SceneArrays.draw(SceneSpec(n_objects=0), default_camera())
+    _assert_f32_is_the_f64_cast(empty.headmaps(np.float32), empty.headmaps())
+    # An object with no visible keypoint.
+    hidden = ([[4.0, 4.0, 20.0, 16.0]], np.full((1, 9, 2), 10.0), np.zeros((1, 9), bool), DIM_MEAN[None], [0.3], [12.0])
+    _assert_f32_is_the_f64_cast(encode_objects(*hidden, GRID, np.float32), encode_objects(*hidden, GRID))
+
+
+def test_in_memory_head_maps_stay_float64_by_default():
+    # Criterion 6 checks decoded priors to 1e-9 on these float64 maps.
+    scene = generate_scene(SceneSpec(n_objects=5, seed=42))
+    one = ([[4.0, 4.0, 20.0, 16.0]], np.full((1, 9, 2), 10.0), np.ones((1, 9), bool), DIM_MEAN[None], [0.3], [12.0])
+    for maps in (HeadMaps.zeros(96, 320), encode_objects(*one, GRID), SceneArrays.of(scene).headmaps(),
+                 encode_headmaps(scene)):
+        assert {getattr(maps, name).dtype for name, _ in HeadMaps.PLANES} == {np.dtype(np.float64)}
 
 
 def test_extract_peaks_matches_per_channel_reference():
