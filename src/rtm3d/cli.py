@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Each command imports the modules only it uses, so that a process loads
-# (and, without cached bytecode, compiles) no module its command does not run.
+# Each command imports its modules when it runs.  solve loads synth, and with it
+# heatmaps, for the sidecar reader and keypoint_boxes only.
 from . import kitti
 from .geometry import wrap_to_pi
 from .kitti import InputError
@@ -24,12 +24,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-# Objects per solve_arrays call; bounds the solver's working memory.  256 is
-# the largest power of two at which solving the 200 x 5 benchmark workload
-# peaks below the memory of synthesizing it; one batch of all 1000 objects
-# peaks above it.  The chunk size changes no result.
-SOLVE_CHUNK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +104,6 @@ def cmd_solve(args) -> int:
     from .config import load_config
     from .solver import (
         EnergyWeights,
-        Fit,
         InsufficientConstraints,
         SolveInputs,
         SolverConfig,
@@ -118,9 +111,7 @@ def cmd_solve(args) -> int:
         solve_arrays,
     )
 
-    weights, solver_cfg = (
-        load_config(args.config) if args.config else (EnergyWeights(), SolverConfig())
-    )
+    weights, solver_cfg = load_config(args.config) if args.config else (EnergyWeights(), SolverConfig())
     in_dir = Path(args.input)
     priors_dir = in_dir / "priors"
     kp_dir = in_dir / "keypoints"
@@ -132,9 +123,8 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out)
     (out / "data").mkdir(parents=True, exist_ok=True)
-    # Parse every frame once into arrays, then solve all objects in
-    # fixed-size chunks.
-    frames, parts, cam_parts = [], [], []  # (frame id, object count); inputs and camera rows
+    # Parse every frame once into arrays, then solve all objects in one call.
+    frames, parts, cam_parts = [], [], []  # frame ids; their inputs and camera rows
     cameras = {}  # calib path -> camera row, so a shared --calib file is parsed once
     for priors_path in sorted(priors_dir.glob("*.txt")):
         frame = priors_path.stem
@@ -146,10 +136,8 @@ def cmd_solve(args) -> int:
             raise InputError(f"missing calibration for frame {frame}")
         if calib_path not in cameras:
             cameras[calib_path] = camera_rows([kitti.to_camera_model(kitti.parse_calib_file(calib_path))])
-        objects = synth.parse_scene_inputs(
-            priors_path.read_text(), kp_path.read_text(), kp_path, priors_path
-        )
-        frames.append((frame, len(objects.kp)))
+        objects = synth.parse_scene_inputs(priors_path.read_text(), kp_path.read_text(), kp_path, priors_path)
+        frames.append(frame)
         parts.append(objects)
         cam_parts.append(np.repeat(cameras[calib_path], len(objects.kp), axis=0))
     if not frames:
@@ -158,30 +146,23 @@ def cmd_solve(args) -> int:
     cams = np.concatenate(cam_parts)
 
     t0 = time.perf_counter()
-    n = len(cams)
-    chunks = [
-        solve_arrays(inputs.take(slice(i, i + SOLVE_CHUNK)), cams[i:i + SOLVE_CHUNK], weights, solver_cfg)
-        for i in range(0, max(n, 1), SOLVE_CHUNK)
-    ]
-    fit = Fit(*map(np.concatenate, zip(*chunks)))
+    fit = solve_arrays(inputs, cams, weights, solver_cfg)
     solve_s = time.perf_counter() - t0
-    is_skipped = [isinstance(e, InsufficientConstraints) for e in fit.errors]
-    skipped = sum(is_skipped)
-    failed = sum(e is not None for e in fit.errors) - skipped
-    fitted = n - skipped
+    skipped = [isinstance(e, InsufficientConstraints) for e in fit.errors]
+    failed = sum(e is not None for e in fit.errors) - sum(skipped)
+    fitted = len(cams) - sum(skipped)
 
     ok = np.array([e is None for e in fit.errors], dtype=bool)
-    results = iter(_result_lines(inputs.take(ok), fit.x[ok]))
-    entries = list(map(_log_entry, fit.errors, is_skipped, fit.iterations.tolist(),
-                       fit.cost.tolist(), fit.converged.tolist()))
-    log_lines, start = [], 0
-    for frame, count in frames:
-        objects = slice(start, start + count)
-        start += count
-        log_lines += (f"{frame} object {i}: {e}" for i, e in enumerate(entries[objects]))
-        text = "".join(next(results) for _ in range(int(ok[objects].sum())))
-        (out / "data" / f"{frame}.txt").write_text(text)
-    (out / "solve_log.txt").write_text("".join(line + "\n" for line in log_lines))
+    results = _result_lines(inputs.take(ok), fit.x[ok])
+    # Frame k holds objects ends[k]:ends[k + 1]; its fitted ones are result lines written[k]:written[k + 1].
+    ends = np.cumsum([0] + [len(p.kp) for p in parts])
+    written = np.r_[0, np.cumsum(ok)][ends].tolist()
+    for frame, start, end in zip(frames, written, written[1:]):
+        (out / "data" / f"{frame}.txt").write_text("".join(results[start:end]))
+    names = (f"{frame} object {i}" for frame, p in zip(frames, parts) for i in range(len(p.kp)))
+    entries = map(_log_entry, fit.errors, skipped, fit.iterations.tolist(), fit.cost.tolist(),
+                  fit.converged.tolist())
+    (out / "solve_log.txt").write_text("".join(f"{name}: {e}\n" for name, e in zip(names, entries)))
     ms = 1000.0 * solve_s / fitted if fitted else 0.0
     print(f"solved {len(frames)} frame(s); solve time {ms:.3f} ms/object (over fitted objects)")
     if failed:
@@ -195,10 +176,7 @@ def cmd_solve(args) -> int:
 
 
 def _load_frames(directory: Path, parse):
-    frames = {}
-    for path in sorted(directory.glob("*.txt")):
-        frames[path.stem] = parse(path)
-    return frames
+    return {path.stem: parse(path) for path in sorted(directory.glob("*.txt"))}
 
 
 def cmd_eval(args) -> int:

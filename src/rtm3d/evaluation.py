@@ -7,7 +7,7 @@ meet; 3D IoU multiplies that area by the vertical interval overlap.
 x ground-truth pairs, computes their BEV, 3D and 2D IoUs as arrays with one
 batched clip over the run's candidate pairs (those whose circumcircles
 meet), then matches greedily per frame, difficulty and metric, with
-difficulties as masks over ground-truth columns.  The one-pair functions
+difficulties as lists of the ground-truth columns they count or ignore.  The one-pair functions
 (:func:`bev_iou`, :func:`iou_3d`, ...) are calls of the same kernels on one
 pair.  AP is 11-point interpolated (40-point behind a flag); DontCare
 regions and out-of-difficulty ground truth are ignored rather than counted.

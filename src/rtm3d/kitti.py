@@ -96,6 +96,9 @@ class KittiCalib:
             raise InputError("P2 values must be finite")
         if p2[0, 0] <= 0 or p2[1, 1] <= 0:
             raise InputError("P2 focal lengths must be positive")
+        # to_camera_model reads P2 as K [I | t], the rectified form KITTI writes.
+        if p2[0, 1] or p2[1, 0] or p2[2, 0] or p2[2, 1] or p2[2, 2] != 1:
+            raise InputError("P2 must be K [I | t]: entries (0, 1), (1, 0), (2, 0), (2, 1) = 0, (2, 2) = 1")
         self.p2 = p2
 
 

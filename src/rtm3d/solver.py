@@ -66,6 +66,13 @@ MIN_VISIBLE = 2
 LM_LAMBDA0 = 1e-3
 LM_LAMBDA_MAX = 1e12
 
+# Objects per batch of :func:`solve_arrays`, which fits more as consecutive
+# chunks of this size; bounds its working memory.  256 is the largest power of
+# two at which solving the 200 x 5 benchmark workload peaks below the memory of
+# synthesizing it; one batch of all 1000 objects peaks above it.  The chunk
+# size changes no result: no object's fit depends on its batch.
+SOLVE_CHUNK = 256
+
 _I3 = np.eye(3)
 # The camera axis that each of dims (h, w, l) scales.
 _AXIS_OF_DIM = np.argsort(DIM_OF_AXIS)
@@ -205,10 +212,6 @@ class _Batch(NamedTuple):
             sqrt_wr=np.full(n, math.sqrt(weights.w_r)),
         )
 
-    @staticmethod
-    def stack(kps, cams, priors, weights: EnergyWeights) -> "_Batch":
-        return _Batch.of(SolveInputs.stack(kps, priors), camera_rows(cams), weights)
-
     def take(self, idx: np.ndarray) -> "_Batch":
         """Rows ``idx`` (sorted, unique) of every input."""
         return self if len(idx) == len(self.kp) else _Batch(*(a[idx] for a in self))
@@ -319,7 +322,7 @@ def total_energy(
     box: Box3D, kps: KeypointSet, cam: CameraModel, priors: Priors, weights: EnergyWeights
 ) -> tuple[float, dict]:
     """Weighted sum of squared residual terms plus a per-term breakdown."""
-    b = _Batch.stack([kps], [cam], [priors], weights)
+    b = _Batch.of(SolveInputs.stack([kps], [priors]), camera_rows([cam]), weights)
     res, behind = _residuals(b, np.r_[box.t, box.yaw, box.dims][None])
     if behind[0]:
         raise BehindCamera("a visible keypoint projects behind the camera")
@@ -341,10 +344,10 @@ def _starts(inputs: SolveInputs, cams: np.ndarray, config: SolverConfig) -> np.n
         box = config.init_box
         return np.tile(np.r_[box.t, box.yaw, box.dims], (n, 1))
     vis = inputs.vis
-    anchor = np.where(vis[:, 8, None], inputs.kp[:, 8], cams[:, 2:4])
-    for i in np.flatnonzero(~vis[:, 8] & vis.any(axis=1)):
-        # One object at a time, so that the mean sums in its N = 1 order.
-        anchor[i] = inputs.kp[i][vis[i]].mean(axis=0)
+    count = vis.sum(axis=1)[:, None]
+    # Summed along axis 1, in the order of each object's own kp[vis].mean(axis=0).
+    mean = np.where(vis[..., None], inputs.kp, 0.0).sum(axis=1) / np.maximum(count, 1)
+    anchor = np.where(vis[:, 8, None], inputs.kp[:, 8], np.where(count > 0, mean, cams[:, 2:4]))
     zp = inputs.z_hat + cams[:, 6]
     x = np.empty((n, 7))
     x[:, 0] = (anchor[:, 0] - cams[:, 2]) * zp / cams[:, 0] - cams[:, 4]
@@ -426,6 +429,10 @@ def solve_arrays(
     the camera), else :class:`DivergedError` (a non-finite start cost).
     """
     n = len(inputs.kp)
+    if n > SOLVE_CHUNK:
+        chunks = [solve_arrays(inputs.take(slice(i, i + SOLVE_CHUNK)), cams[i:i + SOLVE_CHUNK], weights, config)
+                  for i in range(0, n, SOLVE_CHUNK)]
+        return Fit(*map(np.concatenate, zip(*chunks)))
     b = _Batch.of(inputs, cams, weights)
     with np.errstate(all="ignore"):
         x = _starts(inputs, cams, config)

@@ -51,6 +51,12 @@ IMAGE_SIZE = (1280, 384)  # width, height
 _IMAGE_LIMIT = np.array(IMAGE_SIZE)
 # Camera y of a box's bottom face.
 HEIGHT_RANGE = (1.4, 1.8)
+# Spec bounds: cars per frame, and the magnitude (m, px or rad) of a range end
+# or noise sigma, whose inverse bounds depths and positive sigmas from below.
+# Within them every draw, projection and 6-decimal text value stays finite, and
+# every depth positive.
+MAX_OBJECTS = 10_000
+SPEC_LIMIT = 1e6
 
 
 def default_camera() -> CameraModel:
@@ -69,10 +75,14 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_objects < 0:
-            raise ValueError("n_objects must be non-negative")
-        if self.depth_range[0] <= 0 or self.depth_range[1] < self.depth_range[0]:
-            raise ValueError("invalid depth range")
+        if not 0 <= self.n_objects <= MAX_OBJECTS:
+            raise ValueError(f"n_objects must lie in [0, {MAX_OBJECTS}]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not 1 / SPEC_LIMIT <= self.depth_range[0] <= self.depth_range[1] <= SPEC_LIMIT:
+            raise ValueError(f"invalid depth range: need {1 / SPEC_LIMIT:g} <= min <= max <= {SPEC_LIMIT:g}")
+        if not -SPEC_LIMIT <= self.lateral_range[0] <= self.lateral_range[1] <= SPEC_LIMIT:
+            raise ValueError(f"invalid lateral range: need {-SPEC_LIMIT:g} <= min <= max <= {SPEC_LIMIT:g}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +94,9 @@ class NoiseSpec:
     depth_rel_sigma: float = 0.0
 
     def __post_init__(self):
-        if min(self.pixel_sigma, self.dim_sigma, self.yaw_sigma, self.depth_rel_sigma) < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        sigmas = (self.pixel_sigma, self.dim_sigma, self.yaw_sigma, self.depth_rel_sigma)
+        if not all(s == 0 or 1 / SPEC_LIMIT <= s <= SPEC_LIMIT for s in sigmas):
+            raise ValueError(f"noise sigmas must be 0 or lie in [{1 / SPEC_LIMIT:g}, {SPEC_LIMIT:g}]")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must lie in [0, 1)")
 

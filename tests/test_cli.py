@@ -1,6 +1,7 @@
 """End-to-end command-line tests: synth, solve, eval, render-bev."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import rtm3d
-from rtm3d import cli, kitti, synth
-from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, SOLVE_CHUNK, main
+from rtm3d import kitti, solver, synth
+from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from rtm3d.config import Settings, load_config
 from rtm3d.geometry import wrap_to_pi
 from rtm3d.kitti import InputError, parse_label_file
@@ -74,6 +75,36 @@ def test_synth_reports_boxes_that_ran_out_of_draws(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+_SYNTH_KEYS = ["frames", "headmaps", "n_objects", "seed", "depth_min", "depth_max", "lateral_min",
+               "lateral_max", "pixel_sigma", "dropout", "dim_sigma", "yaw_sigma", "depth_rel_sigma"]
+
+
+@pytest.mark.parametrize("keys", [
+    *([(k, v)] for k in _SYNTH_KEYS for v in ("-1", "0", "-0", "5e-324", "1e308", "-1e308")),
+    [("lateral_min", "5"), ("lateral_max", "-5")],
+    [("lateral_min", "-1e308"), ("lateral_max", "1e308")],
+], ids=lambda keys: ",".join(f"{k}={v}" for k, v in keys))
+def test_synth_spec_value_exits_2_or_writes_finite_files(keys, tmp_path, capsys):
+    # Each finite value on its own, after 2 frames x 10 cars on lines 1-2:
+    # the run exits 2 naming the spec file and the value's line, or exits 0
+    # with no warning and every number it writes finite.
+    spec, out = tmp_path / "scenes.cfg", tmp_path / "d"
+    spec.write_text("frames=2\nn_objects=10\n" + "".join(f"{k}={v}\n" for k, v in keys))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["synth", str(spec), str(out)])
+    assert not caught
+    err = capsys.readouterr().err
+    if code == EXIT_INPUT:
+        lines = re.match(rf"rtm3d: input error: {re.escape(str(spec))}, line ([\d, ]+):", err)
+        assert lines and {str(3 + i) for i in range(len(keys))} & set(lines[1].split(", "))
+        assert not out.exists()
+    else:
+        assert code == EXIT_OK
+        for path in out.rglob("*.txt"):
+            assert not re.search("nan|inf", path.read_text(), re.IGNORECASE), path
+
+
 def test_synth_rejects_unknown_keys(tmp_path):
     spec = tmp_path / "scenes.cfg"
     spec.write_text("frames=1\nbogus=3\n")
@@ -96,8 +127,8 @@ def test_solve_noiseless_matches_ground_truth(dataset, tmp_path):
 
 
 def test_solve_is_deterministic_across_chunks(tmp_path, monkeypatch):
-    # More objects than one solve chunk, so the run spans two solve_arrays calls.
-    frames = SOLVE_CHUNK // 4 + 1
+    # More objects than one solve chunk, so solve_arrays fits them in two chunks.
+    frames = solver.SOLVE_CHUNK // 4 + 1
     spec = tmp_path / "scenes.cfg"
     spec.write_text(f"frames={frames}\nn_objects=4\npixel_sigma=1.0\ndropout=0.1\nseed=11\n")
     dataset = tmp_path / "data"
@@ -108,11 +139,11 @@ def test_solve_is_deterministic_across_chunks(tmp_path, monkeypatch):
     # --jobs is still accepted and changes no byte.
     assert main(["solve", str(dataset), str(c), "--jobs", "2"]) == EXIT_OK
     # Nor does the chunk size: each object's fit is independent of its batch.
-    monkeypatch.setattr(cli, "SOLVE_CHUNK", 7)
+    monkeypatch.setattr(solver, "SOLVE_CHUNK", 7)
     assert main(["solve", str(dataset), str(d)]) == EXIT_OK
     names = sorted(p.name for p in (a / "data").glob("*.txt"))
     assert len(names) == frames
-    assert sum(len(parse_label_file(a / "data" / n)) for n in names) > SOLVE_CHUNK
+    assert sum(len(parse_label_file(a / "data" / n)) for n in names) > solver.SOLVE_CHUNK
     for rel in ["solve_log.txt"] + [f"data/{n}" for n in names]:
         text = (a / rel).read_bytes()
         for other in (b, c, d):
@@ -199,6 +230,10 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("calib", "P2: 0 0 609.5593 0 0 721.5377 172.854 0 0 0 1 0\n", "line 1"),
         ("calib", "P2: nan 0 609.5593 0 0 721.5377 172.854 0 0 0 1 0\n", "line 1"),
         ("calib", "# P2 below\nP2: 721.5 0 609.5 0 0 721.5 172.8 0 0 0 1 inf\n", "line 2"),
+        # Not of the form K [I | t]: skew with P2[2, 2] = 2, P2[2, 0] = 0.3, P2[2, 2] = 2.
+        ("calib", "P2: 700 5 600 0 0 700 170 0 0 0 2 0\n", "line 1"),
+        ("calib", "P2: 700 0 600 0 0 700 170 0 0.3 0 1 0\n", "line 1"),
+        ("calib", "P2: 700 0 600 0 0 700 170 0 0 0 2 0\n", "line 1"),
         ("priors", "Car 0.00 0\n", "line 1"),
         ("priors", "Car 0 0 0 0 0 0 0 -1.5 1.6 3.9 0 0 10 0\n" * 2, "object 0"),
         ("priors", "Car 0 nan 0 0 0 0 0 1.5 1.6 3.9 0 0 10 0\n", "line 1"),

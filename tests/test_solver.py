@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtm3d import solver
 from rtm3d.geometry import (
     Box3D,
     CameraModel,
@@ -29,6 +30,7 @@ from rtm3d.solver import (
     _lm_steps,
     _residuals,
     _softmax_rows,
+    _starts,
     camera_rows,
     initialize,
     jacobian_camera_point,
@@ -153,6 +155,32 @@ def test_initialize_backprojects_center():
         np.testing.assert_allclose(start[:2], center[:2], atol=1e-6)
 
 
+def test_start_anchors_without_the_center_keypoint():
+    # With the center keypoint dropped, the start back-projects exactly the
+    # mean of the visible keypoints, kp[vis].mean(axis=0); with none visible,
+    # the principal point.  Batched rows of every visible count match.
+    rng = np.random.default_rng(12)
+    cam = CameraModel(fx=700.0, fy=690.0, cx=600.0, cy=170.0, t_cam=[0.3, -0.02, 0.004])
+    kps, priors = [], []
+    for i in range(40):
+        box = _random_box(rng)
+        visible = np.zeros(9, dtype=bool)
+        visible[rng.permutation(8)[: i % 9]] = True
+        pts = _keypoints_of(box).pts + rng.normal(0.0, 3.0, (9, 2))
+        kps.append(KeypointSet(pts=pts, conf=np.ones(9), visible=visible))
+        priors.append(Priors(d_hat=box.dims.copy(), theta_hat=box.yaw, z_hat=box.t[2]))
+    x = _starts(SolveInputs.stack(kps, priors), camera_rows([cam] * len(kps)), SolverConfig())
+    for k, p, row in zip(kps, priors, x):
+        u, v = k.pts[k.visible].mean(axis=0) if k.visible.any() else (cam.cx, cam.cy)
+        zp = p.z_hat + cam.t_cam[2]
+        want = np.r_[(u - cam.cx) * zp / cam.fx - cam.t_cam[0],
+                     (v - cam.cy) * zp / cam.fy - cam.t_cam[1] + p.d_hat[0] / 2.0,
+                     p.z_hat, p.theta_hat, p.d_hat]
+        assert row.tobytes() == want.tobytes()
+        yaw, t, dims = initialize(p, k, cam)
+        assert np.r_[t, yaw, dims].tobytes() == want.tobytes()
+
+
 def test_solve_recovers_noiseless_box():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -249,7 +277,8 @@ def test_solver_jacobian_matches_finite_differences():
         noisy = k.pts + rng.normal(0.0, 2.0, (9, 2))
         kps.append(KeypointSet(pts=noisy, conf=k.conf, visible=visible))
         priors.append(Priors(d_hat=dims * rng.uniform(0.9, 1.1, 3), theta_hat=prior, z_hat=t[2]))
-    b = _Batch.stack(kps, [CAM] * len(cases), priors, EnergyWeights(w_d=2.0, w_r=3.0))
+    b = _Batch.of(SolveInputs.stack(kps, priors), camera_rows([CAM] * len(cases)),
+                  EnergyWeights(w_d=2.0, w_r=3.0))
     x = np.array([np.r_[t, yaw, dims] for dims, t, yaw, _ in cases])
     gap = np.array([wrap_to_pi(prior - yaw) for _, _, yaw, prior in cases])
     np.testing.assert_allclose(_residuals(b, x)[0][:, 21], math.sqrt(3.0) * gap, atol=1e-12)
@@ -341,6 +370,34 @@ def test_solve_batch_keeps_input_order_around_underconstrained_objects():
     assert _row_bits(got, fitted) == _row_bits(want, slice(None))
     empty = _solve_all([], [], [])
     assert [a.shape for a in empty] == [(0, 7), (0,), (0,), (0,), (0, 3), (0,)]
+
+
+def test_solve_arrays_chunk_size_changes_no_result(monkeypatch):
+    # More objects than one chunk, among them objects that cannot start:
+    # every field, errors included, is the same at chunks of 7 and of 256.
+    cam, objects = _noisy_objects(solver.SOLVE_CHUNK + 20, 9000)
+    kps = [k for k, _ in objects]
+    priors = [p for _, p in objects]
+    for i in range(0, len(kps), 25):
+        # Every 50th object gets NaN keypoints (it diverges), the ones between
+        # them at most one visible keypoint (too few to start).
+        pts, visible = kps[i].pts.copy(), kps[i].visible.copy()
+        if i % 50:
+            visible[:8] = False
+        else:
+            pts[:, 0] = np.nan
+        kps[i] = KeypointSet(pts=pts, conf=kps[i].conf, visible=visible)
+    want = _solve_all(kps, [cam] * len(kps), priors)
+    monkeypatch.setattr(solver, "SOLVE_CHUNK", 7)
+    got = _solve_all(kps, [cam] * len(kps), priors)
+    for name in ("x", "cost", "terms"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    np.testing.assert_array_equal(got.iterations, want.iterations)
+    np.testing.assert_array_equal(got.converged, want.converged)
+    errors = [[(type(e), str(e)) for e in fit.errors] for fit in (got, want)]
+    assert errors[0] == errors[1]
+    kinds = {kind for kind, _ in errors[0]}
+    assert {type(None), InsufficientConstraints, DivergedError} <= kinds
 
 
 def test_nan_keypoint_fails_only_its_object():
