@@ -2,9 +2,9 @@
 
 Subpackages: geometry (the box model, projection and rotations), solver
 (energy minimization over position, yaw and dimensions), heatmaps
-(dense-map encode/decode and losses), kitti (label/calib I/O), synth
-(synthetic scene oracle), evaluation (rotated IoU, AP, AOS), bev_svg and
-cli (rendering and the command line).
+(dense-map encode/decode and losses), kitti (label, calibration, priors
+and keypoint-sidecar I/O), synth (synthetic scene oracle), evaluation
+(rotated IoU, AP, AOS), bev_svg and cli (rendering and the command line).
 """
 
 import importlib

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Each command imports its modules when it runs.  solve loads synth, and with it
-# heatmaps, for the sidecar reader and keypoint_boxes only.
+# Each command imports its modules when it runs: solve loads config and solver,
+# and neither synth nor heatmaps, since kitti reads its input formats.
 from . import kitti
 from .geometry import wrap_to_pi
 from .kitti import InputError
@@ -82,12 +82,10 @@ def cmd_synth(args) -> int:
 def _result_lines(inputs: SolveInputs, x: np.ndarray) -> list[str]:
     """Result label lines of fitted states x (N, 7): each box with the image
     box of its visible keypoints and, as its score, their mean confidence."""
-    from .synth import keypoint_boxes
-
     # One object at a time, so that each mean sums in the N = 1 order.
     score = [float(c[v].mean()) for c, v in zip(inputs.conf, inputs.vis)]
     yaw = [wrap_to_pi(v) for v in x[:, 3].tolist()]  # the written box's yaw, as Box3D wraps it
-    return kitti.car_lines(x[:, 4:], x[:, :3], yaw, keypoint_boxes(inputs.kp, inputs.vis), score)
+    return kitti.car_lines(x[:, 4:], x[:, :3], yaw, kitti.keypoint_boxes(inputs.kp, inputs.vis), score)
 
 
 def _log_entry(error, skipped, iterations, cost, converged) -> str:
@@ -100,7 +98,6 @@ def _log_entry(error, skipped, iterations, cost, converged) -> str:
 
 
 def cmd_solve(args) -> int:
-    from . import synth
     from .config import load_config
     from .solver import (
         EnergyWeights,
@@ -136,7 +133,8 @@ def cmd_solve(args) -> int:
             raise InputError(f"missing calibration for frame {frame}")
         if calib_path not in cameras:
             cameras[calib_path] = camera_rows([kitti.to_camera_model(kitti.parse_calib_file(calib_path))])
-        objects = synth.parse_scene_inputs(priors_path.read_text(), kp_path.read_text(), kp_path, priors_path)
+        objects = SolveInputs(*kitti.parse_solve_inputs(priors_path.read_text(), kp_path.read_text(),
+                                                         kp_path, priors_path))
         frames.append(frame)
         parts.append(objects)
         cam_parts.append(np.repeat(cameras[calib_path], len(objects.kp), axis=0))

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .kitti import InputError
 from .solver import EnergyWeights, SolverConfig
-from .synth import NoiseSpec, SceneSpec
 
 __all__ = ["Settings", "load_config", "load_synth_spec"]
 
@@ -47,20 +46,27 @@ class Settings(dict):
     def build(self, cls, keys, make=dict):
         """``cls(**make(given))``, where ``given`` holds the values this file
         sets for ``keys``.  Its ValueError becomes an InputError naming the
-        line of the first value that fails on its own, or the lines of all
-        of ``given`` when only their combination fails."""
+        line of the first value that fails on its own or, when only a
+        combination fails, the lines left after dropping each key, last line
+        first, for as long as the rest still fail."""
         given = {k: self[k] for k in keys if k in self}
         try:
             return cls(**make(given))
-        except ValueError as e:
-            error, lines = e, sorted(self.lines[k] for k in given)
-        for key in sorted(given, key=self.lines.get):
+        except ValueError:
+            pass
+
+        def error_of(subset):
             try:
-                cls(**make({key: given[key]}))
+                cls(**make({k: given[k] for k in subset}))
             except ValueError as e:
-                error, lines = e, [self.lines[key]]
-                break
-        raise InputError(f"{self.path}, line {', '.join(map(str, lines))}: {error}")
+                return e
+
+        order = sorted(given, key=self.lines.get)
+        at = next(([k] for k in order if error_of([k])), order)
+        for key in reversed(order):  # keeps a lone failing key: the defaults pass
+            if error_of(rest := [k for k in at if k != key]):
+                at = rest
+        raise InputError(f"{self.path}, line {', '.join(str(self.lines[k]) for k in at)}: {error_of(at)}")
 
 
 def _numeric_fields(cls) -> dict:
@@ -83,6 +89,8 @@ def load_synth_spec(path) -> tuple[int, bool, SceneSpec, NoiseSpec]:
     spec and the noise spec of a ``rtm3d synth`` spec file.  Frame i takes
     the scene seed ``seed + i``.  A key the file does not set keeps its
     default: 1 frame, no head maps, else the dataclass default."""
+    from .synth import NoiseSpec, SceneSpec  # here, so that a solve run loads neither synth nor heatmaps
+
     noise_keys = _numeric_fields(NoiseSpec)
     scene_keys = {"n_objects": int, "seed": int, "depth_min": float, "depth_max": float,
                   "lateral_min": float, "lateral_max": float}

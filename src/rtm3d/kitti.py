@@ -1,8 +1,10 @@
-"""Parsing and writing of KITTI object labels, calibration and results.
+"""Parsing and writing of KITTI object labels, calibration and results,
+and of the solver's inputs: priors files and keypoint sidecars.
 
 Label lines carry 15 space-delimited fields (16 with a detection score).
 Writers use the 2-decimal fixed formatting of the KITTI submission
 convention, so parse(write(x)) reproduces every field within 0.005.
+Priors and sidecars are written at 6 decimals.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box3D, CameraModel, yaw_to_alpha
+from .geometry import Box3D, CameraModel, wrap_to_pi, yaw_to_alpha
 
 __all__ = [
     "FieldCountError",
@@ -26,12 +28,16 @@ __all__ = [
     "camera_to_calib",
     "car_lines",
     "format_label",
+    "keypoint_boxes",
     "label_to_box3d",
     "parse_calib",
     "parse_calib_file",
     "parse_label_file",
     "parse_label_values",
     "parse_labels",
+    "parse_solve_inputs",
+    "priors_text",
+    "sidecar_text",
     "to_camera_model",
     "write_calib",
     "write_result_file",
@@ -39,6 +45,8 @@ __all__ = [
 
 # The one object class: rtm3d synth and solve write it, and evaluation scores it.
 CATEGORY = "Car"
+# Largest |dimension| or |location| (m) of a box read from a label, far from overflow.
+BOX_LIMIT = 1e6
 
 
 class InputError(ValueError):
@@ -187,6 +195,60 @@ def car_lines(dims, t, yaw, bbox, score=None, decimals: int = 2) -> list[str]:
     return [text + "\n" for text in lines]
 
 
+def keypoint_boxes(pts: np.ndarray, visible: np.ndarray) -> np.ndarray:
+    """Axis-aligned image boxes (n, 4), (left, top, right, bottom), of the
+    visible keypoints of (n, 9, 2) keypoints, or of all nine where none is
+    visible."""
+    use = (visible | ~visible.any(axis=1, keepdims=True))[..., None]
+    return np.concatenate([np.where(use, pts, np.inf).min(axis=1), np.where(use, pts, -np.inf).max(axis=1)], axis=1)
+
+
+def priors_text(d_hat, theta_hat, z_hat, bbox) -> str:
+    """A priors file: label lines at 6 decimals whose dimensions carry the
+    dimension priors (n, 3), rotation_y the (wrapped) yaw priors (n,) and
+    location z the depth priors (n,), with image boxes bbox (n, 4)."""
+    t = np.column_stack([np.zeros((len(z_hat), 2)), z_hat])
+    yaw = [wrap_to_pi(v) for v in np.asarray(theta_hat, dtype=float).tolist()]
+    return "".join(car_lines(d_hat, t, yaw, bbox, decimals=6))
+
+
+def sidecar_text(pts, conf, visible) -> str:
+    """A keypoint sidecar: per object, nine 'u v conf' triples of keypoints
+    (n, 9, 2) and confidences (n, 9); conf 0 marks an invisible one."""
+    conf = np.where(visible, conf, 0.0)[..., None]
+    rows = np.concatenate([pts, conf], axis=2).reshape(-1, 27)
+    line = " ".join(["%.6f"] * 27) + "\n"
+    return "".join(line % tuple(row) for row in rows.tolist())
+
+
+def parse_solve_inputs(priors: str, sidecar: str, sidecar_source="keypoint sidecar", priors_source="priors file"):
+    """The solver's inputs from one frame's priors file and keypoint sidecar,
+    in the field order of ``solver.SolveInputs``: keypoints (n, 9, 2),
+    confidences clipped to [0, 1], visibility (n, 9) where a confidence is
+    positive, and dimension (n, 3), yaw and depth (n,) priors.  The sources
+    name the files in errors."""
+    values = [v[:14] for _, _, v in parse_label_values(priors, priors_source)]
+    labels = np.array(values, dtype=float).reshape(-1, 14)
+    rows = []
+    for line_no, tokens in enumerate(map(str.split, sidecar.splitlines()), start=1):
+        if not tokens:
+            continue
+        try:
+            rows.append(list(map(float, tokens)))
+        except ValueError as e:
+            raise InputError(f"{sidecar_source}, line {line_no}: {e}") from None
+        if len(tokens) != 27:
+            raise InputError(f"{sidecar_source}, line {line_no}: {len(tokens)} values, expected 27")
+    triples = np.array(rows, dtype=float).reshape(-1, 9, 3)
+    if len(labels) != len(triples):
+        raise InputError(f"{sidecar_source}: {len(triples)} objects, but the priors file has {len(labels)}")
+    d_hat, z_hat, theta_hat = labels[:, 7:10], labels[:, 12], labels[:, 13]
+    for i in np.flatnonzero(np.any(d_hat <= 0, axis=1) | (z_hat <= 0))[:1]:
+        prior = "dimension" if np.any(d_hat[i] <= 0) else "depth"
+        raise InputError(f"{priors_source}, object {i}: {prior} prior must be positive")
+    return triples[..., :2], np.clip(triples[..., 2], 0.0, 1.0), triples[..., 2] > 0.0, d_hat, theta_hat, z_hat
+
+
 def write_result_file(labels: list[KittiLabel]) -> str:
     """Serialize labels/results; empty list yields an empty string."""
     if not labels:
@@ -237,11 +299,14 @@ def write_calib(calib: KittiCalib) -> str:
 
 def label_to_box3d(label: KittiLabel) -> Box3D:
     """KITTI (h, w, l, location, rotation_y) to a Box3D; both are
-    bottom-center anchored.  Dimensions are checked here, not at parse,
-    since DontCare lines carry -1 and never become boxes."""
+    bottom-center anchored.  Dimensions and location are checked here, not
+    at parse, since DontCare lines carry -1 and never become boxes."""
+    where = f"{label.origin}: " if label.origin else ""
     if min(label.dimensions) <= 0:
-        where = f"{label.origin}: " if label.origin else ""
         raise InputError(f"{where}box dimensions must be positive, got h, w, l = {label.dimensions}")
+    if max(map(abs, (*label.dimensions, *label.location))) > BOX_LIMIT:
+        raise InputError(f"{where}box dimensions and location must lie within {BOX_LIMIT:g} m, "
+                         f"got h, w, l = {label.dimensions}, x, y, z = {label.location}")
     return Box3D(dims=np.array(label.dimensions), t=np.array(label.location), yaw=label.rotation_y)
 
 

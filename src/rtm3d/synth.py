@@ -5,6 +5,7 @@ keypoints, and optionally encode the full set of head maps, so the
 solver and decoder can be verified end-to-end without a network.  A
 scene is held as arrays (:class:`SceneArrays`) from its draws to its
 text and head maps; :class:`SceneObject` lists serve the per-object API.
+The text formats are :mod:`rtm3d.kitti`'s, which also reads them back.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kitti
 from .geometry import (
     Box3D,
     CameraModel,
@@ -26,8 +28,7 @@ from .geometry import (
     yaw_to_alpha,
 )
 from .heatmaps import DIM_MEAN, DIM_STD, DOWNSAMPLE, HeadMaps, encode_objects
-from .kitti import InputError, car_lines, parse_label_values
-from .solver import Priors, SolveInputs
+from .solver import Priors
 
 __all__ = [
     "IMAGE_SIZE",
@@ -39,9 +40,7 @@ __all__ = [
     "default_camera",
     "encode_headmaps",
     "generate_scene",
-    "keypoint_boxes",
     "keypoints_sidecar_text",
-    "parse_scene_inputs",
     "parse_scene_objects",
     "scene_gt_text",
     "scene_priors_text",
@@ -127,22 +126,14 @@ def _keypoints(camera: CameraModel, dims, t, yaw: float) -> tuple[np.ndarray, np
     return pts, ~behind & ((pts >= 0) & (pts < _IMAGE_LIMIT)).all(axis=1)
 
 
-def keypoint_boxes(pts: np.ndarray, visible: np.ndarray) -> np.ndarray:
-    """Axis-aligned image boxes (n, 4), (left, top, right, bottom), of the
-    visible keypoints of (n, 9, 2) keypoints, or of all nine where none is
-    visible."""
-    use = (visible | ~visible.any(axis=1, keepdims=True))[..., None]
-    return np.concatenate([np.where(use, pts, np.inf).min(axis=1), np.where(use, pts, -np.inf).max(axis=1)], axis=1)
-
-
 def _placed(pts: np.ndarray, visible: np.ndarray) -> bool:
     """The placement rule: all nine keypoints (9, 2) visible, on nine distinct head-map cells."""
     return bool(visible.all()) and len(set(map(tuple, np.floor(pts / DOWNSAMPLE).tolist()))) == 9
 
 
 def _clipped_boxes(pts: np.ndarray, visible: np.ndarray) -> np.ndarray:
-    """:func:`keypoint_boxes` clipped to the image."""
-    return np.clip(keypoint_boxes(pts, visible), 0, np.tile(_IMAGE_LIMIT - 1, 2))
+    """:func:`~rtm3d.kitti.keypoint_boxes` clipped to the image."""
+    return np.clip(kitti.keypoint_boxes(pts, visible), 0, np.tile(_IMAGE_LIMIT - 1, 2))
 
 
 class SceneArrays(NamedTuple):
@@ -251,24 +242,15 @@ class SceneArrays(NamedTuple):
     def gt_text(self) -> str:
         """Ground-truth boxes as KITTI-format label lines (6-decimal floats)."""
         bbox = _clipped_boxes(self.pts, self.visible)
-        return "".join(car_lines(self.dims, self.t, self.yaw, bbox, decimals=6))
+        return "".join(kitti.car_lines(self.dims, self.t, self.yaw, bbox, decimals=6))
 
     def priors_text(self) -> str:
-        """Prior values mirrored into KITTI label fields, as box fields are:
-        dimensions carry the dimension prior, rotation_y the (wrapped)
-        orientation prior, and location z the center-depth prior."""
-        t = np.zeros((len(self.z_hat), 3))
-        t[:, 2] = self.z_hat
-        yaw = [wrap_to_pi(v) for v in self.theta_hat.tolist()]
-        bbox = _clipped_boxes(self.pts, self.visible)
-        return "".join(car_lines(self.d_hat, t, yaw, bbox, decimals=6))
+        """The priors file (:func:`~rtm3d.kitti.priors_text`), with the clipped image boxes of the keypoints."""
+        return kitti.priors_text(self.d_hat, self.theta_hat, self.z_hat, _clipped_boxes(self.pts, self.visible))
 
     def sidecar_text(self) -> str:
-        """One line per object: nine 'u v conf' triples; conf 0 means invisible."""
-        conf = np.where(self.visible, self.conf, 0.0)[..., None]
-        rows = np.concatenate([self.pts, conf], axis=2).reshape(-1, 27)
-        line = " ".join(["%.6f"] * 27) + "\n"
-        return "".join(line % tuple(row) for row in rows.tolist())
+        """The keypoint sidecar (:func:`~rtm3d.kitti.sidecar_text`)."""
+        return kitti.sidecar_text(self.pts, self.conf, self.visible)
 
     def headmaps(self, dtype=np.float64) -> HeadMaps:
         """The scene's head maps (:func:`~rtm3d.heatmaps.encode_objects`) on the image's grid."""
@@ -317,76 +299,21 @@ def scene_gt_text(scene: list[SceneObject]) -> str:
 
 
 def scene_priors_text(scene: list[SceneObject]) -> str:
-    """Prior values mirrored into KITTI label fields.
-
-    dimensions carry the dimension prior, rotation_y the orientation
-    prior, and location z the center-depth prior.
-    """
+    """The priors file of :meth:`SceneArrays.priors_text`."""
     return SceneArrays.of(scene).priors_text()
 
 
 def keypoints_sidecar_text(scene: list[SceneObject]) -> str:
-    """One line per object: nine 'u v conf' triples; conf 0 means invisible."""
+    """The keypoint sidecar of :meth:`SceneArrays.sidecar_text`."""
     return SceneArrays.of(scene).sidecar_text()
 
 
-def _sidecar_arrays(text: str, source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keypoints (n, 9, 2), confidences clipped to [0, 1] and visibility
-    (n, 9) of sidecar text: a keypoint is visible where its confidence is
-    positive.  ``source`` names the file in errors."""
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            vals = list(map(float, tokens))
-        except ValueError as e:
-            raise InputError(f"{source}, line {line_no}: {e}") from None
-        if len(vals) != 27:
-            raise InputError(f"{source}, line {line_no}: {len(vals)} values, expected 27")
-        rows.append(vals)
-    triples = np.array(rows, dtype=float).reshape(-1, 9, 3)
-    return triples[..., :2], np.clip(triples[..., 2], 0.0, 1.0), triples[..., 2] > 0.0
-
-
-def parse_scene_inputs(
-    priors_text: str,
-    keypoints_text: str,
-    keypoints_source="keypoint sidecar",
-    priors_source="priors file",
-) -> SolveInputs:
-    """Solver inputs, as arrays, from the priors file and keypoint sidecar
-    of one frame; the sources name the files in errors."""
-    values = [v[:14] for _, _, v in parse_label_values(priors_text, priors_source)]
-    labels = np.array(values, dtype=float).reshape(-1, 14)
-    kp, conf, vis = _sidecar_arrays(keypoints_text, keypoints_source)
-    if len(labels) != len(kp):
-        raise InputError(
-            f"{keypoints_source}: {len(kp)} objects, but the priors file has {len(labels)}"
-        )
-    d_hat, z_hat, theta_hat = labels[:, 7:10], labels[:, 12], labels[:, 13]
-    for i in np.flatnonzero(np.any(d_hat <= 0, axis=1) | (z_hat <= 0))[:1]:
-        try:
-            Priors(d_hat=d_hat[i], theta_hat=theta_hat[i], z_hat=z_hat[i])
-        except ValueError as e:
-            raise InputError(f"{priors_source}, object {i}: {e}") from None
-    return SolveInputs(kp, conf, vis, d_hat, theta_hat, z_hat)
-
-
-def parse_scene_objects(
-    priors_text: str,
-    keypoints_text: str,
-    keypoints_source="keypoint sidecar",
-    priors_source="priors file",
-) -> list[tuple[KeypointSet, Priors]]:
-    """Per-object solver inputs from the priors file and keypoint sidecar;
-    the sources name the files in errors."""
-    s = parse_scene_inputs(priors_text, keypoints_text, keypoints_source, priors_source)
+def parse_scene_objects(priors_text: str, keypoints_text: str, keypoints_source="keypoint sidecar",
+                        priors_source="priors file") -> list[tuple[KeypointSet, Priors]]:
+    """Per-object solver inputs of :func:`~rtm3d.kitti.parse_solve_inputs`."""
+    kp, conf, vis, d_hat, theta_hat, z_hat = kitti.parse_solve_inputs(
+        priors_text, keypoints_text, keypoints_source, priors_source)
     return [
-        (
-            KeypointSet(pts=s.kp[i], conf=s.conf[i], visible=s.vis[i]),
-            Priors(d_hat=s.d_hat[i], theta_hat=theta, z_hat=z),
-        )
-        for i, (theta, z) in enumerate(zip(s.theta_hat.tolist(), s.z_hat.tolist()))
+        (KeypointSet(pts=kp[i], conf=conf[i], visible=vis[i]), Priors(d_hat=d_hat[i], theta_hat=theta, z_hat=z))
+        for i, (theta, z) in enumerate(zip(theta_hat.tolist(), z_hat.tolist()))
     ]

@@ -213,6 +213,8 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("spec", "depth_min=-1\n", "line 1"),
         ("spec", "seed=3\ndepth_min=-1\n", "line 2"),
         ("spec", "depth_min=30\ndepth_max=20\n", "line 1, 2"),
+        # Only the lateral range is at fault, not the keys set before it.
+        ("spec", "frames=3\nn_objects=10\nseed=1\nlateral_min=5\nlateral_max=-5\n", "line 4, 5"),
         ("spec", "n_objects=-2\n", "line 1"),
         ("spec", "depth_min=nan\n", "line 1"),
         ("spec", "seed=3\nyaw_sigma=inf\n", "line 2"),
@@ -236,6 +238,7 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("calib", "P2: 700 0 600 0 0 700 170 0 0 0 2 0\n", "line 1"),
         ("priors", "Car 0.00 0\n", "line 1"),
         ("priors", "Car 0 0 0 0 0 0 0 -1.5 1.6 3.9 0 0 10 0\n" * 2, "object 0"),
+        ("priors", "Car 0 0 0 0 0 0 0 1.5 1.6 3.9 0 0 10 0\nCar 0 0 0 0 0 0 0 1.5 1.6 3.9 0 0 0 0\n", "object 1"),
         ("priors", "Car 0 nan 0 0 0 0 0 1.5 1.6 3.9 0 0 10 0\n", "line 1"),
         ("priors", "Car 0 0 0 0 0 0 0 1.5 1.6 3.9 0 0 10 0\nCar 0 inf 0 0 0 0 0 1.5 1.6 3.9 0 0 10 0\n", "line 2"),
         ("priors", "Car 0 0 0 0 0 0 0 1.5 1.6 3.9 0 0 10 inf\n", "line 1"),
@@ -254,6 +257,10 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("bev-label", "Car 0 0 0 0 0 10 10 0 1.6 3.9 0 0 10 0\n", "line 1"),
         ("bev-label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0\nCar 0 0 0 0 0 10 10 1.5 -1 3.9 0 0 10 0\n", "line 2"),
         ("bev-label", "DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 -1000 -10\nCar 0 0 0 0 0 10 10 1.5 1.6 0 0 0 10 0\n", "line 2"),
+        # Finite but absurd boxes: dimensions or location beyond 1e6 m.
+        ("result", "Car 0 0 0 0 0 10 10 1e200 1e200 1e200 0 0 10 0 0.9\n", "line 1"),
+        ("label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 2e6 0\n", "line 1"),
+        ("bev-result", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 -1e7 0 10 0 0.9\n", "line 1"),
         ("keypoints", "abc\n", "line 1"),
         ("keypoints", "1 2 1 " * 8 + "1 2\n", "line 1"),
         # Three well-formed lines against the priors file's two objects.
@@ -515,6 +522,39 @@ def test_cli_import_loads_only_what_every_command_uses():
     env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "['rtm3d', 'rtm3d.cli', 'rtm3d.geometry', 'rtm3d.kitti']"
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("solve", ["cli", "config", "geometry", "kitti", "solver"]),
+        ("solve --config", ["cli", "config", "geometry", "kitti", "solver"]),
+        ("eval", ["cli", "evaluation", "geometry", "kitti"]),
+        ("render-bev", ["bev_svg", "cli", "evaluation", "geometry", "kitti"]),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(command, loaded, dataset, tmp_path):
+    # Each run in a fresh interpreter, as rtm3d runs: solve reads its input
+    # formats through kitti and loads neither synth nor heatmaps.
+    results, cfg = tmp_path / "results", tmp_path / "solve.cfg"
+    assert main(["solve", str(dataset), str(results)]) == EXIT_OK
+    cfg.write_text("max_iter=50\n")
+    frame = "000000.txt"
+    argv = {
+        "solve": ["solve", dataset, tmp_path / "out"],
+        "solve --config": ["solve", dataset, tmp_path / "out", "--config", cfg],
+        "eval": ["eval", results, dataset],
+        "render-bev": ["render-bev", "--results", results / "data" / frame, "--gt", dataset / "label_2" / frame,
+                       tmp_path / "bev.svg"],
+    }[command]
+    code = (
+        "import sys\nfrom rtm3d.cli import main\nassert main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('rtm3d')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code, *map(str, argv)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == str(["rtm3d"] + [f"rtm3d.{m}" for m in loaded])
 
 
 def test_end_to_end_script_runs_from_a_checkout(tmp_path):

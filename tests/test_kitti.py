@@ -7,15 +7,20 @@ from hypothesis import strategies as st
 
 from rtm3d.kitti import (
     FieldCountError,
+    InputError,
     KittiLabel,
     MissingP2Error,
     NumericParseError,
     box3d_to_label,
     camera_to_calib,
     format_label,
+    keypoint_boxes,
     label_to_box3d,
     parse_calib,
     parse_labels,
+    parse_solve_inputs,
+    priors_text,
+    sidecar_text,
     to_camera_model,
     write_calib,
     write_result_file,
@@ -185,3 +190,43 @@ def test_label_box_conversion():
     assert box.yaw == pytest.approx(-1.59)
     back = box3d_to_label(box, bbox=lb.bbox)
     assert format_label(back) == LABEL_LINE
+
+
+@pytest.mark.parametrize("field", [8, 9, 10, 11, 12, 13])
+def test_label_to_box3d_bounds_dimensions_and_location(field):
+    # A box is at most 1e6 m across and from the camera, so that no product
+    # of its coordinates overflows.  Dimensions must also be positive.
+    for value in ("1e6", "-1e6") if field > 10 else ("1e6",):
+        fields = LABEL_LINE.split()
+        fields[field] = value
+        label_to_box3d(parse_labels(" ".join(fields), "labels.txt")[0])
+    fields[field] = "1.000001e6"
+    with pytest.raises(InputError, match=r"^labels.txt, line 1: box dimensions and location must lie within 1e\+06 m"):
+        label_to_box3d(parse_labels(" ".join(fields), "labels.txt")[0])
+
+
+@pytest.mark.parametrize("n", [0, 6])
+def test_solve_inputs_round_trip_through_priors_and_sidecar(n):
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(0.0, 1200.0, size=(n, 9, 2))
+    conf = rng.uniform(0.05, 1.0, size=(n, 9))
+    visible = rng.uniform(size=(n, 9)) > 0.3
+    d_hat, theta_hat, z_hat = rng.uniform(0.5, 5.0, size=(n, 3)), rng.uniform(-3.1, 3.1, n), rng.uniform(5.0, 60.0, n)
+    text = priors_text(d_hat, theta_hat, z_hat, keypoint_boxes(pts, visible)), sidecar_text(pts, conf, visible)
+    back = parse_solve_inputs(*text)
+    # Dropped keypoints keep their position and read back invisible, with confidence 0.
+    for got, want in zip(back, (pts, np.where(visible, conf, 0.0), visible, d_hat, theta_hat, z_hat)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("field, prior", [(8, "dimension"), (10, "dimension"), (13, "depth")])
+@pytest.mark.parametrize("value", ["0", "-2.5"])
+def test_parse_solve_inputs_names_the_object_whose_prior_is_not_positive(field, prior, value):
+    fields = "Car 0 0 0 0 0 0 0 1.5 1.6 3.9 0 0 10 0".split()
+    good = " ".join(fields)
+    fields[field] = value
+    sidecar = ("1 2 1 " * 9 + "\n") * 3
+    with pytest.raises(InputError) as e:
+        parse_solve_inputs(f"{good}\n{' '.join(fields)}\n{good}\n", sidecar, "kp.txt", "priors.txt")
+    assert str(e.value) == f"priors.txt, object 1: {prior} prior must be positive"

@@ -5,7 +5,8 @@ import pytest
 
 from rtm3d.geometry import box_points_3d, project_points, wrap_to_pi, yaw_to_alpha
 from rtm3d.heatmaps import decode_objects
-from rtm3d.kitti import parse_labels
+from rtm3d.kitti import parse_labels, parse_solve_inputs
+from rtm3d.solver import SolveInputs
 from rtm3d.synth import (
     IMAGE_SIZE,
     NoiseSpec,
@@ -15,7 +16,6 @@ from rtm3d.synth import (
     encode_headmaps,
     generate_scene,
     keypoints_sidecar_text,
-    parse_scene_inputs,
     parse_scene_objects,
     scene_gt_text,
     scene_priors_text,
@@ -118,7 +118,7 @@ def test_sidecar_roundtrip():
     scene = apply_noise(
         generate_scene(SceneSpec(seed=10)), NoiseSpec(pixel_sigma=1.0, dropout=0.3), seed=2
     )
-    back = parse_scene_inputs(scene_priors_text(scene), keypoints_sidecar_text(scene))
+    back = SolveInputs(*parse_solve_inputs(scene_priors_text(scene), keypoints_sidecar_text(scene)))
     assert len(back.kp) == len(scene)
     for obj, pts, conf, visible in zip(scene, back.kp, back.conf, back.vis):
         np.testing.assert_allclose(pts[visible], obj.kps.pts[obj.kps.visible], atol=1e-6)
