@@ -46,9 +46,8 @@ class Settings(dict):
     def build(self, cls, keys, make=dict):
         """``cls(**make(given))``, where ``given`` holds the values this file
         sets for ``keys``.  Its ValueError becomes an InputError naming the
-        line of the first value that fails on its own or, when only a
-        combination fails, the lines left after dropping each key, last line
-        first, for as long as the rest still fail."""
+        lines left after dropping each key, last line first, for as long as
+        the rest still fail.  A value at fault on its own is named alone."""
         given = {k: self[k] for k in keys if k in self}
         try:
             return cls(**make(given))
@@ -61,8 +60,7 @@ class Settings(dict):
             except ValueError as e:
                 return e
 
-        order = sorted(given, key=self.lines.get)
-        at = next(([k] for k in order if error_of([k])), order)
+        order = at = sorted(given, key=self.lines.get)
         for key in reversed(order):  # keeps a lone failing key: the defaults pass
             if error_of(rest := [k for k in at if k != key]):
                 at = rest

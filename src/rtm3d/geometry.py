@@ -25,6 +25,7 @@ __all__ = [
     "box_points",
     "box_points_3d",
     "corner_offsets",
+    "nonpositive_prior",
     "pinhole",
     "project_points",
     "rot_y",
@@ -130,6 +131,13 @@ class KeypointSet:
     @property
     def n_visible(self) -> int:
         return int(self.visible.sum())
+
+
+def nonpositive_prior(d_hat: np.ndarray, z_hat: np.ndarray) -> tuple[int, str] | None:
+    """Index and fault of the first object whose dimension (n, 3) or depth (n,) prior is not positive."""
+    for i in np.flatnonzero(np.any(d_hat <= 0, axis=1) | (z_hat <= 0))[:1]:
+        return int(i), f"{'dimension' if np.any(d_hat[i] <= 0) else 'depth'} prior must be positive"
+    return None
 
 
 # Unit-box corners (rows 0-7, in the KITTI devkit order) and center (row 8)

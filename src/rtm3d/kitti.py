@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box3D, CameraModel, wrap_to_pi, yaw_to_alpha
+from .geometry import Box3D, CameraModel, nonpositive_prior, wrap_to_pi, yaw_to_alpha
 
 __all__ = [
     "FieldCountError",
@@ -45,8 +45,8 @@ __all__ = [
 
 # The one object class: rtm3d synth and solve write it, and evaluation scores it.
 CATEGORY = "Car"
-# Largest |dimension| or |location| (m) of a box read from a label, far from overflow.
-BOX_LIMIT = 1e6
+# Largest |dimension| or |location| (m) of a box read from a label: a volume is finite.
+BOX_LIMIT = 1e100
 
 
 class InputError(ValueError):
@@ -196,9 +196,8 @@ def car_lines(dims, t, yaw, bbox, score=None, decimals: int = 2) -> list[str]:
 
 
 def keypoint_boxes(pts: np.ndarray, visible: np.ndarray) -> np.ndarray:
-    """Axis-aligned image boxes (n, 4), (left, top, right, bottom), of the
-    visible keypoints of (n, 9, 2) keypoints, or of all nine where none is
-    visible."""
+    """Axis-aligned image boxes (n, 4), (left, top, right, bottom), of the visible
+    keypoints of (n, 9, 2) keypoints, or of all nine where none is visible."""
     use = (visible | ~visible.any(axis=1, keepdims=True))[..., None]
     return np.concatenate([np.where(use, pts, np.inf).min(axis=1), np.where(use, pts, -np.inf).max(axis=1)], axis=1)
 
@@ -223,10 +222,9 @@ def sidecar_text(pts, conf, visible) -> str:
 
 def parse_solve_inputs(priors: str, sidecar: str, sidecar_source="keypoint sidecar", priors_source="priors file"):
     """The solver's inputs from one frame's priors file and keypoint sidecar,
-    in the field order of ``solver.SolveInputs``: keypoints (n, 9, 2),
-    confidences clipped to [0, 1], visibility (n, 9) where a confidence is
-    positive, and dimension (n, 3), yaw and depth (n,) priors.  The sources
-    name the files in errors."""
+    in ``solver.SolveInputs`` field order: keypoints (n, 9, 2), confidences
+    clipped to [0, 1], visibility (n, 9) where a confidence is positive, and
+    dimension (n, 3), yaw and depth (n,) priors.  Sources name files in errors."""
     values = [v[:14] for _, _, v in parse_label_values(priors, priors_source)]
     labels = np.array(values, dtype=float).reshape(-1, 14)
     rows = []
@@ -243,9 +241,8 @@ def parse_solve_inputs(priors: str, sidecar: str, sidecar_source="keypoint sidec
     if len(labels) != len(triples):
         raise InputError(f"{sidecar_source}: {len(triples)} objects, but the priors file has {len(labels)}")
     d_hat, z_hat, theta_hat = labels[:, 7:10], labels[:, 12], labels[:, 13]
-    for i in np.flatnonzero(np.any(d_hat <= 0, axis=1) | (z_hat <= 0))[:1]:
-        prior = "dimension" if np.any(d_hat[i] <= 0) else "depth"
-        raise InputError(f"{priors_source}, object {i}: {prior} prior must be positive")
+    if fault := nonpositive_prior(d_hat, z_hat):
+        raise InputError(f"{priors_source}, object {fault[0]}: {fault[1]}")
     return triples[..., :2], np.clip(triples[..., 2], 0.0, 1.0), triples[..., 2] > 0.0, d_hat, theta_hat, z_hat
 
 

@@ -34,6 +34,7 @@ from .geometry import (
     _skew,
     box_points,
     box_points_3d,
+    nonpositive_prior,
     pinhole,
     rot_y,
 )
@@ -101,11 +102,9 @@ class Priors:
 
     def __post_init__(self):
         d = np.asarray(self.d_hat, dtype=float).reshape(3)
-        if np.any(d <= 0):
-            raise ValueError("dimension prior must be positive")
+        if fault := nonpositive_prior(d[None], np.array([self.z_hat])):
+            raise ValueError(fault[1])
         object.__setattr__(self, "d_hat", d)
-        if self.z_hat <= 0:
-            raise ValueError("depth prior must be positive")
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,8 @@ def _softmax_rows(conf: np.ndarray) -> np.ndarray:
 
 
 class SolveInputs(NamedTuple):
-    """The keypoints and priors of N objects stacked along the first axis,
-    as :func:`solve_arrays` takes them."""
+    """The keypoints and priors of N objects stacked along the first axis, as
+    :func:`solve_arrays` takes them and :func:`rtm3d.kitti.parse_solve_inputs` returns them."""
 
     kp: np.ndarray  # (N, 9, 2) measured keypoints
     conf: np.ndarray  # (N, 9) keypoint confidences in [0, 1]

@@ -215,6 +215,8 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("spec", "depth_min=30\ndepth_max=20\n", "line 1, 2"),
         # Only the lateral range is at fault, not the keys set before it.
         ("spec", "frames=3\nn_objects=10\nseed=1\nlateral_min=5\nlateral_max=-5\n", "line 4, 5"),
+        # depth_min=70 fails on its own, but not beside depth_max=80.
+        ("spec", "depth_min=70\ndepth_max=80\nlateral_min=5\nlateral_max=-5\n", "line 3, 4"),
         ("spec", "n_objects=-2\n", "line 1"),
         ("spec", "depth_min=nan\n", "line 1"),
         ("spec", "seed=3\nyaw_sigma=inf\n", "line 2"),
@@ -257,10 +259,10 @@ def test_solve_malformed_sidecar_line_is_input_error(dataset, tmp_path, capsys):
         ("bev-label", "Car 0 0 0 0 0 10 10 0 1.6 3.9 0 0 10 0\n", "line 1"),
         ("bev-label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0\nCar 0 0 0 0 0 10 10 1.5 -1 3.9 0 0 10 0\n", "line 2"),
         ("bev-label", "DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 -1000 -10\nCar 0 0 0 0 0 10 10 1.5 1.6 0 0 0 10 0\n", "line 2"),
-        # Finite but absurd boxes: dimensions or location beyond 1e6 m.
+        # Finite but absurd boxes: dimensions or location beyond 1e100 m.
         ("result", "Car 0 0 0 0 0 10 10 1e200 1e200 1e200 0 0 10 0 0.9\n", "line 1"),
-        ("label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 2e6 0\n", "line 1"),
-        ("bev-result", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 -1e7 0 10 0 0.9\n", "line 1"),
+        ("label", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 2e100 0\n", "line 1"),
+        ("bev-result", "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 -1e101 0 10 0 0.9\n", "line 1"),
         ("keypoints", "abc\n", "line 1"),
         ("keypoints", "1 2 1 " * 8 + "1 2\n", "line 1"),
         # Three well-formed lines against the priors file's two objects.
@@ -423,6 +425,21 @@ def test_eval_single_difficulty_and_forty_point(dataset, tmp_path, capsys):
     report = capsys.readouterr().out
     assert "interpolation=40point" in report
     assert "ap_3d_hard" in report and "ap_3d_easy" not in report
+
+
+def test_eval_and_render_bev_read_every_box_solve_writes(dataset, tmp_path):
+    # Priors are unbounded, and the fit stays near a far depth prior: results
+    # beyond 1e6 m are still boxes that eval and render-bev score and draw.
+    for path in (dataset / "priors").glob("*.txt"):
+        rows = [line.split() for line in path.read_text().splitlines()]
+        path.write_text("".join(" ".join([*f[:13], "1e7", *f[14:]]) + "\n" for f in rows))
+    out = tmp_path / "results"
+    assert main(["solve", str(dataset), str(out)]) == EXIT_OK
+    result = out / "data" / "000000.txt"
+    assert min(float(line.split()[13]) for line in result.read_text().splitlines()) > 1e6
+    assert main(["eval", str(out), str(dataset)]) == EXIT_OK
+    gt = dataset / "label_2" / "000000.txt"
+    assert main(["render-bev", "--results", str(result), "--gt", str(gt), str(tmp_path / "bev.svg")]) == EXIT_OK
 
 
 def test_eval_rejects_bad_iou(dataset, tmp_path):

@@ -194,14 +194,14 @@ def test_label_box_conversion():
 
 @pytest.mark.parametrize("field", [8, 9, 10, 11, 12, 13])
 def test_label_to_box3d_bounds_dimensions_and_location(field):
-    # A box is at most 1e6 m across and from the camera, so that no product
-    # of its coordinates overflows.  Dimensions must also be positive.
-    for value in ("1e6", "-1e6") if field > 10 else ("1e6",):
+    # A box is at most 1e100 m across and from the camera, so that no product
+    # of three of its coordinates overflows.  Dimensions must also be positive.
+    for value in ("1e100", "-1e100") if field > 10 else ("1e100",):
         fields = LABEL_LINE.split()
         fields[field] = value
         label_to_box3d(parse_labels(" ".join(fields), "labels.txt")[0])
-    fields[field] = "1.000001e6"
-    with pytest.raises(InputError, match=r"^labels.txt, line 1: box dimensions and location must lie within 1e\+06 m"):
+    fields[field] = "1.000001e100"
+    with pytest.raises(InputError, match=r"^labels.txt, line 1: box dimensions and location must lie within 1e\+100 m"):
         label_to_box3d(parse_labels(" ".join(fields), "labels.txt")[0])
 
 
