@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 # Each command imports its modules when it runs: solve loads config and solver,
-# and neither synth nor heatmaps, since kitti reads its input formats.
+# and neither synth nor heatmaps, since kitti reads its input formats; synth
+# loads no solver.
 from . import kitti
 from .geometry import wrap_to_pi
 from .kitti import InputError
@@ -54,7 +55,7 @@ def cmd_synth(args) -> int:
         (out / sub).mkdir(parents=True, exist_ok=True)
     camera = synth.default_camera()
     calib_text = kitti.write_calib(kitti.camera_to_calib(camera))
-    unplaced = 0
+    unplaced, maps = 0, None
     for frame in range(frames):
         seed = scene_spec.seed + frame
         scene = synth.SceneArrays.draw(replace(scene_spec, seed=seed), camera)
@@ -66,8 +67,11 @@ def cmd_synth(args) -> int:
         (out / "priors" / f"{name}.txt").write_text(noisy.priors_text())
         (out / "keypoints" / f"{name}.txt").write_text(noisy.sidecar_text())
         if with_headmaps:
-            # Encoded in the file's float32, so the write needs no cast (README "Head maps").
-            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", scene.headmaps(np.float32))
+            # Encoded in the file's float32, so the write needs no cast, on one set of planes
+            # for every frame, zeroed again only where the frame drew (README "Head maps").
+            maps = scene.headmaps(np.float32, maps)
+            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", maps)
+            maps.clear()
     print(f"wrote {frames} synthetic frame(s) to {out}")
     if unplaced:
         print(f"rtm3d: {unplaced} of {frames * scene_spec.n_objects} box(es) ran out of draws: not all nine "

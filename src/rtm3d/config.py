@@ -13,7 +13,6 @@ from dataclasses import fields
 from pathlib import Path
 
 from .kitti import InputError
-from .solver import EnergyWeights, SolverConfig
 
 __all__ = ["Settings", "load_config", "load_synth_spec"]
 
@@ -76,6 +75,8 @@ def load_config(path) -> tuple[EnergyWeights, SolverConfig]:
     """Energy weights and solver settings of a ``rtm3d solve --config`` file:
     ``w_d``, ``w_r``, ``max_iter``, ``g_tol`` and ``step_tol``.  A key the
     file does not set keeps its dataclass default."""
+    from .solver import EnergyWeights, SolverConfig  # here, so that a synth run loads no solver
+
     groups = [(cls, _numeric_fields(cls)) for cls in (EnergyWeights, SolverConfig)]
     s = Settings(path, {k: t for _, keys in groups for k, t in keys.items()})
     weights, solver = (s.build(cls, keys) for cls, keys in groups)

@@ -67,7 +67,7 @@ class Box3D:
     def __post_init__(self):
         dims = np.asarray(self.dims, dtype=float).reshape(3)
         t = np.asarray(self.t, dtype=float).reshape(3)
-        if np.any(dims <= 0):
+        if (dims <= 0).any():
             raise ValueError("box dimensions must be positive")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "t", t)

@@ -15,7 +15,7 @@ import math
 import mmap
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +88,26 @@ def _bump_radius(sigma: float) -> int:
     return int(math.sqrt(2.0 * sigma * _F32_ZERO_EXPONENT)) + 1
 
 
+def _gaussian_kernel(sigma: float) -> np.ndarray:
+    """The whole (2r + 1, 2r + 1) bump :func:`render_gaussian` draws at spread
+    ``sigma``, centred, with r = :func:`_bump_radius`, in float64."""
+    d2 = np.arange(-(r := _bump_radius(sigma)), r + 1) ** 2
+    return np.exp(-(d2 + d2[:, None]) / (2.0 * sigma))
+
+
+def _stamp(plane: np.ndarray, kernel: np.ndarray, cx: int, cy: int) -> np.ndarray | None:
+    """Max-compose ``kernel`` centred on cell (cx, cy) of a 2D plane, clipped
+    to the plane; the window of ``plane`` drawn, or None when it is empty."""
+    r, (h, w) = len(kernel) // 2, plane.shape
+    y0, y1 = max(cy - r, 0), min(cy + r + 1, h)
+    x0, x1 = max(cx - r, 0), min(cx + r + 1, w)
+    if y0 >= y1 or x0 >= x1:
+        return None
+    window = plane[y0:y1, x0:x1]
+    np.maximum(window, kernel[y0 - cy + r:y1 - cy + r, x0 - cx + r:x1 - cx + r], out=window)
+    return window
+
+
 def render_gaussian(heatmap, center, sigma):
     """Max-compose a Gaussian bump onto a 2D map, value 1 at the center cell.
 
@@ -104,17 +124,7 @@ def render_gaussian(heatmap, center, sigma):
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    h, w = heatmap.shape
-    cx, cy = int(round(center[0])), int(round(center[1]))
-    r = _bump_radius(sigma)
-    y0, y1 = max(cy - r, 0), min(cy + r + 1, h)
-    x0, x1 = max(cx - r, 0), min(cx + r + 1, w)
-    if y0 >= y1 or x0 >= x1:
-        return heatmap
-    dx2 = (np.arange(x0, x1) - cx) ** 2
-    dy2 = (np.arange(y0, y1)[:, None] - cy) ** 2
-    window = heatmap[y0:y1, x0:x1]
-    np.maximum(window, np.exp(-(dx2 + dy2) / (2.0 * sigma)), out=window)
+    _stamp(heatmap, _gaussian_kernel(sigma), int(round(center[0])), int(round(center[1])))
     return heatmap
 
 
@@ -130,6 +140,8 @@ class HeadMaps:
     dims: np.ndarray
     orientation: np.ndarray
     depth: np.ndarray
+    # Views of the windows and cells encode_objects drew, which clear() zeroes.
+    drawn: list = field(default_factory=list, repr=False, compare=False)
 
     # (name, channels) in ``.rtmh`` file order; ``main``'s one class is kitti.CATEGORY.
     PLANES = (
@@ -151,6 +163,13 @@ class HeadMaps:
     @property
     def grid_shape(self) -> tuple[int, int]:
         return self.main.shape[0], self.main.shape[1]
+
+    def clear(self) -> None:
+        """Zero the windows and cells :func:`encode_objects` drew on these
+        planes since the last clear: planes that were all zero before are again."""
+        for view in self.drawn:
+            view.fill(0)
+        self.drawn.clear()
 
 
 def focal_loss(pred, target, alpha=2.0, beta=4.0):
@@ -334,7 +353,7 @@ def decode_objects(maps: HeadMaps, config: GroupingConfig = GroupingConfig()):
     return group_keypoints(main_peaks, vertex_peaks, maps)
 
 
-def encode_objects(boxes, pts, visible, dims, alpha, depth, grid_shape, dtype=np.float64) -> HeadMaps:
+def encode_objects(boxes, pts, visible, dims, alpha, depth, grid_shape, dtype=np.float64, maps=None) -> HeadMaps:
     """Head maps on an (H, W) grid of n objects, in the values :func:`decode_objects`
     reads back: 2D boxes (n, 4) (left, top, right, bottom), keypoints (n, 9, 2)
     and their visibility (n, 9), dims (n, 3), observation angles (n,) and
@@ -342,26 +361,41 @@ def encode_objects(boxes, pts, visible, dims, alpha, depth, grid_shape, dtype=np
     with no visible keypoint writes nothing; on a shared cell the later wins.
 
     Every value is computed in float64 and rounded once into planes of
-    ``dtype``, so float32 planes equal the float64 ones cast to float32."""
+    ``dtype``, so float32 planes equal the float64 ones cast to float32.  An
+    object's Gaussian kernel is computed once and each of its bumps composes
+    a slice of it: the cells :func:`render_gaussian` would give.
+
+    Without ``maps`` the objects are drawn on fresh zero planes.  Given
+    ``maps``, all-zero planes of the grid, they are drawn there and ``maps``
+    is returned; :meth:`HeadMaps.clear` then zeroes only what was drawn, so
+    one set of planes can encode frame after frame (README "Head maps")."""
     s, (gh, gw) = DOWNSAMPLE, grid_shape
-    maps = HeadMaps.zeros(gh, gw, dtype)
+    if maps is None:
+        maps = HeadMaps.zeros(gh, gw, dtype)
+    elif maps.grid_shape != (gh, gw):
+        raise ValueError(f"planes of a {maps.grid_shape} grid, not {(gh, gw)}")
     boxes, pts, visible = np.asarray(boxes, dtype=float), np.asarray(pts, dtype=float), np.asarray(visible)
     area = np.maximum((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]), 1.0)
     center = (boxes[:, :2] + boxes[:, 2:]) / 2.0
     ccell = np.clip(np.floor(center / s).astype(int), 0, [gw - 1, gh - 1])
+    drawn = maps.drawn
     for i in np.flatnonzero(visible.any(axis=1)):
-        (cx, cy), sigma = ccell[i], adaptive_sigma(area[i]) / s
-        render_gaussian(maps.main[:, :, 0], ccell[i], sigma)
+        (cx, cy), kernel = ccell[i].tolist(), _gaussian_kernel(adaptive_sigma(area[i]) / s)
+        drawn.append(_stamp(maps.main[:, :, 0], kernel, cx, cy))
         maps.center_offset[cy, cx] = center[i] / s - ccell[i]
         maps.vertex_coord[cy, cx] = (pts[i] / s - ccell[i]).reshape(-1)
         maps.dims[cy, cx] = (dims[i] - DIM_MEAN) / DIM_STD
         maps.orientation[cy, cx] = multibin_encode(alpha[i])
         maps.depth[cy, cx, 0] = math.log(depth[i])
-        for k in np.flatnonzero(visible[i]):
-            vcell = np.floor(pts[i, k] / s).astype(int)
-            if 0 <= vcell[0] < gw and 0 <= vcell[1] < gh:
-                render_gaussian(maps.vertex[:, :, k], vcell, sigma)
-                maps.vertex_offset[vcell[1], vcell[0]] = pts[i, k] / s - vcell
+        drawn += [maps.center_offset[cy, cx], maps.vertex_coord[cy, cx], maps.dims[cy, cx],
+                  maps.orientation[cy, cx], maps.depth[cy, cx]]
+        ks = np.flatnonzero(visible[i])
+        vcell = np.floor(pts[i, ks] / s).astype(int)
+        for k, (vx, vy), offset in zip(ks.tolist(), vcell.tolist(), pts[i, ks] / s - vcell):
+            if 0 <= vx < gw and 0 <= vy < gh:
+                drawn.append(_stamp(maps.vertex[:, :, k], kernel, vx, vy))
+                maps.vertex_offset[vy, vx] = offset
+                drawn.append(maps.vertex_offset[vy, vx])
     return maps
 
 
@@ -449,8 +483,10 @@ def write_headmaps(path, maps: HeadMaps) -> None:
     :attr:`HeadMaps.PLANES` raises ValueError before anything is written.
     The file replaces ``path`` atomically, so maps read from it earlier keep
     their bytes.  It stays dense: a sparse file made decode slower (README).
-    C-contiguous float32 planes are written as they are, without a copy;
-    any other plane is cast to a float32 copy first."""
+    C-contiguous float32 planes are written as they are, one write per plane
+    and without a copy; any other plane is cast to a float32 copy first.
+    The planes are only read, so maps drawn on planes reused across frames
+    (:func:`encode_objects`) write the same bytes as fresh ones."""
     h, w = maps.grid_shape
     for name, c in HeadMaps.PLANES:
         if getattr(maps, name).shape != (h, w, c):

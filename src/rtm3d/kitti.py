@@ -47,6 +47,8 @@ __all__ = [
 CATEGORY = "Car"
 # Largest |dimension| or |location| (m) of a box read from a label: a volume is finite.
 BOX_LIMIT = 1e100
+# Largest |bbox field| (px) of a label line: a 2D box area, and the sum of two, is finite.
+BBOX_LIMIT = 1e100
 
 
 class InputError(ValueError):
@@ -142,22 +144,27 @@ def parse_label_values(text: str, source="label text") -> list[tuple[int, str, l
 
 
 def parse_labels(text: str, source="label text") -> list[KittiLabel]:
-    """Parse label/result text, checked as :func:`parse_label_values` checks it."""
-    return [
-        KittiLabel(
+    """Parse label/result text, checked as :func:`parse_label_values` checks it;
+    a bbox field beyond :data:`BBOX_LIMIT` in magnitude, on any line, raises an
+    InputError naming the line."""
+    labels = []
+    for line_no, kind, v in parse_label_values(text, source):
+        bbox = tuple(v[3:7])
+        if max(map(abs, bbox)) > BBOX_LIMIT:
+            raise InputError(f"{source}, line {line_no}: 2D box fields must lie within {BBOX_LIMIT:g} px, got {bbox}")
+        labels.append(KittiLabel(
             type=kind,
             truncated=v[0],
             occluded=int(v[1]),
             alpha=v[2],
-            bbox=tuple(v[3:7]),
+            bbox=bbox,
             dimensions=tuple(v[7:10]),
             location=tuple(v[10:13]),
             rotation_y=v[13],
             score=v[14] if len(v) == 15 else None,
             origin=f"{source}, line {line_no}",
-        )
-        for line_no, kind, v in parse_label_values(text, source)
-    ]
+        ))
+    return labels
 
 
 def parse_label_file(path) -> list[KittiLabel]:

@@ -75,8 +75,10 @@ LM_LAMBDA_MAX = 1e12
 SOLVE_CHUNK = 256
 
 _I3 = np.eye(3)
-# The camera axis that each of dims (h, w, l) scales.
+# The camera axis that each of dims (h, w, l) scales, and the corner template
+# (9, 1, 3) with its columns in dims order.
 _AXIS_OF_DIM = np.argsort(DIM_OF_AXIS)
+_TEMPLATE_BY_DIM = BOX_TEMPLATE[:, None, _AXIS_OF_DIM]
 # Columns of the (v, w, dims) Jacobian that a state (t, yaw, dims) keeps:
 # v is t, w_y becomes the yaw column, w_x and w_z are dropped.
 _STATE_COLS = [0, 1, 2, 4, 6, 7, 8]
@@ -102,8 +104,10 @@ class Priors:
 
     def __post_init__(self):
         d = np.asarray(self.d_hat, dtype=float).reshape(3)
-        if fault := nonpositive_prior(d[None], np.array([self.z_hat])):
-            raise ValueError(fault[1])
+        # Plainly positive priors skip the check that names a fault.
+        if not (min(d.tolist()) > 0 and self.z_hat > 0):
+            if fault := nonpositive_prior(d[None], np.array([self.z_hat])):
+                raise ValueError(fault[1])
         object.__setattr__(self, "d_hat", d)
 
 
@@ -225,7 +229,7 @@ def _residual_cp(f, c, t_cam, kp, vis, pts) -> tuple[np.ndarray, np.ndarray]:
     and which objects have a visible keypoint behind the camera."""
     uv, behind = pinhole(f, c, t_cam, pts)
     res = np.where(vis[..., None], kp - uv, 0.0)
-    return res.reshape(len(pts), 18), np.any(vis & behind, axis=1)
+    return res.reshape(len(pts), 18), (vis & behind).any(axis=1)
 
 
 def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -245,26 +249,29 @@ def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarra
     m = np.empty(pts.shape + (9,))
     m[..., 0:3] = _I3
     m[..., 3:6] = _skew(-pts)
-    m[..., 6:9] = r[:, None, :, _AXIS_OF_DIM] * BOX_TEMPLATE[:, None, _AXIS_OF_DIM]
+    m[..., 6:9] = r[:, None, :, _AXIS_OF_DIM] * _TEMPLATE_BY_DIM
     return ((-jp) @ m).reshape(len(p), 18, 9)
 
 
 def _residuals(b: _Batch, x: np.ndarray):
-    """Weighted residuals (N, 22) of states x = (t, yaw, dims), and which
-    objects have a visible keypoint behind the camera."""
+    """Weighted residuals (N, 22) of states x = (t, yaw, dims); which objects
+    have a visible keypoint behind the camera; and the rotations (N, 3, 3)
+    and box points (N, 9, 3) of x, which :func:`_jacobians` takes."""
     res = np.empty((len(x), 22))
-    pts = box_points(x[:, 4:], x[:, :3], rot_y(x[:, 3]))
+    r = rot_y(x[:, 3])
+    pts = box_points(x[:, 4:], x[:, :3], r)
     res_cp, behind = _residual_cp(b.f, b.c, b.t_cam, b.kp, b.vis, pts)
     res[:, :18] = b.sqrt_w * res_cp
     res[:, 18:21] = b.sqrt_wd * residual_dimension(x[:, 4:], b.d_hat)
     res[:, 21] = b.sqrt_wr * residual_rotation(x[:, 3], b.theta_hat)
-    return res, behind
+    return res, behind, r, pts
 
 
-def _jacobians(b: _Batch, x: np.ndarray) -> np.ndarray:
-    """Weighted (N, 22, 7) Jacobian of :func:`_residuals`."""
-    t, r = x[:, :3], rot_y(x[:, 3])
-    j = _jacobian_cp(b.f, b.t_cam, r, box_points(x[:, 4:], t, r))
+def _jacobians(b: _Batch, x: np.ndarray, r: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Weighted (N, 22, 7) Jacobian of :func:`_residuals` at states x, whose
+    rotations r and box points pts :func:`_residuals` returned."""
+    t = x[:, :3]
+    j = _jacobian_cp(b.f, b.t_cam, r, pts)
     # Turning by yaw about the bottom center is the twist w = e_y with
     # v = -(e_y x t), which keeps t: the yaw column is J_wy - J_v (e_y x t).
     j[..., 4] += t[:, None, 0] * j[..., 2] - t[:, None, 2] * j[..., 0]
@@ -322,7 +329,7 @@ def total_energy(
 ) -> tuple[float, dict]:
     """Weighted sum of squared residual terms plus a per-term breakdown."""
     b = _Batch.of(SolveInputs.stack([kps], [priors]), camera_rows([cam]), weights)
-    res, behind = _residuals(b, np.r_[box.t, box.yaw, box.dims][None])
+    res, behind, _, _ = _residuals(b, np.r_[box.t, box.yaw, box.dims][None])
     if behind[0]:
         raise BehindCamera("a visible keypoint projects behind the camera")
     (terms,) = _term_costs(_term_sums(res))
@@ -349,9 +356,9 @@ def _starts(inputs: SolveInputs, cams: np.ndarray, config: SolverConfig) -> np.n
     anchor = np.where(vis[:, 8, None], inputs.kp[:, 8], np.where(count > 0, mean, cams[:, 2:4]))
     zp = inputs.z_hat + cams[:, 6]
     x = np.empty((n, 7))
-    x[:, 0] = (anchor[:, 0] - cams[:, 2]) * zp / cams[:, 0] - cams[:, 4]
+    x[:, :2] = (anchor - cams[:, 2:4]) * zp[:, None] / cams[:, 0:2] - cams[:, 4:6]
     # The center sits half a height above the bottom-face anchor (y points down).
-    x[:, 1] = (anchor[:, 1] - cams[:, 3]) * zp / cams[:, 1] - cams[:, 5] + inputs.d_hat[:, 0] / 2.0
+    x[:, 1] += inputs.d_hat[:, 0] / 2.0
     x[:, 2], x[:, 3], x[:, 4:] = inputs.z_hat, inputs.theta_hat, inputs.d_hat
     return x
 
@@ -435,8 +442,8 @@ def solve_arrays(
     b = _Batch.of(inputs, cams, weights)
     with np.errstate(all="ignore"):
         x = _starts(inputs, cams, config)
-        res, behind = _residuals(b, x)
-        cost = np.sum(res * res, axis=1)
+        res, behind, r, pts = _residuals(b, x)
+        cost = (res * res).sum(axis=1)
         # An accepted trial has a finite cost, so only the start can lack one.
         stuck = (inputs.vis.sum(axis=1) < MIN_VISIBLE) | behind | ~np.isfinite(cost)
         lam = np.full(n, LM_LAMBDA0)
@@ -449,7 +456,7 @@ def solve_arrays(
             i = i[iters[i] < config.max_iter]  # stop: max_iter
             if not i.size:
                 return i
-            jac = _jacobians(b.take(i), x[i])
+            jac = _jacobians(b.take(i), x[i], r[i], pts[i])
             jac_t = jac.transpose(0, 2, 1)
             jtj[i], grad[i] = jac_t @ jac, (jac_t @ res[i][..., None])[..., 0]
             flat = np.abs(grad[i]).max(axis=1) < config.g_tol
@@ -460,25 +467,26 @@ def solve_arrays(
 
         live = begin(np.flatnonzero(~stuck))
         while live.size:
-            exhausted = lam[live] > LM_LAMBDA_MAX
-            ex = live[exhausted]
-            # stop: damping, at a (numerical) local minimum
-            converged[ex] = np.abs(grad[ex]).max(axis=1) < math.sqrt(config.g_tol)
-            i = live[~exhausted]
-            if not i.size:
-                break
+            if (exhausted := lam[live] > LM_LAMBDA_MAX).any():
+                ex = live[exhausted]
+                # stop: damping, at a (numerical) local minimum
+                converged[ex] = np.abs(grad[ex]).max(axis=1) < math.sqrt(config.g_tol)
+                live = live[~exhausted]
+                if not live.size:
+                    break
+            i, lam_i = live, lam[live]
             # A damped step.  A singular system gives a NaN step, whose cost
             # is not finite.
-            step = _lm_steps(jtj[i], grad[i], lam[i])
+            step = _lm_steps(jtj[i], grad[i], lam_i)
             x_new = x[i] + step
             x_new[:, 4:] = np.maximum(x_new[:, 4:], 1e-2)
-            res_new, behind_new = _residuals(b.take(i), x_new)
-            cost_new = np.sum(res_new * res_new, axis=1)
+            res_new, behind_new, r_new, pts_new = _residuals(b.take(i), x_new)
+            cost_new = (res_new * res_new).sum(axis=1)
             ok = ~behind_new & np.isfinite(cost_new) & (cost_new < cost[i])
-            lam[i] = np.where(ok, np.maximum(lam[i] / 10.0, 1e-12), lam[i] * 10.0)
+            lam[i] = np.where(ok, np.maximum(lam_i / 10.0, 1e-12), lam_i * 10.0)
             acc = i[ok]
-            x[acc], res[acc], cost[acc] = x_new[ok], res_new[ok], cost_new[ok]
-            small = np.linalg.norm(step[ok], axis=1) < config.step_tol
+            x[acc], res[acc], cost[acc], r[acc], pts[acc] = x_new[ok], res_new[ok], cost_new[ok], r_new[ok], pts_new[ok]
+            small = np.sqrt((step[ok] ** 2).sum(axis=1)) < config.step_tol
             converged[acc[small]] = True  # stop: step
             # Rejected objects retry with the same Jacobian; moved ones begin
             # anew.  The two sets are disjoint, so sorting merges them.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,9 @@ from .geometry import (
     yaw_to_alpha,
 )
 from .heatmaps import DIM_MEAN, DIM_STD, DOWNSAMPLE, HeadMaps, encode_objects
-from .solver import Priors
+
+if TYPE_CHECKING:  # only the per-object API builds Priors, so rtm3d synth loads no solver
+    from .solver import Priors
 
 __all__ = [
     "IMAGE_SIZE",
@@ -229,6 +231,8 @@ class SceneArrays(NamedTuple):
         )
 
     def objects(self) -> list[SceneObject]:
+        from .solver import Priors
+
         scalars = zip(self.yaw.tolist(), self.theta_hat.tolist(), self.z_hat.tolist())
         return [
             SceneObject(
@@ -252,12 +256,13 @@ class SceneArrays(NamedTuple):
         """The keypoint sidecar (:func:`~rtm3d.kitti.sidecar_text`)."""
         return kitti.sidecar_text(self.pts, self.conf, self.visible)
 
-    def headmaps(self, dtype=np.float64) -> HeadMaps:
-        """The scene's head maps (:func:`~rtm3d.heatmaps.encode_objects`) on the image's grid."""
+    def headmaps(self, dtype=np.float64, maps: HeadMaps | None = None) -> HeadMaps:
+        """The scene's head maps (:func:`~rtm3d.heatmaps.encode_objects`) on the image's grid,
+        drawn on ``maps`` if given."""
         alpha = [yaw_to_alpha(y, t) for y, t in zip(self.yaw.tolist(), self.t)]
         return encode_objects(_clipped_boxes(self.pts, self.visible), self.pts, self.visible, self.dims,
                               alpha, self.t[:, 2], (IMAGE_SIZE[1] // DOWNSAMPLE, IMAGE_SIZE[0] // DOWNSAMPLE),
-                              dtype)
+                              dtype, maps)
 
 
 def generate_scene(spec: SceneSpec, camera: CameraModel | None = None) -> list[SceneObject]:
@@ -311,6 +316,8 @@ def keypoints_sidecar_text(scene: list[SceneObject]) -> str:
 def parse_scene_objects(priors_text: str, keypoints_text: str, keypoints_source="keypoint sidecar",
                         priors_source="priors file") -> list[tuple[KeypointSet, Priors]]:
     """Per-object solver inputs of :func:`~rtm3d.kitti.parse_solve_inputs`."""
+    from .solver import Priors
+
     kp, conf, vis, d_hat, theta_hat, z_hat = kitti.parse_solve_inputs(
         priors_text, keypoints_text, keypoints_source, priors_source)
     return [

@@ -61,6 +61,43 @@ def test_synth_headmaps_hold_at_most_one_frame_in_memory(tmp_path):
     assert peak <= 12 + 4 * 96 * 320 * 44 + 2**20
 
 
+def test_synth_reused_planes_leave_no_residue(tmp_path):
+    # rtm3d synth encodes every frame on one set of planes and zeroes again
+    # only the windows and cells each frame drew.  Each file must equal a
+    # fresh encode of its frame, and maps a library caller got earlier must
+    # keep their values.
+    from rtm3d.heatmaps import DOWNSAMPLE, HeadMaps, write_headmaps
+
+    frames, spec = 8, tmp_path / "scenes.cfg"
+    spec.write_text(f"frames={frames}\nn_objects=20\nseed=7\nheadmaps=1\n")
+    scenes = [synth.SceneArrays.draw(synth.SceneSpec(n_objects=20, seed=7 + f), synth.default_camera())
+              for f in range(frames)]
+    # The frames hold what a leftover would show in: keypoint bumps clipped at
+    # the grid edge (every bump reaches at least 13 cells from its cell), and
+    # keypoints of two cars on one cell.
+    grid_w, grid_h = synth.IMAGE_SIZE[0] // DOWNSAMPLE, synth.IMAGE_SIZE[1] // DOWNSAMPLE
+    cells = [[set(map(tuple, np.floor(p[v] / DOWNSAMPLE).astype(int).tolist())) for p, v in zip(s.pts, s.visible)]
+             for s in scenes]
+    assert any(min(x, y, grid_w - 1 - x, grid_h - 1 - y) < 13 for frame in cells for car in frame for x, y in car)
+    assert any(a & b for frame in cells for i, a in enumerate(frame) for b in frame[i + 1:])
+    early = scenes[0].headmaps(np.float32)
+    kept = {name: getattr(early, name).copy() for name, _ in HeadMaps.PLANES}
+    assert main(["synth", str(spec), str(tmp_path / "d")]) == EXIT_OK
+    for f, scene in enumerate(scenes):
+        write_headmaps(tmp_path / "fresh.rtmh", scene.headmaps(np.float32))
+        assert (tmp_path / "d" / "headmaps" / f"{f:06d}.rtmh").read_bytes() == (tmp_path / "fresh.rtmh").read_bytes()
+    for name, _ in HeadMaps.PLANES:
+        np.testing.assert_array_equal(getattr(early, name), kept[name])
+    # In process: after each clear, the reused planes are all zero again.
+    maps = None
+    for scene in scenes:
+        maps = scene.headmaps(np.float32, maps)
+        assert maps.drawn
+        maps.clear()
+        assert not maps.drawn
+        assert all(not getattr(maps, name).any() for name, _ in HeadMaps.PLANES)
+
+
 def test_synth_reports_boxes_that_ran_out_of_draws(tmp_path, capsys):
     # At depths of 1-3 m no draw keeps all nine keypoints in the image, so
     # every box is the last of its draws; the files are still written.
@@ -295,6 +332,28 @@ def test_malformed_input_exits_2_and_names_its_file(kind, text, where, dataset, 
     assert (f"{bad}, {where}: " if where else f"{bad}: ") in capsys.readouterr().err
     if kind == "spec":
         assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["result", "label"])
+@pytest.mark.parametrize("bbox, code", [("0 0 1e200 1e200", EXIT_INPUT), ("-1e100 -1e100 1e100 1e100", EXIT_OK)])
+def test_eval_bounds_2d_boxes_under_warnings_as_errors(which, bbox, code, tmp_path):
+    # A result or ground-truth 2D box of 1e200 px overflowed the 2D IoU's area
+    # product, and eval exited 3 under -W error.  Beyond 1e100 px the line is
+    # malformed, named by file and line; at the bound it scores without a warning.
+    spec, data, results = tmp_path / "scenes.cfg", tmp_path / "data", tmp_path / "results"
+    spec.write_text("frames=1\nn_objects=2\nseed=5\n")
+    assert main(["synth", str(spec), str(data)]) == EXIT_OK
+    assert main(["solve", str(data), str(results)]) == EXIT_OK
+    bad = {"result": results / "data", "label": data / "label_2"}[which] / "000000.txt"
+    for k, v in enumerate(bbox.split()):
+        _set_field(bad, 0, 4 + k, v)
+    env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "rtm3d.cli", "eval", str(results), str(data)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == code, run.stderr
+    if code == EXIT_INPUT:
+        assert run.stderr == f"rtm3d: input error: {bad}, line 1: 2D box fields must lie within 1e+100 px, got " \
+                             f"({', '.join(repr(float(v)) for v in bbox.split())})\n"
 
 
 @pytest.fixture
@@ -548,14 +607,20 @@ def test_cli_import_loads_only_what_every_command_uses():
         ("solve --config", ["cli", "config", "geometry", "kitti", "solver"]),
         ("eval", ["cli", "evaluation", "geometry", "kitti"]),
         ("render-bev", ["bev_svg", "cli", "evaluation", "geometry", "kitti"]),
+        ("synth", ["cli", "config", "geometry", "heatmaps", "kitti", "synth"]),
+        ("synth headmaps=1", ["cli", "config", "geometry", "heatmaps", "kitti", "synth"]),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(command, loaded, dataset, tmp_path):
     # Each run in a fresh interpreter, as rtm3d runs: solve reads its input
-    # formats through kitti and loads neither synth nor heatmaps.
+    # formats through kitti and loads neither synth nor heatmaps, and synth,
+    # with head maps or without, loads no solver.
     results, cfg = tmp_path / "results", tmp_path / "solve.cfg"
     assert main(["solve", str(dataset), str(results)]) == EXIT_OK
     cfg.write_text("max_iter=50\n")
+    spec, spec_hm = tmp_path / "scenes.cfg", tmp_path / "scenes_hm.cfg"
+    spec.write_text("frames=2\nn_objects=2\nseed=5\n")
+    spec_hm.write_text("frames=2\nn_objects=2\nseed=5\nheadmaps=1\n")
     frame = "000000.txt"
     argv = {
         "solve": ["solve", dataset, tmp_path / "out"],
@@ -563,6 +628,8 @@ def test_each_command_loads_only_the_modules_it_runs(command, loaded, dataset, t
         "eval": ["eval", results, dataset],
         "render-bev": ["render-bev", "--results", results / "data" / frame, "--gt", dataset / "label_2" / frame,
                        tmp_path / "bev.svg"],
+        "synth": ["synth", spec, tmp_path / "synth"],
+        "synth headmaps=1": ["synth", spec_hm, tmp_path / "synth_hm"],
     }[command]
     code = (
         "import sys\nfrom rtm3d.cli import main\nassert main(sys.argv[1:]) == 0\n"

@@ -282,7 +282,7 @@ def test_solver_jacobian_matches_finite_differences():
     x = np.array([np.r_[t, yaw, dims] for dims, t, yaw, _ in cases])
     gap = np.array([wrap_to_pi(prior - yaw) for _, _, yaw, prior in cases])
     np.testing.assert_allclose(_residuals(b, x)[0][:, 21], math.sqrt(3.0) * gap, atol=1e-12)
-    jac = _jacobians(b, x)
+    jac = _jacobians(b, x, *_residuals(b, x)[2:])
     assert jac.shape == (len(cases), 22, 7)
     fd = np.empty_like(jac)
     for k in range(7):
