@@ -66,7 +66,7 @@ def test_synth_reused_planes_leave_no_residue(tmp_path):
     # only the windows and cells each frame drew.  Each file must equal a
     # fresh encode of its frame, and maps a library caller got earlier must
     # keep their values.
-    from rtm3d.heatmaps import DOWNSAMPLE, HeadMaps, write_headmaps
+    from rtm3d.heatmaps import DOWNSAMPLE, HeadMaps, encode_objects, write_headmaps
 
     frames, spec = 8, tmp_path / "scenes.cfg"
     spec.write_text(f"frames={frames}\nn_objects=20\nseed=7\nheadmaps=1\n")
@@ -96,6 +96,10 @@ def test_synth_reused_planes_leave_no_residue(tmp_path):
         maps.clear()
         assert not maps.drawn
         assert all(not getattr(maps, name).any() for name, _ in HeadMaps.PLANES)
+    # Planes of another grid are refused, not drawn on.
+    with pytest.raises(ValueError, match="grid"):
+        encode_objects(np.zeros((0, 4)), np.zeros((0, 9, 2)), np.zeros((0, 9), bool), np.zeros((0, 3)), [], [],
+                       (grid_h, grid_w + 1), maps=maps)
 
 
 def test_synth_reports_boxes_that_ran_out_of_draws(tmp_path, capsys):
