@@ -125,10 +125,13 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out)
     (out / "data").mkdir(parents=True, exist_ok=True)
+    priors_paths = sorted(priors_dir.glob("*.txt"))
+    if orphans := sorted(set(kp_dir.glob("*.txt")) - {kp_dir / p.name for p in priors_paths}):
+        raise InputError(f"missing priors file for keypoint sidecar {orphans[0]}")
     # Parse every frame once into arrays, then solve all objects in one call.
-    frames, parts, cam_parts = [], [], []  # frame ids; their inputs and camera rows
+    frames, parts = [], []  # frame ids and their inputs
     cameras = {}  # calib path -> camera row, so a shared --calib file is parsed once
-    for priors_path in sorted(priors_dir.glob("*.txt")):
+    for priors_path in priors_paths:
         frame = priors_path.stem
         kp_path = kp_dir / f"{frame}.txt"
         if not kp_path.exists():
@@ -138,22 +141,19 @@ def cmd_solve(args) -> int:
             raise InputError(f"missing calibration for frame {frame}")
         if calib_path not in cameras:
             cameras[calib_path] = camera_rows([kitti.to_camera_model(kitti.parse_calib_file(calib_path))])
-        objects = SolveInputs(*kitti.parse_solve_inputs(priors_path.read_text(), kp_path.read_text(),
-                                                         kp_path, priors_path))
+        fields = kitti.parse_solve_inputs(priors_path.read_text(), kp_path.read_text(), kp_path, priors_path)
         frames.append(frame)
-        parts.append(objects)
-        cam_parts.append(np.repeat(cameras[calib_path], len(objects.kp), axis=0))
+        parts.append(SolveInputs(*fields, np.repeat(cameras[calib_path], len(fields[0]), axis=0)))
     if not frames:
         raise InputError(f"no frames found under {priors_dir}")
     inputs = SolveInputs(*map(np.concatenate, zip(*parts)))
-    cams = np.concatenate(cam_parts)
 
     t0 = time.perf_counter()
-    fit = solve_arrays(inputs, cams, weights, solver_cfg)
+    fit = solve_arrays(inputs, weights, solver_cfg)
     solve_s = time.perf_counter() - t0
     skipped = [isinstance(e, InsufficientConstraints) for e in fit.errors]
     failed = sum(e is not None for e in fit.errors) - sum(skipped)
-    fitted = len(cams) - sum(skipped)
+    fitted = len(inputs.kp) - sum(skipped)
 
     ok = np.array([e is None for e in fit.errors], dtype=bool)
     results = _result_lines(inputs.take(ok), fit.x[ok])

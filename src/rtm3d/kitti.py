@@ -228,10 +228,10 @@ def sidecar_text(pts, conf, visible) -> str:
 
 
 def parse_solve_inputs(priors: str, sidecar: str, sidecar_source="keypoint sidecar", priors_source="priors file"):
-    """The solver's inputs from one frame's priors file and keypoint sidecar,
-    in ``solver.SolveInputs`` field order: keypoints (n, 9, 2), confidences
-    clipped to [0, 1], visibility (n, 9) where a confidence is positive, and
-    dimension (n, 3), yaw and depth (n,) priors.  Sources name files in errors."""
+    """The fields of ``solver.SolveInputs`` before its camera rows, in order,
+    from one frame's priors file and keypoint sidecar: keypoints (n, 9, 2),
+    confidences clipped to [0, 1], visibility (n, 9) where a confidence is
+    positive, and dimension (n, 3), yaw and depth (n,) priors.  Sources name files in errors."""
     values = [v[:14] for _, _, v in parse_label_values(priors, priors_source)]
     labels = np.array(values, dtype=float).reshape(-1, 14)
     rows = []

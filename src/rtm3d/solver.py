@@ -10,9 +10,10 @@ three dimensions.  That is the ground-plane subgroup of SE(3), so every
 step is additive and the state is the written box.
 
 One LM loop serves every caller.  :func:`solve_arrays`, the one batch
-API, fits N objects at once from stacked arrays (:class:`SolveInputs`),
-with states (N, 7) ordered (t, yaw, dims), residuals (N, 22), Jacobians
-(N, 22, 7) and normal equations (N, 7, 7) stacked along the first axis;
+API, fits N objects at once from one record of stacked arrays
+(:class:`SolveInputs`: keypoints, priors and camera rows), with states
+(N, 7) ordered (t, yaw, dims), residuals (N, 22), Jacobians (N, 22, 7)
+and normal equations (N, 7, 7) stacked along the first axis;
 :func:`solve` is its N = 1 case, reported as a :class:`SolveReport`.
 """
 
@@ -104,10 +105,8 @@ class Priors:
 
     def __post_init__(self):
         d = np.asarray(self.d_hat, dtype=float).reshape(3)
-        # Plainly positive priors skip the check that names a fault.
-        if not (min(d.tolist()) > 0 and self.z_hat > 0):
-            if fault := nonpositive_prior(d[None], np.array([self.z_hat])):
-                raise ValueError(fault[1])
+        if fault := nonpositive_prior(d[None], np.array([self.z_hat])):
+            raise ValueError(fault[1])
         object.__setattr__(self, "d_hat", d)
 
 
@@ -154,8 +153,9 @@ def _softmax_rows(conf: np.ndarray) -> np.ndarray:
 
 
 class SolveInputs(NamedTuple):
-    """The keypoints and priors of N objects stacked along the first axis, as
-    :func:`solve_arrays` takes them and :func:`rtm3d.kitti.parse_solve_inputs` returns them."""
+    """The keypoints, priors and cameras of N objects stacked along the first
+    axis, as :func:`solve_arrays` takes them; :func:`rtm3d.kitti.parse_solve_inputs`
+    returns every field before ``cams``."""
 
     kp: np.ndarray  # (N, 9, 2) measured keypoints
     conf: np.ndarray  # (N, 9) keypoint confidences in [0, 1]
@@ -163,9 +163,10 @@ class SolveInputs(NamedTuple):
     d_hat: np.ndarray  # (N, 3) dimension priors
     theta_hat: np.ndarray  # (N,) yaw priors
     z_hat: np.ndarray  # (N,) depth priors
+    cams: np.ndarray  # (N, 7) camera rows (:func:`camera_rows`)
 
     @staticmethod
-    def stack(kps: Sequence[KeypointSet], priors: Sequence[Priors]) -> "SolveInputs":
+    def stack(kps: Sequence[KeypointSet], priors: Sequence[Priors], cams: Sequence[CameraModel]) -> "SolveInputs":
         n = len(kps)
         return SolveInputs(
             kp=np.array([k.pts for k in kps], dtype=float).reshape(n, 9, 2),
@@ -174,6 +175,7 @@ class SolveInputs(NamedTuple):
             d_hat=np.array([p.d_hat for p in priors], dtype=float).reshape(n, 3),
             theta_hat=np.array([p.theta_hat for p in priors], dtype=float),
             z_hat=np.array([p.z_hat for p in priors], dtype=float),
+            cams=camera_rows(cams),
         )
 
     def take(self, rows) -> "SolveInputs":
@@ -185,39 +187,9 @@ def camera_rows(cams: Sequence[CameraModel]) -> np.ndarray:
     return np.array([(c.fx, c.fy, c.cx, c.cy, *c.t_cam) for c in cams], dtype=float).reshape(-1, 7)
 
 
-class _Batch(NamedTuple):
-    """Inputs of N objects stacked along the first axis."""
-
-    f: np.ndarray  # (N, 1, 2) focal lengths
-    c: np.ndarray  # (N, 1, 2) principal points
-    t_cam: np.ndarray  # (N, 1, 3) projection-matrix offsets
-    kp: np.ndarray  # (N, 9, 2) measured keypoints
-    vis: np.ndarray  # (N, 9) keypoint visibility
-    sqrt_w: np.ndarray  # (N, 18) root confidence weights, zero on invisible rows
-    d_hat: np.ndarray  # (N, 3) dimension priors
-    theta_hat: np.ndarray  # (N,) yaw priors
-    sqrt_wd: np.ndarray  # (N, 1) root dimension weights
-    sqrt_wr: np.ndarray  # (N,) root rotation weights
-
-    @staticmethod
-    def of(inputs: SolveInputs, cams: np.ndarray, weights: EnergyWeights) -> "_Batch":
-        n = len(inputs.kp)
-        return _Batch(
-            f=cams[:, None, 0:2],
-            c=cams[:, None, 2:4],
-            t_cam=cams[:, None, 4:7],
-            kp=inputs.kp,
-            vis=inputs.vis,
-            sqrt_w=np.sqrt(_softmax_rows(inputs.conf)) * np.repeat(inputs.vis, 2, axis=1),
-            d_hat=inputs.d_hat,
-            theta_hat=inputs.theta_hat,
-            sqrt_wd=np.full((n, 1), math.sqrt(weights.w_d)),
-            sqrt_wr=np.full(n, math.sqrt(weights.w_r)),
-        )
-
-    def take(self, idx: np.ndarray) -> "_Batch":
-        """Rows ``idx`` (sorted, unique) of every input."""
-        return self if len(idx) == len(self.kp) else _Batch(*(a[idx] for a in self))
+def _root_weights(inputs: SolveInputs) -> np.ndarray:
+    """Root confidence weights (N, 18) of the reprojection rows, zero on invisible ones."""
+    return np.sqrt(_softmax_rows(inputs.conf)) * np.repeat(inputs.vis, 2, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,32 +225,36 @@ def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarra
     return ((-jp) @ m).reshape(len(p), 18, 9)
 
 
-def _residuals(b: _Batch, x: np.ndarray):
-    """Weighted residuals (N, 22) of states x = (t, yaw, dims); which objects
+def _residuals(inputs: SolveInputs, sqrt_w: np.ndarray, weights: EnergyWeights, x: np.ndarray):
+    """Weighted residuals (N, 22) of states x = (t, yaw, dims), given the
+    objects' root confidence weights (:func:`_root_weights`); which objects
     have a visible keypoint behind the camera; and the rotations (N, 3, 3)
     and box points (N, 9, 3) of x, which :func:`_jacobians` takes."""
     res = np.empty((len(x), 22))
     r = rot_y(x[:, 3])
     pts = box_points(x[:, 4:], x[:, :3], r)
-    res_cp, behind = _residual_cp(b.f, b.c, b.t_cam, b.kp, b.vis, pts)
-    res[:, :18] = b.sqrt_w * res_cp
-    res[:, 18:21] = b.sqrt_wd * residual_dimension(x[:, 4:], b.d_hat)
-    res[:, 21] = b.sqrt_wr * residual_rotation(x[:, 3], b.theta_hat)
+    cams = inputs.cams[:, None]
+    res_cp, behind = _residual_cp(cams[..., 0:2], cams[..., 2:4], cams[..., 4:7], inputs.kp, inputs.vis, pts)
+    res[:, :18] = sqrt_w * res_cp
+    res[:, 18:21] = math.sqrt(weights.w_d) * residual_dimension(x[:, 4:], inputs.d_hat)
+    res[:, 21] = math.sqrt(weights.w_r) * residual_rotation(x[:, 3], inputs.theta_hat)
     return res, behind, r, pts
 
 
-def _jacobians(b: _Batch, x: np.ndarray, r: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _jacobians(inputs: SolveInputs, sqrt_w: np.ndarray, weights: EnergyWeights, x: np.ndarray,
+               r: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Weighted (N, 22, 7) Jacobian of :func:`_residuals` at states x, whose
     rotations r and box points pts :func:`_residuals` returned."""
     t = x[:, :3]
-    j = _jacobian_cp(b.f, b.t_cam, r, pts)
+    cams = inputs.cams[:, None]
+    j = _jacobian_cp(cams[..., 0:2], cams[..., 4:7], r, pts)
     # Turning by yaw about the bottom center is the twist w = e_y with
     # v = -(e_y x t), which keeps t: the yaw column is J_wy - J_v (e_y x t).
     j[..., 4] += t[:, None, 0] * j[..., 2] - t[:, None, 2] * j[..., 0]
     jac = np.zeros((len(x), 22, 7))
-    jac[:, :18] = b.sqrt_w[..., None] * j[..., _STATE_COLS]
-    jac[:, 18:21, 4:] = -b.sqrt_wd[..., None] * _I3
-    jac[:, 21, 3] = -b.sqrt_wr
+    jac[:, :18] = sqrt_w[..., None] * j[..., _STATE_COLS]
+    jac[:, 18:21, 4:] = -math.sqrt(weights.w_d) * _I3
+    jac[:, 21, 3] = -math.sqrt(weights.w_r)
     return jac
 
 
@@ -328,8 +304,8 @@ def total_energy(
     box: Box3D, kps: KeypointSet, cam: CameraModel, priors: Priors, weights: EnergyWeights
 ) -> tuple[float, dict]:
     """Weighted sum of squared residual terms plus a per-term breakdown."""
-    b = _Batch.of(SolveInputs.stack([kps], [priors]), camera_rows([cam]), weights)
-    res, behind, _, _ = _residuals(b, np.r_[box.t, box.yaw, box.dims][None])
+    inputs = SolveInputs.stack([kps], [priors], [cam])
+    res, behind, _, _ = _residuals(inputs, _root_weights(inputs), weights, np.r_[box.t, box.yaw, box.dims][None])
     if behind[0]:
         raise BehindCamera("a visible keypoint projects behind the camera")
     (terms,) = _term_costs(_term_sums(res))
@@ -340,7 +316,7 @@ def total_energy(
 # Levenberg-Marquardt
 
 
-def _starts(inputs: SolveInputs, cams: np.ndarray, config: SolverConfig) -> np.ndarray:
+def _starts(inputs: SolveInputs, config: SolverConfig) -> np.ndarray:
     """Start states (N, 7) = (t, yaw, dims): ``config.init_box`` for every
     object, else the priors' yaw and dimensions, with the box center
     back-projected through the pinhole at the depth prior from the center
@@ -349,7 +325,7 @@ def _starts(inputs: SolveInputs, cams: np.ndarray, config: SolverConfig) -> np.n
     if config.init_box is not None:
         box = config.init_box
         return np.tile(np.r_[box.t, box.yaw, box.dims], (n, 1))
-    vis = inputs.vis
+    vis, cams = inputs.vis, inputs.cams
     count = vis.sum(axis=1)[:, None]
     # Summed along axis 1, in the order of each object's own kp[vis].mean(axis=0).
     mean = np.where(vis[..., None], inputs.kp, 0.0).sum(axis=1) / np.maximum(count, 1)
@@ -368,7 +344,7 @@ def initialize(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Initial yaw, bottom-center translation and dimensions of one object:
     the N = 1 case of the solver's start."""
-    x = _starts(SolveInputs.stack([kps], [priors]), camera_rows([cam]), SolverConfig())[0]
+    x = _starts(SolveInputs.stack([kps], [priors], [cam]), SolverConfig())[0]
     return priors.theta_hat, x[:3], x[4:]
 
 
@@ -413,12 +389,10 @@ def _start_error(inputs: SolveInputs, i: int, behind: bool) -> Exception:
 
 def solve_arrays(
     inputs: SolveInputs,
-    cams: np.ndarray,
     weights: EnergyWeights = EnergyWeights(),
     config: SolverConfig = SolverConfig(),
 ) -> Fit:
-    """Levenberg-Marquardt over (t, yaw, dims) for N objects in one loop;
-    ``cams`` holds each object's :func:`camera_rows` row.
+    """Levenberg-Marquardt over (t, yaw, dims) for N objects in one loop.
 
     Each object keeps its own damping, iteration count and done flag, and
     follows the same sequence of trials as it would alone: a rejected trial
@@ -436,13 +410,18 @@ def solve_arrays(
     """
     n = len(inputs.kp)
     if n > SOLVE_CHUNK:
-        chunks = [solve_arrays(inputs.take(slice(i, i + SOLVE_CHUNK)), cams[i:i + SOLVE_CHUNK], weights, config)
+        chunks = [solve_arrays(inputs.take(slice(i, i + SOLVE_CHUNK)), weights, config)
                   for i in range(0, n, SOLVE_CHUNK)]
         return Fit(*map(np.concatenate, zip(*chunks)))
-    b = _Batch.of(inputs, cams, weights)
+    sqrt_w = _root_weights(inputs)
+
+    def rows(i: np.ndarray) -> tuple[SolveInputs, np.ndarray]:
+        """The inputs and root confidence weights of objects ``i`` (sorted, unique)."""
+        return (inputs, sqrt_w) if len(i) == n else (inputs.take(i), sqrt_w[i])
+
     with np.errstate(all="ignore"):
-        x = _starts(inputs, cams, config)
-        res, behind, r, pts = _residuals(b, x)
+        x = _starts(inputs, config)
+        res, behind, r, pts = _residuals(inputs, sqrt_w, weights, x)
         cost = (res * res).sum(axis=1)
         # An accepted trial has a finite cost, so only the start can lack one.
         stuck = (inputs.vis.sum(axis=1) < MIN_VISIBLE) | behind | ~np.isfinite(cost)
@@ -456,7 +435,7 @@ def solve_arrays(
             i = i[iters[i] < config.max_iter]  # stop: max_iter
             if not i.size:
                 return i
-            jac = _jacobians(b.take(i), x[i], r[i], pts[i])
+            jac = _jacobians(*rows(i), weights, x[i], r[i], pts[i])
             jac_t = jac.transpose(0, 2, 1)
             jtj[i], grad[i] = jac_t @ jac, (jac_t @ res[i][..., None])[..., 0]
             flat = np.abs(grad[i]).max(axis=1) < config.g_tol
@@ -480,7 +459,7 @@ def solve_arrays(
             step = _lm_steps(jtj[i], grad[i], lam_i)
             x_new = x[i] + step
             x_new[:, 4:] = np.maximum(x_new[:, 4:], 1e-2)
-            res_new, behind_new, r_new, pts_new = _residuals(b.take(i), x_new)
+            res_new, behind_new, r_new, pts_new = _residuals(*rows(i), weights, x_new)
             cost_new = (res_new * res_new).sum(axis=1)
             ok = ~behind_new & np.isfinite(cost_new) & (cost_new < cost[i])
             lam[i] = np.where(ok, np.maximum(lam_i / 10.0, 1e-12), lam_i * 10.0)
@@ -508,7 +487,7 @@ def solve(
 ) -> SolveReport:
     """Levenberg-Marquardt over (t, yaw, dims) for one object: the N = 1
     case of :func:`solve_arrays`, whose error for the object it raises."""
-    fit = solve_arrays(SolveInputs.stack([kps], [priors]), camera_rows([cam]), weights, config)
+    fit = solve_arrays(SolveInputs.stack([kps], [priors], [cam]), weights, config)
     if fit.errors[0] is not None:
         raise fit.errors[0]
     x = fit.x[0]

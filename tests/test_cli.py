@@ -445,8 +445,14 @@ def test_solve_parses_each_calibration_file_once(dataset, tmp_path, monkeypatch)
     assert len(calls) == 1 + 3
 
 
-def test_solve_missing_input_is_input_error(tmp_path):
+def test_solve_missing_input_is_input_error(dataset, tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope"), str(tmp_path / "out")]) == EXIT_INPUT
+    # A keypoint sidecar without its priors file fails the run and names the sidecar.
+    (dataset / "priors" / "000001.txt").unlink()
+    capsys.readouterr()
+    assert main(["solve", str(dataset), str(tmp_path / "out")]) == EXIT_INPUT
+    sidecar = dataset / "keypoints" / "000001.txt"
+    assert f"missing priors file for keypoint sidecar {sidecar}" in capsys.readouterr().err
 
 
 def test_solve_reads_config_file(dataset, tmp_path):
@@ -503,6 +509,42 @@ def test_eval_and_render_bev_read_every_box_solve_writes(dataset, tmp_path):
     assert main(["eval", str(out), str(dataset)]) == EXIT_OK
     gt = dataset / "label_2" / "000000.txt"
     assert main(["render-bev", "--results", str(result), "--gt", str(gt), str(tmp_path / "bev.svg")]) == EXIT_OK
+
+
+def _mirror_labels(src: Path, dst: Path, cx: float):
+    """Copy every label file of src to dst mirrored about the image column cx:
+    x, rotation_y and alpha negated, the 2D box reflected."""
+    dst.mkdir(parents=True)
+    for path in src.glob("*.txt"):
+        rows = [line.split() for line in path.read_text().splitlines()]
+        for f in rows:
+            f[4], f[6] = repr(2.0 * cx - float(f[6])), repr(2.0 * cx - float(f[4]))
+            for k in (3, 11, 14):
+                f[k] = repr(-float(f[k]))
+        (dst / path.name).write_text("".join(" ".join(f) + "\n" for f in rows))
+
+
+def test_eval_is_unchanged_by_mirroring(tmp_path):
+    # Mirroring every result and ground-truth box about the principal point
+    # leaves every line of metrics.txt as it was, at both IoU thresholds.
+    spec = tmp_path / "scenes.cfg"
+    spec.write_text("frames=8\nn_objects=5\nseed=42\npixel_sigma=2\ndropout=0.1\ndim_sigma=0.2\n"
+                    "yaw_sigma=0.2\ndepth_rel_sigma=0.1\n")
+    data, out = tmp_path / "data", tmp_path / "results"
+    assert main(["synth", str(spec), str(data)]) == EXIT_OK
+    assert main(["solve", str(data), str(out)]) == EXIT_OK
+    cx = synth.default_camera().cx
+    _mirror_labels(out / "data", tmp_path / "mirrored" / "data", cx)
+    _mirror_labels(data / "label_2", tmp_path / "mirrored" / "label_2", cx)
+    sides = {"plain": (out, data / "label_2"), "mirrored": (tmp_path / "mirrored", tmp_path / "mirrored" / "label_2")}
+    for iou in ("0.5", "0.7"):
+        reports = []
+        for side, (results, gt) in sides.items():
+            metrics = tmp_path / f"{side}_{iou}.txt"
+            assert main(["eval", str(results), str(gt), "--iou", iou, "--out", str(metrics)]) == EXIT_OK
+            reports.append(metrics.read_text().splitlines())
+        assert reports[1] == reports[0]
+        assert len({line.split("=")[1] for line in reports[0][2:]}) > 4  # the scores are not all alike
 
 
 def test_eval_rejects_bad_iou(dataset, tmp_path):

@@ -25,13 +25,12 @@ from rtm3d.solver import (
     Priors,
     SolveInputs,
     SolverConfig,
-    _Batch,
     _jacobians,
     _lm_steps,
     _residuals,
+    _root_weights,
     _softmax_rows,
     _starts,
-    camera_rows,
     initialize,
     jacobian_camera_point,
     residual_camera_point,
@@ -41,7 +40,7 @@ from rtm3d.solver import (
     solve_arrays,
     total_energy,
 )
-from rtm3d.synth import NoiseSpec, SceneSpec, apply_noise, default_camera, generate_scene
+from rtm3d.synth import NoiseSpec, SceneArrays, SceneSpec, apply_noise, default_camera, generate_scene
 
 CAM = CameraModel(fx=721.5377, fy=721.5377, cx=609.5593, cy=172.854)
 
@@ -169,7 +168,7 @@ def test_start_anchors_without_the_center_keypoint():
         pts = _keypoints_of(box).pts + rng.normal(0.0, 3.0, (9, 2))
         kps.append(KeypointSet(pts=pts, conf=np.ones(9), visible=visible))
         priors.append(Priors(d_hat=box.dims.copy(), theta_hat=box.yaw, z_hat=box.t[2]))
-    x = _starts(SolveInputs.stack(kps, priors), camera_rows([cam] * len(kps)), SolverConfig())
+    x = _starts(SolveInputs.stack(kps, priors, [cam] * len(kps)), SolverConfig())
     for k, p, row in zip(kps, priors, x):
         u, v = k.pts[k.visible].mean(axis=0) if k.visible.any() else (cam.cx, cam.cy)
         zp = p.z_hat + cam.t_cam[2]
@@ -277,18 +276,18 @@ def test_solver_jacobian_matches_finite_differences():
         noisy = k.pts + rng.normal(0.0, 2.0, (9, 2))
         kps.append(KeypointSet(pts=noisy, conf=k.conf, visible=visible))
         priors.append(Priors(d_hat=dims * rng.uniform(0.9, 1.1, 3), theta_hat=prior, z_hat=t[2]))
-    b = _Batch.of(SolveInputs.stack(kps, priors), camera_rows([CAM] * len(cases)),
-                  EnergyWeights(w_d=2.0, w_r=3.0))
+    inputs = SolveInputs.stack(kps, priors, [CAM] * len(cases))
+    b = inputs, _root_weights(inputs), EnergyWeights(w_d=2.0, w_r=3.0)
     x = np.array([np.r_[t, yaw, dims] for dims, t, yaw, _ in cases])
     gap = np.array([wrap_to_pi(prior - yaw) for _, _, yaw, prior in cases])
-    np.testing.assert_allclose(_residuals(b, x)[0][:, 21], math.sqrt(3.0) * gap, atol=1e-12)
-    jac = _jacobians(b, x, *_residuals(b, x)[2:])
+    np.testing.assert_allclose(_residuals(*b, x)[0][:, 21], math.sqrt(3.0) * gap, atol=1e-12)
+    jac = _jacobians(*b, x, *_residuals(*b, x)[2:])
     assert jac.shape == (len(cases), 22, 7)
     fd = np.empty_like(jac)
     for k in range(7):
         dx = np.zeros(7)
         dx[k] = h
-        fd[..., k] = (_residuals(b, x + dx)[0] - _residuals(b, x - dx)[0]) / (2 * h)
+        fd[..., k] = (_residuals(*b, x + dx)[0] - _residuals(*b, x - dx)[0]) / (2 * h)
     rel = np.abs(jac - fd) / np.maximum(np.abs(fd), 1.0)
     assert rel.max() < 1e-5
     np.testing.assert_array_equal(jac[:, 21, 3], -math.sqrt(3.0))
@@ -306,7 +305,7 @@ def _noisy_objects(n, seed0):
 
 
 def _solve_all(kps, cams, priors):
-    return solve_arrays(SolveInputs.stack(kps, priors), camera_rows(cams))
+    return solve_arrays(SolveInputs.stack(kps, priors, cams))
 
 
 def test_solve_batch_matches_single_solves():
@@ -373,9 +372,12 @@ def test_solve_batch_keeps_input_order_around_underconstrained_objects():
 
 
 def test_solve_arrays_chunk_size_changes_no_result(monkeypatch):
-    # More objects than one chunk, among them objects that cannot start:
-    # every field, errors included, is the same at chunks of 7 and of 256.
+    # More objects than one chunk, among them objects that cannot start, under
+    # two alternating cameras: every field, errors included, is the same at
+    # chunks of 7 and of 256, and each object keeps its own camera.
     cam, objects = _noisy_objects(solver.SOLVE_CHUNK + 20, 9000)
+    cams = [(cam, CameraModel(700.0, 690.0, 600.0, 170.0, t_cam=[0.3, -0.02, 0.004]))[i % 2]
+            for i in range(len(objects))]
     kps = [k for k, _ in objects]
     priors = [p for _, p in objects]
     for i in range(0, len(kps), 25):
@@ -387,9 +389,9 @@ def test_solve_arrays_chunk_size_changes_no_result(monkeypatch):
         else:
             pts[:, 0] = np.nan
         kps[i] = KeypointSet(pts=pts, conf=kps[i].conf, visible=visible)
-    want = _solve_all(kps, [cam] * len(kps), priors)
+    want = _solve_all(kps, cams, priors)
     monkeypatch.setattr(solver, "SOLVE_CHUNK", 7)
-    got = _solve_all(kps, [cam] * len(kps), priors)
+    got = _solve_all(kps, cams, priors)
     for name in ("x", "cost", "terms"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     np.testing.assert_array_equal(got.iterations, want.iterations)
@@ -398,6 +400,46 @@ def test_solve_arrays_chunk_size_changes_no_result(monkeypatch):
     assert errors[0] == errors[1]
     kinds = {kind for kind, _ in errors[0]}
     assert {type(None), InsufficientConstraints, DivergedError} <= kinds
+    for j, (k, c, p) in enumerate(zip(kps, cams, priors)):
+        if got.errors[j] is not None:
+            with pytest.raises(type(got.errors[j])):
+                solve(k, c, p)
+            continue
+        single = solve(k, c, p)
+        x = got.x[j]
+        assert np.r_[x[:3], x[4:], wrap_to_pi(x[3]), got.cost[j]].tobytes() == np.r_[
+            single.box.t, single.box.dims, single.box.yaw, single.final_cost].tobytes()
+
+
+# Mirroring the image about cx swaps the corners of each side of the box:
+# keypoint j of the mirrored box is keypoint _MIRROR[j] of the original.
+_MIRROR = [3, 2, 1, 0, 7, 6, 5, 4, 8]
+
+
+def test_mirrored_keypoints_solve_to_the_mirrored_box():
+    # The first 20 frames of the fixed workload (5 cars each, 1 px noise, 10 %
+    # dropout, scene seed 42), mirrored about the principal point of a camera
+    # with no offset, with the yaw prior negated: each box mirrors, t_x and
+    # yaw negated and the dimensions kept.
+    cam = default_camera()
+    scenes = [SceneArrays.draw(SceneSpec(n_objects=5, seed=seed), cam)
+              .noisy(NoiseSpec(pixel_sigma=1.0, dropout=0.1), seed=seed + 1_000_003)
+              for seed in range(42, 62)]
+    s = SceneArrays(*map(np.concatenate, zip(*scenes)))
+    cams = solver.camera_rows([cam] * len(s.yaw))
+    inputs = SolveInputs(s.pts, s.conf, s.visible, s.d_hat, s.theta_hat, s.z_hat, cams)
+    mirrored_kp = s.pts[:, _MIRROR] * [-1.0, 1.0] + [2.0 * cam.cx, 0.0]
+    mirrored = SolveInputs(mirrored_kp, s.conf[:, _MIRROR], s.visible[:, _MIRROR], s.d_hat, -s.theta_hat,
+                           s.z_hat, cams)
+    fit, back = solve_arrays(inputs), solve_arrays(mirrored)
+    assert [type(e) for e in fit.errors] == [type(e) for e in back.errors]
+    ok = np.array([e is None for e in fit.errors])
+    assert ok.sum() >= 95
+    x, y = fit.x[ok], back.x[ok]
+    np.testing.assert_allclose(y[:, 0], -x[:, 0], atol=1e-5)
+    np.testing.assert_allclose(y[:, 1:3], x[:, 1:3], atol=1e-5)
+    np.testing.assert_allclose(residual_rotation(y[:, 3], -x[:, 3]), 0.0, atol=1e-6)
+    np.testing.assert_allclose(y[:, 4:], x[:, 4:], atol=1e-6)
 
 
 def test_nan_keypoint_fails_only_its_object():

@@ -6,7 +6,7 @@ import pytest
 from rtm3d.geometry import box_points_3d, project_points, wrap_to_pi, yaw_to_alpha
 from rtm3d.heatmaps import decode_objects
 from rtm3d.kitti import parse_labels, parse_solve_inputs
-from rtm3d.solver import SolveInputs
+from rtm3d.solver import SolveInputs, camera_rows
 from rtm3d.synth import (
     IMAGE_SIZE,
     NoiseSpec,
@@ -118,12 +118,19 @@ def test_sidecar_roundtrip():
     scene = apply_noise(
         generate_scene(SceneSpec(seed=10)), NoiseSpec(pixel_sigma=1.0, dropout=0.3), seed=2
     )
-    back = SolveInputs(*parse_solve_inputs(scene_priors_text(scene), keypoints_sidecar_text(scene)))
-    assert len(back.kp) == len(scene)
-    for obj, pts, conf, visible in zip(scene, back.kp, back.conf, back.vis):
-        np.testing.assert_allclose(pts[visible], obj.kps.pts[obj.kps.visible], atol=1e-6)
-        np.testing.assert_allclose(conf, obj.kps.conf, atol=1e-6)
-        np.testing.assert_array_equal(visible, obj.kps.visible)
+    # The kitti reader returns SolveInputs' fields before the camera rows, in
+    # order: each field has the solver's shape and dtype and the scene's values.
+    n = len(scene)
+    back = SolveInputs(*parse_solve_inputs(scene_priors_text(scene), keypoints_sidecar_text(scene)),
+                       camera_rows([default_camera()] * n))
+    want = SolveInputs.stack([o.kps for o in scene], [o.priors for o in scene], [default_camera()] * n)
+    shapes = {"kp": (n, 9, 2), "conf": (n, 9), "vis": (n, 9), "d_hat": (n, 3), "theta_hat": (n,),
+              "z_hat": (n,), "cams": (n, 7)}
+    assert list(shapes) == list(SolveInputs._fields)
+    for name, shape in shapes.items():
+        got, field = getattr(back, name), getattr(want, name)
+        assert (got.shape, got.dtype) == (shape, bool if name == "vis" else np.float64), name
+        np.testing.assert_allclose(got, field, atol=1e-6, err_msg=name)
 
 
 def test_parse_scene_objects_pairs_priors_with_keypoints():
