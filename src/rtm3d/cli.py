@@ -56,7 +56,9 @@ def cmd_synth(args) -> int:
         (out / sub).mkdir(parents=True, exist_ok=True)
     camera = synth.default_camera()
     calib_text = kitti.write_calib(kitti.camera_to_calib(camera))
-    unplaced, maps = 0, None
+    # One set of float32 planes, the file's dtype, for every frame: each is drawn,
+    # written without a cast, and zeroed again only where it drew (README "Head maps").
+    unplaced, maps = 0, (heatmaps.HeadMaps.zeros(*synth.GRID, np.float32) if with_headmaps else None)
     for frame in range(frames):
         seed = scene_spec.seed + frame
         scene = synth.SceneArrays.draw(replace(scene_spec, seed=seed), camera)
@@ -68,10 +70,7 @@ def cmd_synth(args) -> int:
         (out / "priors" / f"{name}.txt").write_text(noisy.priors_text())
         (out / "keypoints" / f"{name}.txt").write_text(noisy.sidecar_text())
         if with_headmaps:
-            # Encoded in the file's float32, so the write needs no cast, on one set of planes
-            # for every frame, zeroed again only where the frame drew (README "Head maps").
-            maps = scene.headmaps(np.float32, maps)
-            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", maps)
+            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", scene.headmaps(maps))
             maps.clear()
     print(f"wrote {frames} synthetic frame(s) to {out}")
     if unplaced:

@@ -157,7 +157,8 @@ class HeadMaps:
 
     @staticmethod
     def zeros(height: int, width: int, dtype=np.float64) -> "HeadMaps":
-        """All-zero planes of ``dtype``, each shaped (height, width, channels)."""
+        """All-zero planes of ``dtype``, each shaped (height, width, channels):
+        the planes :func:`encode_objects` draws on, and where their dtype is chosen."""
         return HeadMaps(**{name: np.zeros((height, width, c), dtype) for name, c in HeadMaps.PLANES})
 
     @property
@@ -166,7 +167,8 @@ class HeadMaps:
 
     def clear(self) -> None:
         """Zero the windows and cells :func:`encode_objects` drew on these
-        planes since the last clear: planes that were all zero before are again."""
+        planes since the last clear, and only those: planes that were all
+        zero before it drew are all zero again, ready for its next call."""
         for view in self.drawn:
             view.fill(0)
         self.drawn.clear()
@@ -219,11 +221,12 @@ def extract_peaks(maps, threshold, topk=100):
     """Local maxima after 3x3 max pooling, per channel.
 
     Returns a list of ((x, y), score, channel) sorted by descending score,
-    truncated to ``topk`` per channel.  Plateau ties are broken greedily so
-    no two returned peaks on one channel share a 3x3 neighborhood.  Only
-    cells at or above ``threshold`` are pooled, so the cost beyond one pass
-    over the stack grows with the candidates, not the grid.  A float32 stack
-    is read as it is and the rest as float64, both tested in float64.
+    at most ``topk`` per channel, so none when ``topk`` <= 0.  Plateau ties
+    are broken greedily so no two returned peaks on one channel share a 3x3
+    neighborhood.  Only cells at or above ``threshold`` are pooled, so the
+    cost beyond one pass over the stack grows with the candidates, not the
+    grid.  A float32 stack is read as it is and the rest as float64, both
+    tested in float64.
     """
     maps = np.asarray(maps)
     maps = maps if maps.dtype == np.float32 else maps.astype(float, copy=False)
@@ -238,7 +241,7 @@ def extract_peaks(maps, threshold, topk=100):
     channel, kept, full = None, set(), False
     for y, x, c, score in zip(*(a[order].tolist() for a in (ys, xs, cs, scores))):
         if c != channel:
-            channel, kept, full = c, set(), False
+            channel, kept, full = c, set(), topk <= 0
         if full or any((y + dy, x + dx) in kept for dy in (-1, 0, 1) for dx in (-1, 0, 1)):
             continue
         kept.add((y, x))
@@ -353,27 +356,19 @@ def decode_objects(maps: HeadMaps, config: GroupingConfig = GroupingConfig()):
     return group_keypoints(main_peaks, vertex_peaks, maps)
 
 
-def encode_objects(boxes, pts, visible, dims, alpha, depth, grid_shape, dtype=np.float64, maps=None) -> HeadMaps:
-    """Head maps on an (H, W) grid of n objects, in the values :func:`decode_objects`
-    reads back: 2D boxes (n, 4) (left, top, right, bottom), keypoints (n, 9, 2)
-    and their visibility (n, 9), dims (n, 3), observation angles (n,) and
-    depths (n,).  README "Head maps" lists what each plane gets.  An object
-    with no visible keypoint writes nothing; on a shared cell the later wins.
+def encode_objects(maps: HeadMaps, boxes, pts, visible, dims, alpha, depth) -> HeadMaps:
+    """Draw n objects on ``maps``, all-zero planes of any grid and dtype, in
+    the values :func:`decode_objects` reads back, and return ``maps``: 2D
+    boxes (n, 4) (left, top, right, bottom), keypoints (n, 9, 2) and their
+    visibility (n, 9), dims (n, 3), observation angles (n,) and depths (n,).
+    README "Head maps" lists what each plane gets.  An object with no visible
+    keypoint writes nothing; on a shared cell the later wins.
 
-    Every value is computed in float64 and rounded once into planes of
-    ``dtype``, so float32 planes equal the float64 ones cast to float32.  An
+    Every value is computed in float64 and rounded once into the planes'
+    dtype, so float32 planes equal the float64 ones cast to float32.  An
     object's Gaussian kernel is computed once and each of its bumps composes
-    a slice of it: the cells :func:`render_gaussian` would give.
-
-    Without ``maps`` the objects are drawn on fresh zero planes.  Given
-    ``maps``, all-zero planes of the grid, they are drawn there and ``maps``
-    is returned; :meth:`HeadMaps.clear` then zeroes only what was drawn, so
-    one set of planes can encode frame after frame (README "Head maps")."""
-    s, (gh, gw) = DOWNSAMPLE, grid_shape
-    if maps is None:
-        maps = HeadMaps.zeros(gh, gw, dtype)
-    elif maps.grid_shape != (gh, gw):
-        raise ValueError(f"planes of a {maps.grid_shape} grid, not {(gh, gw)}")
+    a slice of it.  What it draws is recorded for :meth:`HeadMaps.clear`."""
+    s, (gh, gw) = DOWNSAMPLE, maps.grid_shape
     boxes, pts, visible = np.asarray(boxes, dtype=float), np.asarray(pts, dtype=float), np.asarray(visible)
     area = np.maximum((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]), 1.0)
     center = (boxes[:, :2] + boxes[:, 2:]) / 2.0

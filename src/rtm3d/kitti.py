@@ -24,7 +24,6 @@ __all__ = [
     "KittiLabel",
     "MissingP2Error",
     "NumericParseError",
-    "box3d_to_label",
     "camera_to_calib",
     "car_lines",
     "format_label",
@@ -109,7 +108,16 @@ class KittiCalib:
         # to_camera_model reads P2 as K [I | t], the rectified form KITTI writes.
         if p2[0, 1] or p2[1, 0] or p2[2, 0] or p2[2, 1] or p2[2, 2] != 1:
             raise InputError("P2 must be K [I | t]: entries (0, 1), (1, 0), (2, 0), (2, 1) = 0, (2, 2) = 1")
+        if not np.isfinite(t := _offset(p2)).all():
+            raise InputError(f"P2 camera offset t = {tuple(t.tolist())} must be finite")
         self.p2 = p2
+
+
+def _offset(p2: np.ndarray) -> np.ndarray:
+    """The camera offset t of P2 = K [I | t], infinite where it overflows, computed without a warning."""
+    with np.errstate(over="ignore"):
+        return np.array([(p2[0, 3] - p2[0, 2] * p2[2, 3]) / p2[0, 0], (p2[1, 3] - p2[1, 2] * p2[2, 3]) / p2[1, 1],
+                         p2[2, 3]])
 
 
 def _is_finite_number(token: str) -> bool:
@@ -189,11 +197,12 @@ def format_label(label: KittiLabel) -> str:
 
 
 def car_lines(dims, t, yaw, bbox, score=None, decimals: int = 2) -> list[str]:
-    """Newline-terminated label lines of N cars, as :func:`format_label`
-    writes :func:`box3d_to_label` of each at 2 decimals (synthetic ground
-    truth and priors use 6): dims (N, 3), bottom centers t (N, 3),
-    (wrapped) yaws (N,), image boxes (N, 4) and, for results, scores (N,);
-    alpha is computed from each yaw and position."""
+    """Newline-terminated :data:`CATEGORY` label lines of N cars, as rtm3d
+    writes ground truth, priors and results: dims (N, 3), bottom centers
+    t (N, 3), (wrapped) yaws (N,), image boxes (N, 4) and, for results,
+    scores (N,).  Truncated and occluded are 0 and alpha is computed from
+    each yaw and position.  At 2 decimals a line is what :func:`format_label`
+    writes; synthetic ground truth and priors use 6."""
     line = f"{CATEGORY} " + _label_format(decimals)
     rows = zip(*(np.asarray(v, dtype=float).tolist() for v in (dims, t, yaw, bbox)))
     lines = [line % (0.0, 0, yaw_to_alpha(y, p), *b, *d, *p, y) for d, p, y, b in rows]
@@ -283,12 +292,7 @@ def parse_calib_file(path) -> KittiCalib:
 def to_camera_model(calib: KittiCalib) -> CameraModel:
     """Split P2 = K [I | t] into pinhole intrinsics and a camera offset."""
     p2 = calib.p2
-    fx, fy = p2[0, 0], p2[1, 1]
-    cx, cy = p2[0, 2], p2[1, 2]
-    tz = p2[2, 3]
-    tx = (p2[0, 3] - cx * tz) / fx
-    ty = (p2[1, 3] - cy * tz) / fy
-    return CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, t_cam=np.array([tx, ty, tz]))
+    return CameraModel(fx=p2[0, 0], fy=p2[1, 1], cx=p2[0, 2], cy=p2[1, 2], t_cam=_offset(p2))
 
 
 def camera_to_calib(cam: CameraModel) -> KittiCalib:
@@ -312,22 +316,3 @@ def label_to_box3d(label: KittiLabel) -> Box3D:
         raise InputError(f"{where}box dimensions and location must lie within {BOX_LIMIT:g} m, "
                          f"got h, w, l = {label.dimensions}, x, y, z = {label.location}")
     return Box3D(dims=np.array(label.dimensions), t=np.array(label.location), yaw=label.rotation_y)
-
-
-def box3d_to_label(
-    box: Box3D,
-    bbox: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-    score: float | None = None,
-) -> KittiLabel:
-    """A Car label of ``box``, with alpha computed from its yaw and position."""
-    return KittiLabel(
-        type=CATEGORY,
-        truncated=0.0,
-        occluded=0,
-        alpha=yaw_to_alpha(box.yaw, box.t),
-        bbox=bbox,
-        dimensions=(box.h, box.w, box.l),
-        location=tuple(box.t),
-        rotation_y=box.yaw,
-        score=score,
-    )

@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # only the per-object API builds Priors, so rtm3d synth loads
     from .solver import Priors
 
 __all__ = [
+    "GRID",
     "IMAGE_SIZE",
     "NoiseSpec",
     "SceneArrays",
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 IMAGE_SIZE = (1280, 384)  # width, height
+# The head-map grid of the image, (H, W) cells of DOWNSAMPLE px.
+GRID = (IMAGE_SIZE[1] // DOWNSAMPLE, IMAGE_SIZE[0] // DOWNSAMPLE)
 _IMAGE_LIMIT = np.array(IMAGE_SIZE)
 # Camera y of a box's bottom face.
 HEIGHT_RANGE = (1.4, 1.8)
@@ -256,13 +259,12 @@ class SceneArrays(NamedTuple):
         """The keypoint sidecar (:func:`~rtm3d.kitti.sidecar_text`)."""
         return kitti.sidecar_text(self.pts, self.conf, self.visible)
 
-    def headmaps(self, dtype=np.float64, maps: HeadMaps | None = None) -> HeadMaps:
-        """The scene's head maps (:func:`~rtm3d.heatmaps.encode_objects`) on the image's grid,
-        drawn on ``maps`` if given."""
+    def headmaps(self, maps: HeadMaps | None = None) -> HeadMaps:
+        """The scene's head maps (:func:`~rtm3d.heatmaps.encode_objects`) drawn on
+        ``maps``, all-zero planes of :data:`GRID`, or else on fresh float64 ones."""
         alpha = [yaw_to_alpha(y, t) for y, t in zip(self.yaw.tolist(), self.t)]
-        return encode_objects(_clipped_boxes(self.pts, self.visible), self.pts, self.visible, self.dims,
-                              alpha, self.t[:, 2], (IMAGE_SIZE[1] // DOWNSAMPLE, IMAGE_SIZE[0] // DOWNSAMPLE),
-                              dtype, maps)
+        return encode_objects(HeadMaps.zeros(*GRID) if maps is None else maps, _clipped_boxes(self.pts, self.visible),
+                              self.pts, self.visible, self.dims, alpha, self.t[:, 2])
 
 
 def generate_scene(spec: SceneSpec, camera: CameraModel | None = None) -> list[SceneObject]:

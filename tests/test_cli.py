@@ -15,7 +15,7 @@ import rtm3d
 from rtm3d import kitti, solver, synth
 from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from rtm3d.config import Settings, load_config
-from rtm3d.geometry import wrap_to_pi
+from rtm3d.geometry import wrap_to_pi, yaw_to_alpha
 from rtm3d.kitti import InputError, parse_label_file
 from rtm3d.solver import EnergyWeights, InsufficientConstraints, SolverConfig, solve
 
@@ -66,7 +66,7 @@ def test_synth_reused_planes_leave_no_residue(tmp_path):
     # only the windows and cells each frame drew.  Each file must equal a
     # fresh encode of its frame, and maps a library caller got earlier must
     # keep their values.
-    from rtm3d.heatmaps import DOWNSAMPLE, HeadMaps, encode_objects, write_headmaps
+    from rtm3d.heatmaps import DOWNSAMPLE, HeadMaps, write_headmaps
 
     frames, spec = 8, tmp_path / "scenes.cfg"
     spec.write_text(f"frames={frames}\nn_objects=20\nseed=7\nheadmaps=1\n")
@@ -75,31 +75,26 @@ def test_synth_reused_planes_leave_no_residue(tmp_path):
     # The frames hold what a leftover would show in: keypoint bumps clipped at
     # the grid edge (every bump reaches at least 13 cells from its cell), and
     # keypoints of two cars on one cell.
-    grid_w, grid_h = synth.IMAGE_SIZE[0] // DOWNSAMPLE, synth.IMAGE_SIZE[1] // DOWNSAMPLE
+    grid_h, grid_w = synth.GRID
     cells = [[set(map(tuple, np.floor(p[v] / DOWNSAMPLE).astype(int).tolist())) for p, v in zip(s.pts, s.visible)]
              for s in scenes]
     assert any(min(x, y, grid_w - 1 - x, grid_h - 1 - y) < 13 for frame in cells for car in frame for x, y in car)
     assert any(a & b for frame in cells for i, a in enumerate(frame) for b in frame[i + 1:])
-    early = scenes[0].headmaps(np.float32)
+    early = scenes[0].headmaps(HeadMaps.zeros(*synth.GRID, np.float32))
     kept = {name: getattr(early, name).copy() for name, _ in HeadMaps.PLANES}
     assert main(["synth", str(spec), str(tmp_path / "d")]) == EXIT_OK
     for f, scene in enumerate(scenes):
-        write_headmaps(tmp_path / "fresh.rtmh", scene.headmaps(np.float32))
+        write_headmaps(tmp_path / "fresh.rtmh", scene.headmaps(HeadMaps.zeros(*synth.GRID, np.float32)))
         assert (tmp_path / "d" / "headmaps" / f"{f:06d}.rtmh").read_bytes() == (tmp_path / "fresh.rtmh").read_bytes()
     for name, _ in HeadMaps.PLANES:
         np.testing.assert_array_equal(getattr(early, name), kept[name])
     # In process: after each clear, the reused planes are all zero again.
-    maps = None
+    maps = HeadMaps.zeros(*synth.GRID, np.float32)
     for scene in scenes:
-        maps = scene.headmaps(np.float32, maps)
-        assert maps.drawn
+        assert scene.headmaps(maps) is maps and maps.drawn
         maps.clear()
         assert not maps.drawn
         assert all(not getattr(maps, name).any() for name, _ in HeadMaps.PLANES)
-    # Planes of another grid are refused, not drawn on.
-    with pytest.raises(ValueError, match="grid"):
-        encode_objects(np.zeros((0, 4)), np.zeros((0, 9, 2)), np.zeros((0, 9), bool), np.zeros((0, 3)), [], [],
-                       (grid_h, grid_w + 1), maps=maps)
 
 
 def test_synth_reports_boxes_that_ran_out_of_draws(tmp_path, capsys):
@@ -215,7 +210,9 @@ def test_solve_writes_what_the_per_object_api_gives(tmp_path):
                 continue
             vis = k.pts[k.visible]
             bbox = (*map(float, vis.min(axis=0)), *map(float, vis.max(axis=0)))
-            labels.append(kitti.box3d_to_label(r.box, bbox=bbox, score=float(k.conf[k.visible].mean())))
+            box = r.box
+            labels.append(kitti.KittiLabel("Car", 0.0, 0, yaw_to_alpha(box.yaw, box.t), bbox, (box.h, box.w, box.l),
+                                           tuple(box.t), box.yaw, float(k.conf[k.visible].mean())))
         assert (out / "data" / f"{frame}.txt").read_text() == kitti.write_result_file(labels)
     assert skipped > 0
 
@@ -388,8 +385,9 @@ def _set_field(path, line, field, value):
         ("keypoints", 0, "1e308", EXIT_INPUT),
         ("keypoints", 2, "-1", EXIT_OK),
         ("keypoints", 2, "inf", EXIT_OK),
-        # Priors fields: h (field 8) and rotation_y (field 14).
+        # Priors fields: h (field 8), the depth z (field 13) and rotation_y (field 14).
         ("priors", 8, "1e308", EXIT_INPUT),
+        ("priors", 13, "0.5", EXIT_INPUT),
         ("priors", 14, "1e308", EXIT_OK),
     ],
 )
@@ -400,6 +398,11 @@ def test_solve_per_object_values_fail_only_their_object(file, field, value, code
     assert sorted(p.name for p in (out / "data").glob("*.txt")) == ["000000.txt", "000001.txt"]
     assert len(parse_label_file(out / "data" / "000000.txt")) == 2
     assert len(parse_label_file(out / "data" / "000001.txt")) == (2 if code == EXIT_OK else 1)
+    # A depth prior of 0.5 m starts the box so near that a visible keypoint is behind the camera.
+    reason = "a visible keypoint starts behind the camera" if (file, field) == ("priors", 13) else "non-finite cost"
+    entry = "iters=" if code == EXIT_OK else f"failed ({reason})"
+    log = (out / "solve_log.txt").read_text()
+    assert f"000001 object 0: {entry}" in log and "000001 object 1: iters=" in log
 
 
 @pytest.mark.parametrize("file", ["keypoints", "priors"])
@@ -417,6 +420,21 @@ def test_solve_reads_blank_lines_and_crlf(file, layout, two_frames, tmp_path):
     assert main(["solve", str(two_frames), str(out)]) == EXIT_OK
     for rel in ("data/000000.txt", "data/000001.txt", "solve_log.txt"):
         assert (out / rel).read_bytes() == (expected / rel).read_bytes()
+
+
+def test_solve_rejects_a_calibration_whose_camera_offset_overflows(dataset, tmp_path):
+    # A finite P2 with tz = 1e308 gave an infinite camera offset: every object
+    # of its frame failed with a non-finite cost, and under -W error the run
+    # exited 3 on numpy's overflow warning.  It is malformed input, named by file.
+    calib = dataset / "calib" / "000001.txt"
+    _set_field(calib, 0, 12, "1e308")
+    env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}
+    argv = ["solve", str(dataset), str(tmp_path / "out")]
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "rtm3d.cli", *argv], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == EXIT_INPUT, run.stderr
+    offset = "(-inf, -inf, 1e+308)"
+    assert run.stderr == f"rtm3d: input error: {calib}, line 1: P2 camera offset t = {offset} must be finite\n"
 
 
 def test_solve_huge_depth_prior_fails_its_object_without_a_warning(two_frames, tmp_path, capsys):
@@ -445,14 +463,51 @@ def test_solve_parses_each_calibration_file_once(dataset, tmp_path, monkeypatch)
     assert len(calls) == 1 + 3
 
 
-def test_solve_missing_input_is_input_error(dataset, tmp_path, capsys):
-    assert main(["solve", str(tmp_path / "nope"), str(tmp_path / "out")]) == EXIT_INPUT
-    # A keypoint sidecar without its priors file fails the run and names the sidecar.
-    (dataset / "priors" / "000001.txt").unlink()
+@pytest.mark.parametrize(
+    "case",
+    ["no-input", "sidecar-without-priors", "priors-without-sidecar", "frame-without-calibration",
+     "missing-calib-path", "no-frames", "p2-with-11-values"],
+)
+def test_solve_missing_input_is_input_error(case, dataset, tmp_path, capsys):
+    # Each exits 2 before anything is solved, naming the path or frame at fault.
+    argv, nope = ["solve", str(dataset), str(tmp_path / "out")], tmp_path / "nope"
+    calib = dataset / "calib" / "000001.txt"
+    if case == "no-input":
+        argv[1], message = str(nope), f"{nope} must contain priors/ and keypoints/"
+    elif case == "sidecar-without-priors":
+        (dataset / "priors" / "000001.txt").unlink()
+        message = f"missing priors file for keypoint sidecar {dataset / 'keypoints' / '000001.txt'}"
+    elif case == "priors-without-sidecar":
+        (dataset / "keypoints" / "000001.txt").unlink()
+        message = "missing keypoint sidecar for frame 000001"
+    elif case == "frame-without-calibration":
+        calib.unlink()
+        message = "missing calibration for frame 000001"
+    elif case == "missing-calib-path":
+        argv += ["--calib", str(nope)]
+        message = f"calibration path {nope} does not exist"
+    elif case == "no-frames":
+        for path in [*(dataset / "priors").glob("*.txt"), *(dataset / "keypoints").glob("*.txt")]:
+            path.unlink()
+        message = f"no frames found under {dataset / 'priors'}"
+    else:
+        calib.write_text("P2: " + " ".join(["1"] * 11) + "\n")
+        message = f"{calib}, line 1: P2 line has 11 values, expected 12"
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"rtm3d: input error: {message}\n"
+
+
+@pytest.mark.parametrize("missing", ["results", "ground-truth"])
+def test_eval_missing_input_is_input_error(missing, dataset, tmp_path, capsys):
+    results, nope = tmp_path / "results", tmp_path / "nope"
+    assert main(["solve", str(dataset), str(results)]) == EXIT_OK
     capsys.readouterr()
-    assert main(["solve", str(dataset), str(tmp_path / "out")]) == EXIT_INPUT
-    sidecar = dataset / "keypoints" / "000001.txt"
-    assert f"missing priors file for keypoint sidecar {sidecar}" in capsys.readouterr().err
+    if missing == "results":
+        argv, message = [nope, dataset], f"results dir {nope} does not exist"
+    else:
+        argv, message = [results, nope], f"ground-truth dir {nope} does not exist"
+    assert main(["eval", *map(str, argv)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"rtm3d: input error: {message}\n"
 
 
 def test_solve_reads_config_file(dataset, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtm3d import heatmaps
+from rtm3d import heatmaps, synth
 from rtm3d.cli import EXIT_OK, main
 from rtm3d.heatmaps import (
     AREA_MAX,
@@ -172,6 +172,9 @@ def test_extract_peaks_topk_and_channels():
     # topk applies per channel; results are globally score-sorted.
     peaks = extract_peaks(m, threshold=0.1, topk=1)
     assert peaks == [((5, 5), 0.8, 1), ((1, 1), 0.6, 0)]
+    # At most topk per channel: none at all when topk is 0 or below.
+    assert extract_peaks(m, threshold=0.1, topk=0) == []
+    assert extract_peaks(m, threshold=0.1, topk=-1) == []
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,8 @@ GRID = (8, 10)
 
 def test_encode_objects_object_without_a_visible_keypoint_writes_nothing():
     pts = np.full((1, 9, 2), 10.0)
-    maps = encode_objects([[4.0, 4.0, 20.0, 16.0]], pts, np.zeros((1, 9), bool), DIM_MEAN[None], [0.3], [12.0], GRID)
+    maps = encode_objects(HeadMaps.zeros(*GRID), [[4.0, 4.0, 20.0, 16.0]], pts, np.zeros((1, 9), bool), DIM_MEAN[None],
+                          [0.3], [12.0])
     for name, _ in HeadMaps.PLANES:
         assert not getattr(maps, name).any(), name
 
@@ -291,7 +295,8 @@ def test_encode_objects_off_grid_keypoint_gets_no_vertex_bump_or_offset():
     on_grid = [[5.5 + 4 * k, 9.5 + k] for k in range(7)]
     pts = np.array([[[-3.0, 10.0], [30.0, 33.0]] + on_grid])
     dims = np.array([[1.6, 1.7, 4.0]])
-    maps = encode_objects([[5.0, 6.0, 25.0, 18.0]], pts, np.ones((1, 9), bool), dims, [0.3], [12.0], GRID)
+    boxes = [[5.0, 6.0, 25.0, 18.0]]
+    maps = encode_objects(HeadMaps.zeros(*GRID), boxes, pts, np.ones((1, 9), bool), dims, [0.3], [12.0])
     assert not maps.vertex[:, :, :2].any()
     cells = np.floor(pts[0, 2:] / DOWNSAMPLE).astype(int)
     for k, (x, y) in enumerate(cells.tolist(), start=2):
@@ -314,7 +319,8 @@ def test_encode_objects_later_object_wins_a_shared_centre_cell(order):
     pts = np.stack([np.full((9, 2), 9.0), np.full((9, 2), 26.0)])
     dims = np.array([[1.6, 1.7, 4.0], [1.4, 1.5, 3.6]])
     alpha, depth = np.array([0.3, -2.0]), np.array([12.0, 30.0])
-    maps = encode_objects(boxes[order], pts[order], np.ones((2, 9), bool), dims[order], alpha[order], depth[order], GRID)
+    maps = encode_objects(HeadMaps.zeros(*GRID), boxes[order], pts[order], np.ones((2, 9), bool), dims[order],
+                          alpha[order], depth[order])
     last = order[-1]
     np.testing.assert_array_equal(maps.vertex_coord[3, 3], (pts[last] / DOWNSAMPLE - [3, 3]).reshape(-1))
     np.testing.assert_array_equal(maps.dims[3, 3], (dims[last] - DIM_MEAN) / DIM_STD)
@@ -338,19 +344,20 @@ def test_encode_objects_in_float32_equals_the_float64_encoding_cast():
         scene = SceneArrays.draw(SceneSpec(n_objects=(1, 5, 20)[i % 3], seed=i), default_camera())
         if i % 2:
             scene = scene.noisy(NoiseSpec(pixel_sigma=1.0, dropout=0.3), seed=i)
-        _assert_f32_is_the_f64_cast(scene.headmaps(np.float32), scene.headmaps())
+        _assert_f32_is_the_f64_cast(scene.headmaps(HeadMaps.zeros(*synth.GRID, np.float32)), scene.headmaps())
     empty = SceneArrays.draw(SceneSpec(n_objects=0), default_camera())
-    _assert_f32_is_the_f64_cast(empty.headmaps(np.float32), empty.headmaps())
+    _assert_f32_is_the_f64_cast(empty.headmaps(HeadMaps.zeros(*synth.GRID, np.float32)), empty.headmaps())
     # An object with no visible keypoint.
     hidden = ([[4.0, 4.0, 20.0, 16.0]], np.full((1, 9, 2), 10.0), np.zeros((1, 9), bool), DIM_MEAN[None], [0.3], [12.0])
-    _assert_f32_is_the_f64_cast(encode_objects(*hidden, GRID, np.float32), encode_objects(*hidden, GRID))
+    _assert_f32_is_the_f64_cast(encode_objects(HeadMaps.zeros(*GRID, np.float32), *hidden),
+                                encode_objects(HeadMaps.zeros(*GRID), *hidden))
 
 
 def test_in_memory_head_maps_stay_float64_by_default():
     # Criterion 6 checks decoded priors to 1e-9 on these float64 maps.
     scene = generate_scene(SceneSpec(n_objects=5, seed=42))
     one = ([[4.0, 4.0, 20.0, 16.0]], np.full((1, 9, 2), 10.0), np.ones((1, 9), bool), DIM_MEAN[None], [0.3], [12.0])
-    for maps in (HeadMaps.zeros(96, 320), encode_objects(*one, GRID), SceneArrays.of(scene).headmaps(),
+    for maps in (HeadMaps.zeros(96, 320), encode_objects(HeadMaps.zeros(*GRID), *one), SceneArrays.of(scene).headmaps(),
                  encode_headmaps(scene)):
         assert {getattr(maps, name).dtype for name, _ in HeadMaps.PLANES} == {np.dtype(np.float64)}
 

@@ -11,8 +11,8 @@ from rtm3d.kitti import (
     KittiLabel,
     MissingP2Error,
     NumericParseError,
-    box3d_to_label,
     camera_to_calib,
+    car_lines,
     format_label,
     keypoint_boxes,
     label_to_box3d,
@@ -149,6 +149,25 @@ def test_parse_calib_ignores_other_lines():
     assert calib.p2[0, 0] == 700.0
 
 
+@pytest.mark.parametrize(
+    "p2, t",
+    [
+        # Each value finite, but the offset ((p03 - cx tz) / fx, (p13 - cy tz) / fy, tz) overflows:
+        # tz = 1e308; cx = 1e308 with tz = 10; fx = 5e-324 with p03 = 1.
+        ("700 0 600 0 0 710 180 0 0 0 1 1e308", "(-inf, -inf, 1e+308)"),
+        ("700 0 1e308 0 0 710 180 0 0 0 1 10", "(-inf, -2.535211267605634, 10.0)"),
+        ("5e-324 0 600 1 0 710 180 0 0 0 1 0", "(inf, 0.0, 0.0)"),
+    ],
+)
+def test_parse_calib_rejects_a_p2_whose_camera_offset_overflows(p2, t):
+    # Such a P2 gave an infinite camera, and every object of its frame failed
+    # with a non-finite cost; it is malformed input, named by file and line,
+    # and computing the offset warns of no overflow.
+    with pytest.raises(InputError) as e:
+        parse_calib("P0: " + " ".join(["1.0"] * 12) + f"\nP2: {p2}\n", "calib.txt")
+    assert str(e.value) == f"calib.txt, line 2: P2 camera offset t = {t} must be finite"
+
+
 def test_to_camera_model_inverts_camera_to_calib():
     from rtm3d.geometry import CameraModel
 
@@ -188,8 +207,8 @@ def test_label_box_conversion():
     np.testing.assert_allclose(box.dims, [1.65, 1.67, 3.64])
     np.testing.assert_allclose(box.t, [-0.65, 1.71, 46.70])
     assert box.yaw == pytest.approx(-1.59)
-    back = box3d_to_label(box, bbox=lb.bbox)
-    assert format_label(back) == LABEL_LINE
+    # car_lines writes the box back as the same line, alpha recomputed from yaw and position.
+    assert car_lines(box.dims[None], box.t[None], [box.yaw], [lb.bbox]) == [LABEL_LINE + "\n"]
 
 
 @pytest.mark.parametrize("field", [8, 9, 10, 11, 12, 13])

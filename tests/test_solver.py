@@ -57,6 +57,19 @@ def _keypoints_of(box, conf=None):
     return KeypointSet(pts=pts, conf=conf, visible=np.ones(9, dtype=bool))
 
 
+@pytest.mark.parametrize(
+    "d_hat, z_hat, message",
+    [
+        ([1.5, 0.0, 3.9], 10.0, "dimension prior must be positive"),
+        ([1.5, 1.6, 3.9], 0.0, "depth prior must be positive"),
+    ],
+)
+def test_priors_reject_a_zero_dimension_or_depth_prior(d_hat, z_hat, message):
+    with pytest.raises(ValueError) as e:
+        Priors(d_hat=np.array(d_hat), theta_hat=0.3, z_hat=z_hat)
+    assert str(e.value) == message
+
+
 def test_residual_zero_at_ground_truth():
     rng = np.random.default_rng(0)
     for _ in range(20):
