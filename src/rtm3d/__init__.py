@@ -1,7 +1,7 @@
 """Monocular 3D box recovery from nine projected keypoints.
 
-Subpackages: geometry (the box model, projection and rotations), solver
-(energy minimization over position, yaw and dimensions), heatmaps
+Subpackages: geometry (the box model, per-object records, projection and
+rotations), solver (the energy, its Jacobians and the LM fit), heatmaps
 (dense-map encode/decode and losses), kitti (label, calibration, priors
 and keypoint-sidecar I/O), synth (synthetic scene oracle), evaluation
 (rotated IoU, AP, AOS), bev_svg and cli (rendering and the command line).
@@ -16,7 +16,7 @@ _EXPORTS = {
     "CameraModel": "geometry",
     "KeypointSet": "geometry",
     "EnergyWeights": "solver",
-    "Priors": "solver",
+    "Priors": "geometry",
     "SolveReport": "solver",
     "solve": "solver",
 }

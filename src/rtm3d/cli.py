@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 # Each command imports its modules when it runs: solve loads config and solver,
-# and neither synth nor heatmaps, since kitti reads its input formats; synth
-# loads no solver.
+# and neither synth nor heatmaps, since kitti reads its input formats into
+# geometry's SolveInputs; synth loads no solver.
 from . import kitti
-from .geometry import wrap_to_pi
+from .geometry import SolveInputs, wrap_to_pi
 from .kitti import InputError
 
 log = logging.getLogger("rtm3d")
@@ -103,14 +103,7 @@ def _log_entry(error, skipped, iterations, cost, converged) -> str:
 
 def cmd_solve(args) -> int:
     from .config import load_config
-    from .solver import (
-        EnergyWeights,
-        InsufficientConstraints,
-        SolveInputs,
-        SolverConfig,
-        camera_rows,
-        solve_arrays,
-    )
+    from .solver import EnergyWeights, InsufficientConstraints, SolverConfig, solve_arrays
 
     weights, solver_cfg = load_config(args.config) if args.config else (EnergyWeights(), SolverConfig())
     in_dir = Path(args.input)
@@ -129,7 +122,7 @@ def cmd_solve(args) -> int:
         raise InputError(f"missing priors file for keypoint sidecar {orphans[0]}")
     # Parse every frame once into arrays, then solve all objects in one call.
     frames, parts = [], []  # frame ids and their inputs
-    cameras = {}  # calib path -> camera row, so a shared --calib file is parsed once
+    cameras = {}  # calib path -> camera, so a shared --calib file is parsed once
     for priors_path in priors_paths:
         frame = priors_path.stem
         kp_path = kp_dir / f"{frame}.txt"
@@ -139,10 +132,10 @@ def cmd_solve(args) -> int:
         if not calib_path.exists():
             raise InputError(f"missing calibration for frame {frame}")
         if calib_path not in cameras:
-            cameras[calib_path] = camera_rows([kitti.to_camera_model(kitti.parse_calib_file(calib_path))])
-        fields = kitti.parse_solve_inputs(priors_path.read_text(), kp_path.read_text(), kp_path, priors_path)
+            cameras[calib_path] = kitti.to_camera_model(kitti.parse_calib_file(calib_path))
         frames.append(frame)
-        parts.append(SolveInputs(*fields, np.repeat(cameras[calib_path], len(fields[0]), axis=0)))
+        parts.append(kitti.parse_solve_inputs(priors_path.read_text(), kp_path.read_text(), cameras[calib_path],
+                                              kp_path, priors_path))
     if not frames:
         raise InputError(f"no frames found under {priors_dir}")
     inputs = SolveInputs(*map(np.concatenate, zip(*parts)))

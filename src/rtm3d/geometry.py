@@ -1,17 +1,20 @@
-"""Box model and rigid-body math shared by the whole pipeline.
+"""Box model, per-object records and rigid-body math shared by the whole pipeline.
 
 Coordinate conventions follow the KITTI camera frame: x right, y down,
 z forward.  A box is parameterized by its dimensions (h, w, l) in
 meters, the translation of its bottom-face center, and a yaw angle
 about the camera y axis.  One corner template, in camera axes, gives its
 eight corners and center (:func:`box_points`, in the KITTI devkit corner
-order), and one pinhole kernel (:func:`pinhole`) projects them.
+order), and one pinhole kernel (:func:`pinhole`) projects them.  An
+object's solver inputs are its :class:`KeypointSet`, :class:`Priors` and
+:class:`CameraModel`; :class:`SolveInputs` stacks those of N objects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,9 +24,12 @@ __all__ = [
     "Box3D",
     "CameraModel",
     "KeypointSet",
+    "Priors",
+    "SolveInputs",
     "alpha_to_yaw",
     "box_points",
     "box_points_3d",
+    "camera_rows",
     "corner_offsets",
     "nonpositive_prior",
     "pinhole",
@@ -138,6 +144,58 @@ def nonpositive_prior(d_hat: np.ndarray, z_hat: np.ndarray) -> tuple[int, str] |
     for i in np.flatnonzero(np.any(d_hat <= 0, axis=1) | (z_hat <= 0))[:1]:
         return int(i), f"{'dimension' if np.any(d_hat[i] <= 0) else 'depth'} prior must be positive"
     return None
+
+
+@dataclass(frozen=True)
+class Priors:
+    """Per-object priors, all three required: dimensions (h, w, l), yaw and
+    center depth.  The dimension and yaw priors are soft energy terms; the
+    depth prior seeds the start only."""
+
+    d_hat: np.ndarray
+    theta_hat: float
+    z_hat: float
+
+    def __post_init__(self):
+        d = np.asarray(self.d_hat, dtype=float).reshape(3)
+        if fault := nonpositive_prior(d[None], np.array([self.z_hat])):
+            raise ValueError(fault[1])
+        object.__setattr__(self, "d_hat", d)
+
+
+class SolveInputs(NamedTuple):
+    """The keypoints, priors and cameras of N objects stacked along the first
+    axis, as :func:`rtm3d.solver.solve_arrays` takes them and
+    :func:`rtm3d.kitti.parse_solve_inputs` reads them from a frame's files."""
+
+    kp: np.ndarray  # (N, 9, 2) measured keypoints
+    conf: np.ndarray  # (N, 9) keypoint confidences in [0, 1]
+    vis: np.ndarray  # (N, 9) keypoint visibility
+    d_hat: np.ndarray  # (N, 3) dimension priors
+    theta_hat: np.ndarray  # (N,) yaw priors
+    z_hat: np.ndarray  # (N,) depth priors
+    cams: np.ndarray  # (N, 7) camera rows (:func:`camera_rows`)
+
+    @staticmethod
+    def stack(kps: Sequence[KeypointSet], priors: Sequence[Priors], cams: Sequence[CameraModel]) -> "SolveInputs":
+        n = len(kps)
+        return SolveInputs(
+            kp=np.array([k.pts for k in kps], dtype=float).reshape(n, 9, 2),
+            conf=np.array([k.conf for k in kps], dtype=float).reshape(n, 9),
+            vis=np.array([k.visible for k in kps], dtype=bool).reshape(n, 9),
+            d_hat=np.array([p.d_hat for p in priors], dtype=float).reshape(n, 3),
+            theta_hat=np.array([p.theta_hat for p in priors], dtype=float),
+            z_hat=np.array([p.z_hat for p in priors], dtype=float),
+            cams=camera_rows(cams),
+        )
+
+    def take(self, rows) -> "SolveInputs":
+        return SolveInputs(*(a[rows] for a in self))
+
+
+def camera_rows(cams: Sequence[CameraModel]) -> np.ndarray:
+    """Rows (N, 7) of fx, fy, cx, cy and t_cam, one per camera."""
+    return np.array([(c.fx, c.fy, c.cx, c.cy, *c.t_cam) for c in cams], dtype=float).reshape(-1, 7)
 
 
 # Unit-box corners (rows 0-7, in the KITTI devkit order) and center (row 8)

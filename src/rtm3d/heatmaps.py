@@ -48,6 +48,7 @@ __all__ = [
 DOWNSAMPLE = 4
 MAIN_THRESHOLD = 0.4
 KEYPOINT_THRESHOLD = 0.1
+TOPK = 100  # peaks kept per channel
 # Grouping: how far (grid cells) a vertex peak may lie from its regressed
 # keypoint, and the confidence of a keypoint that no peak matched.
 MATCH_RADIUS = 4.0
@@ -217,7 +218,7 @@ def _pool3_at(maps: np.ndarray, ys, xs, cs) -> np.ndarray:
     return pooled
 
 
-def extract_peaks(maps, threshold, topk=100):
+def extract_peaks(maps, threshold, topk=TOPK):
     """Local maxima after 3x3 max pooling, per channel.
 
     Returns a list of ((x, y), score, channel) sorted by descending score,
@@ -257,7 +258,7 @@ class GroupingConfig:
 
     main_threshold: float = MAIN_THRESHOLD
     keypoint_threshold: float = KEYPOINT_THRESHOLD
-    topk: int = 100
+    topk: int = TOPK
 
 
 @dataclass

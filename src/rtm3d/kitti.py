@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box3D, CameraModel, nonpositive_prior, wrap_to_pi, yaw_to_alpha
+from .geometry import Box3D, CameraModel, SolveInputs, camera_rows, nonpositive_prior, wrap_to_pi, yaw_to_alpha
 
 __all__ = [
     "FieldCountError",
@@ -236,11 +236,12 @@ def sidecar_text(pts, conf, visible) -> str:
     return "".join(line % tuple(row) for row in rows.tolist())
 
 
-def parse_solve_inputs(priors: str, sidecar: str, sidecar_source="keypoint sidecar", priors_source="priors file"):
-    """The fields of ``solver.SolveInputs`` before its camera rows, in order,
-    from one frame's priors file and keypoint sidecar: keypoints (n, 9, 2),
-    confidences clipped to [0, 1], visibility (n, 9) where a confidence is
-    positive, and dimension (n, 3), yaw and depth (n,) priors.  Sources name files in errors."""
+def parse_solve_inputs(priors: str, sidecar: str, camera: CameraModel, sidecar_source="keypoint sidecar",
+                       priors_source="priors file") -> SolveInputs:
+    """The solver inputs of one frame's n objects, from its priors file, keypoint
+    sidecar and camera: keypoints (n, 9, 2), confidences clipped to [0, 1],
+    visibility (n, 9) where a confidence is positive, dimension (n, 3), yaw and
+    depth (n,) priors, and the camera's row for every object.  Sources name files in errors."""
     values = [v[:14] for _, _, v in parse_label_values(priors, priors_source)]
     labels = np.array(values, dtype=float).reshape(-1, 14)
     rows = []
@@ -259,7 +260,8 @@ def parse_solve_inputs(priors: str, sidecar: str, sidecar_source="keypoint sidec
     d_hat, z_hat, theta_hat = labels[:, 7:10], labels[:, 12], labels[:, 13]
     if fault := nonpositive_prior(d_hat, z_hat):
         raise InputError(f"{priors_source}, object {fault[0]}: {fault[1]}")
-    return triples[..., :2], np.clip(triples[..., 2], 0.0, 1.0), triples[..., 2] > 0.0, d_hat, theta_hat, z_hat
+    return SolveInputs(triples[..., :2], np.clip(triples[..., 2], 0.0, 1.0), triples[..., 2] > 0.0, d_hat, theta_hat,
+                       z_hat, np.repeat(camera_rows([camera]), len(labels), axis=0))
 
 
 def write_result_file(labels: list[KittiLabel]) -> str:

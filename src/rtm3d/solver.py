@@ -9,19 +9,21 @@ bottom-center translation t, the yaw about the camera y axis, and the
 three dimensions.  That is the ground-plane subgroup of SE(3), so every
 step is additive and the state is the written box.
 
-One LM loop serves every caller.  :func:`solve_arrays`, the one batch
-API, fits N objects at once from one record of stacked arrays
-(:class:`SolveInputs`: keypoints, priors and camera rows), with states
-(N, 7) ordered (t, yaw, dims), residuals (N, 22), Jacobians (N, 22, 7)
-and normal equations (N, 7, 7) stacked along the first axis;
-:func:`solve` is its N = 1 case, reported as a :class:`SolveReport`.
+This module holds the energy, its Jacobians and the LM; the input records
+(:class:`Priors`, :class:`SolveInputs`) are :mod:`rtm3d.geometry`'s.  One
+LM loop serves every caller.  :func:`solve_arrays`, the one batch API,
+fits N objects at once from one :class:`SolveInputs` (keypoints, priors
+and camera rows stacked), with states (N, 7) ordered (t, yaw, dims),
+residuals (N, 22), Jacobians (N, 22, 7) and normal equations (N, 7, 7)
+stacked along the first axis; :func:`solve` is its N = 1 case, reported
+as a :class:`SolveReport`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +34,12 @@ from .geometry import (
     Box3D,
     CameraModel,
     KeypointSet,
+    Priors,
+    SolveInputs,
     _skew,
     box_points,
     box_points_3d,
-    nonpositive_prior,
+    camera_rows,
     pinhole,
     rot_y,
 )
@@ -45,11 +49,8 @@ __all__ = [
     "EnergyWeights",
     "Fit",
     "InsufficientConstraints",
-    "Priors",
-    "SolveInputs",
     "SolveReport",
     "SolverConfig",
-    "camera_rows",
     "initialize",
     "jacobian_camera_point",
     "residual_camera_point",
@@ -94,23 +95,6 @@ class DivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Priors:
-    """Per-object priors, all three required: dimensions (h, w, l), yaw and
-    center depth.  The dimension and yaw priors are soft energy terms; the
-    depth prior seeds the start only."""
-
-    d_hat: np.ndarray
-    theta_hat: float
-    z_hat: float
-
-    def __post_init__(self):
-        d = np.asarray(self.d_hat, dtype=float).reshape(3)
-        if fault := nonpositive_prior(d[None], np.array([self.z_hat])):
-            raise ValueError(fault[1])
-        object.__setattr__(self, "d_hat", d)
-
-
-@dataclass(frozen=True)
 class EnergyWeights:
     """Relative weights of the dimension and rotation prior terms."""
 
@@ -150,41 +134,6 @@ def _softmax_rows(conf: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of (..., 9) confidences, repeated per u/v row."""
     e = np.exp(conf - conf.max(axis=-1, keepdims=True))
     return np.repeat(e / e.sum(axis=-1, keepdims=True), 2, axis=-1)
-
-
-class SolveInputs(NamedTuple):
-    """The keypoints, priors and cameras of N objects stacked along the first
-    axis, as :func:`solve_arrays` takes them; :func:`rtm3d.kitti.parse_solve_inputs`
-    returns every field before ``cams``."""
-
-    kp: np.ndarray  # (N, 9, 2) measured keypoints
-    conf: np.ndarray  # (N, 9) keypoint confidences in [0, 1]
-    vis: np.ndarray  # (N, 9) keypoint visibility
-    d_hat: np.ndarray  # (N, 3) dimension priors
-    theta_hat: np.ndarray  # (N,) yaw priors
-    z_hat: np.ndarray  # (N,) depth priors
-    cams: np.ndarray  # (N, 7) camera rows (:func:`camera_rows`)
-
-    @staticmethod
-    def stack(kps: Sequence[KeypointSet], priors: Sequence[Priors], cams: Sequence[CameraModel]) -> "SolveInputs":
-        n = len(kps)
-        return SolveInputs(
-            kp=np.array([k.pts for k in kps], dtype=float).reshape(n, 9, 2),
-            conf=np.array([k.conf for k in kps], dtype=float).reshape(n, 9),
-            vis=np.array([k.visible for k in kps], dtype=bool).reshape(n, 9),
-            d_hat=np.array([p.d_hat for p in priors], dtype=float).reshape(n, 3),
-            theta_hat=np.array([p.theta_hat for p in priors], dtype=float),
-            z_hat=np.array([p.z_hat for p in priors], dtype=float),
-            cams=camera_rows(cams),
-        )
-
-    def take(self, rows) -> "SolveInputs":
-        return SolveInputs(*(a[rows] for a in self))
-
-
-def camera_rows(cams: Sequence[CameraModel]) -> np.ndarray:
-    """Rows (N, 7) of fx, fy, cx, cy and t_cam, one per camera."""
-    return np.array([(c.fx, c.fy, c.cx, c.cy, *c.t_cam) for c in cams], dtype=float).reshape(-1, 7)
 
 
 def _root_weights(inputs: SolveInputs) -> np.ndarray:
@@ -413,12 +362,9 @@ def solve_arrays(
         chunks = [solve_arrays(inputs.take(slice(i, i + SOLVE_CHUNK)), weights, config)
                   for i in range(0, n, SOLVE_CHUNK)]
         return Fit(*map(np.concatenate, zip(*chunks)))
+    # Each yaw prior modulo 2 pi, exact and a no-op below 2 pi: a prior of 1e308 would absorb every step.
+    inputs = inputs._replace(theta_hat=np.fmod(inputs.theta_hat, 2.0 * math.pi))
     sqrt_w = _root_weights(inputs)
-
-    def rows(i: np.ndarray) -> tuple[SolveInputs, np.ndarray]:
-        """The inputs and root confidence weights of objects ``i`` (sorted, unique)."""
-        return (inputs, sqrt_w) if len(i) == n else (inputs.take(i), sqrt_w[i])
-
     with np.errstate(all="ignore"):
         x = _starts(inputs, config)
         res, behind, r, pts = _residuals(inputs, sqrt_w, weights, x)
@@ -435,7 +381,7 @@ def solve_arrays(
             i = i[iters[i] < config.max_iter]  # stop: max_iter
             if not i.size:
                 return i
-            jac = _jacobians(*rows(i), weights, x[i], r[i], pts[i])
+            jac = _jacobians(inputs.take(i), sqrt_w[i], weights, x[i], r[i], pts[i])
             jac_t = jac.transpose(0, 2, 1)
             jtj[i], grad[i] = jac_t @ jac, (jac_t @ res[i][..., None])[..., 0]
             flat = np.abs(grad[i]).max(axis=1) < config.g_tol
@@ -459,7 +405,7 @@ def solve_arrays(
             step = _lm_steps(jtj[i], grad[i], lam_i)
             x_new = x[i] + step
             x_new[:, 4:] = np.maximum(x_new[:, 4:], 1e-2)
-            res_new, behind_new, r_new, pts_new = _residuals(*rows(i), weights, x_new)
+            res_new, behind_new, r_new, pts_new = _residuals(inputs.take(i), sqrt_w[i], weights, x_new)
             cost_new = (res_new * res_new).sum(axis=1)
             ok = ~behind_new & np.isfinite(cost_new) & (cost_new < cost[i])
             lam[i] = np.where(ok, np.maximum(lam_i / 10.0, 1e-12), lam_i * 10.0)

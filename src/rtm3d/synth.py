@@ -5,14 +5,15 @@ keypoints, and optionally encode the full set of head maps, so the
 solver and decoder can be verified end-to-end without a network.  A
 scene is held as arrays (:class:`SceneArrays`) from its draws to its
 text and head maps; :class:`SceneObject` lists serve the per-object API.
-The text formats are :mod:`rtm3d.kitti`'s, which also reads them back.
+The text formats are :mod:`rtm3d.kitti`'s, which also reads them back, and
+the per-object records are :mod:`rtm3d.geometry`'s, so synth loads no solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .geometry import (
     Box3D,
     CameraModel,
     KeypointSet,
+    Priors,
     box_points,
     pinhole,
     rot_y,
@@ -28,9 +30,6 @@ from .geometry import (
     yaw_to_alpha,
 )
 from .heatmaps import DIM_MEAN, DIM_STD, DOWNSAMPLE, HeadMaps, encode_objects
-
-if TYPE_CHECKING:  # only the per-object API builds Priors, so rtm3d synth loads no solver
-    from .solver import Priors
 
 __all__ = [
     "GRID",
@@ -234,8 +233,6 @@ class SceneArrays(NamedTuple):
         )
 
     def objects(self) -> list[SceneObject]:
-        from .solver import Priors
-
         scalars = zip(self.yaw.tolist(), self.theta_hat.tolist(), self.z_hat.tolist())
         return [
             SceneObject(
@@ -317,12 +314,9 @@ def keypoints_sidecar_text(scene: list[SceneObject]) -> str:
 
 def parse_scene_objects(priors_text: str, keypoints_text: str, keypoints_source="keypoint sidecar",
                         priors_source="priors file") -> list[tuple[KeypointSet, Priors]]:
-    """Per-object solver inputs of :func:`~rtm3d.kitti.parse_solve_inputs`."""
-    from .solver import Priors
-
-    kp, conf, vis, d_hat, theta_hat, z_hat = kitti.parse_solve_inputs(
-        priors_text, keypoints_text, keypoints_source, priors_source)
+    """Per-object keypoints and priors of :func:`~rtm3d.kitti.parse_solve_inputs`."""
+    s = kitti.parse_solve_inputs(priors_text, keypoints_text, default_camera(), keypoints_source, priors_source)
     return [
-        (KeypointSet(pts=kp[i], conf=conf[i], visible=vis[i]), Priors(d_hat=d_hat[i], theta_hat=theta, z_hat=z))
-        for i, (theta, z) in enumerate(zip(theta_hat.tolist(), z_hat.tolist()))
+        (KeypointSet(pts=s.kp[i], conf=s.conf[i], visible=s.vis[i]), Priors(d_hat=s.d_hat[i], theta_hat=theta, z_hat=z))
+        for i, (theta, z) in enumerate(zip(s.theta_hat.tolist(), s.z_hat.tolist()))
     ]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rtm3d
-from rtm3d import kitti, solver, synth
+from rtm3d import geometry, kitti, solver, synth
 from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from rtm3d.config import Settings, load_config
 from rtm3d.geometry import wrap_to_pi, yaw_to_alpha
@@ -403,6 +403,9 @@ def test_solve_per_object_values_fail_only_their_object(file, field, value, code
     entry = "iters=" if code == EXIT_OK else f"failed ({reason})"
     log = (out / "solve_log.txt").read_text()
     assert f"000001 object 0: {entry}" in log and "000001 object 1: iters=" in log
+    if (file, field) == ("priors", 14):
+        # A yaw prior of 1e308 is reduced modulo 2 pi before the fit, which it used to stall.
+        assert re.search(r"^000001 object 0: iters=\d+ cost=\S+ converged=True$", log, re.M), log
 
 
 @pytest.mark.parametrize("file", ["keypoints", "priors"])
@@ -740,6 +743,18 @@ def test_each_command_loads_only_the_modules_it_runs(command, loaded, dataset, t
     run = subprocess.run([sys.executable, "-W", "error", "-c", code, *map(str, argv)], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == str(["rtm3d"] + [f"rtm3d.{m}" for m in loaded])
+
+
+def test_package_priors_load_only_geometry():
+    # The per-object records live in geometry, and the solver imports them
+    # from there: rtm3d.Priors loads no solver.
+    code = "import rtm3d, sys; rtm3d.Priors; print(sorted(m for m in sys.modules if m.startswith('rtm3d')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(rtm3d.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "['rtm3d', 'rtm3d.geometry']"
+    for name in ("Priors", "SolveInputs", "camera_rows"):
+        assert getattr(solver, name) is getattr(geometry, name)
 
 
 def test_end_to_end_script_runs_from_a_checkout(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtm3d.geometry import CameraModel, SolveInputs
 from rtm3d.kitti import (
     FieldCountError,
     InputError,
@@ -169,8 +170,6 @@ def test_parse_calib_rejects_a_p2_whose_camera_offset_overflows(p2, t):
 
 
 def test_to_camera_model_inverts_camera_to_calib():
-    from rtm3d.geometry import CameraModel
-
     cam = CameraModel(fx=721.5377, fy=721.5377, cx=609.5593, cy=172.854,
                       t_cam=np.array([0.0621, 0.0003, 0.0027]))
     back = to_camera_model(camera_to_calib(cam))
@@ -232,9 +231,14 @@ def test_solve_inputs_round_trip_through_priors_and_sidecar(n):
     visible = rng.uniform(size=(n, 9)) > 0.3
     d_hat, theta_hat, z_hat = rng.uniform(0.5, 5.0, size=(n, 3)), rng.uniform(-3.1, 3.1, n), rng.uniform(5.0, 60.0, n)
     text = priors_text(d_hat, theta_hat, z_hat, keypoint_boxes(pts, visible)), sidecar_text(pts, conf, visible)
-    back = parse_solve_inputs(*text)
-    # Dropped keypoints keep their position and read back invisible, with confidence 0.
-    for got, want in zip(back, (pts, np.where(visible, conf, 0.0), visible, d_hat, theta_hat, z_hat)):
+    cam = CameraModel(fx=700.0, fy=710.0, cx=600.0, cy=170.0, t_cam=np.array([0.06, 0.0, 0.003]))
+    back = parse_solve_inputs(*text, cam)
+    assert isinstance(back, SolveInputs)
+    # Dropped keypoints keep their position and read back invisible, with confidence 0;
+    # every object gets the frame's camera row.
+    cams = np.tile([700.0, 710.0, 600.0, 170.0, 0.06, 0.0, 0.003], (n, 1))
+    for got, want in zip(back, (pts, np.where(visible, conf, 0.0), visible, d_hat, theta_hat, z_hat, cams),
+                         strict=True):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
@@ -247,5 +251,6 @@ def test_parse_solve_inputs_names_the_object_whose_prior_is_not_positive(field, 
     fields[field] = value
     sidecar = ("1 2 1 " * 9 + "\n") * 3
     with pytest.raises(InputError) as e:
-        parse_solve_inputs(f"{good}\n{' '.join(fields)}\n{good}\n", sidecar, "kp.txt", "priors.txt")
+        parse_solve_inputs(f"{good}\n{' '.join(fields)}\n{good}\n", sidecar, CameraModel(700.0, 700.0, 600.0, 170.0),
+                           "kp.txt", "priors.txt")
     assert str(e.value) == f"priors.txt, object 1: {prior} prior must be positive"

@@ -503,6 +503,19 @@ def test_solve_with_prior_yaw_at_pi(yaw, prior):
         assert abs(wrap_to_pi(shifted.box.yaw - report.box.yaw)) < 1e-8
 
 
+@pytest.mark.parametrize("prior", [1e308, -1e308, 7.0])
+def test_solve_arrays_fits_a_yaw_prior_as_its_exact_remainder(prior):
+    # A yaw prior of 1e308 absorbed every step, and its residual never moved
+    # (1e308 + d = 1e308).  The LM reduces each prior modulo 2 pi, exactly,
+    # before its first residual, so a prior fits bit for bit as its remainder.
+    box = _random_box(np.random.default_rng(12))
+    got, want = (solve_arrays(SolveInputs.stack([_keypoints_of(box)], [Priors(box.dims, p, box.t[2])], [CAM]))
+                 for p in (prior, math.fmod(prior, 2 * math.pi)))
+    assert got.errors.tolist() == want.errors.tolist() == [None]
+    for name in ("x", "iterations", "cost", "converged", "terms"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_lm_steps_isolate_a_singular_system():
     # One singular system makes numpy reject the whole stack; the others
     # must still get their steps.

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from rtm3d.geometry import box_points_3d, project_points, wrap_to_pi, yaw_to_alpha
+from rtm3d.geometry import SolveInputs, box_points_3d, project_points, wrap_to_pi, yaw_to_alpha
 from rtm3d.heatmaps import decode_objects
 from rtm3d.kitti import parse_labels, parse_solve_inputs
-from rtm3d.solver import SolveInputs, camera_rows
 from rtm3d.synth import (
     IMAGE_SIZE,
     NoiseSpec,
@@ -118,11 +117,11 @@ def test_sidecar_roundtrip():
     scene = apply_noise(
         generate_scene(SceneSpec(seed=10)), NoiseSpec(pixel_sigma=1.0, dropout=0.3), seed=2
     )
-    # The kitti reader returns SolveInputs' fields before the camera rows, in
-    # order: each field has the solver's shape and dtype and the scene's values.
+    # Every field of the record the kitti reader returns, the camera rows
+    # included, has the solver's shape and dtype and the scene's values.
     n = len(scene)
-    back = SolveInputs(*parse_solve_inputs(scene_priors_text(scene), keypoints_sidecar_text(scene)),
-                       camera_rows([default_camera()] * n))
+    back = parse_solve_inputs(scene_priors_text(scene), keypoints_sidecar_text(scene), default_camera())
+    assert isinstance(back, SolveInputs)
     want = SolveInputs.stack([o.kps for o in scene], [o.priors for o in scene], [default_camera()] * n)
     shapes = {"kp": (n, 9, 2), "conf": (n, 9), "vis": (n, 9), "d_hat": (n, 3), "theta_hat": (n,),
               "z_hat": (n,), "cams": (n, 7)}
