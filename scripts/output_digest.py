@@ -28,10 +28,19 @@ prints the same lines.  The groups are:
   ``.rtmh`` bytes nor its ``decode`` line, since ``rtm3d synth`` encodes
   the noiseless scene; a change that encodes noisy maps changes both;
 - ``decode``: every :func:`rtm3d.heatmaps.decode_objects` field (type,
-  dtype and bytes) of both blocks.
+  dtype and bytes) of both blocks;
+- ``fit-*``, printed after ``decoded-objects``: the
+  :class:`rtm3d.solver.Fit` of one :func:`rtm3d.solver.solve_arrays` call
+  per dataset (fixed, sparse, priors-noise and exhausted, every object read
+  as ``rtm3d solve`` reads it) and per prior weights (w_d, w_r) of (1, 1),
+  (2, 3) and (0, 0): each array field by dtype, shape and bytes, and each
+  error by type and message.  These check the solver bit for bit, below
+  the rounding of the result files.
 
 Each group hash also covers the exit codes of the commands behind it.
-Imports only the standard library and ``rtm3d``.
+Imports only the standard library, numpy and ``rtm3d``, and of ``rtm3d``
+only names that predate the ``fit-*`` group, so this script also runs
+against older checkouts.
 """
 
 from __future__ import annotations
@@ -43,7 +52,11 @@ import io
 import sys
 from pathlib import Path
 
-from rtm3d import cli, heatmaps
+import numpy as np
+
+from rtm3d import cli, heatmaps, kitti
+from rtm3d.geometry import SolveInputs
+from rtm3d.solver import EnergyWeights, solve_arrays
 
 FIXED = "frames=200\nn_objects=5\npixel_sigma=1.0\ndropout=0.1\nseed=42\n"
 SPARSE = "frames=30\nn_objects=5\npixel_sigma=1.0\ndropout=0.8\nseed=7\n"
@@ -51,6 +64,7 @@ EMPTY = "frames=3\nn_objects=0\nseed=42\n"
 PRIORS_NOISE = ("frames=30\nn_objects=5\npixel_sigma=1.0\ndropout=0.1\ndim_sigma=0.1\n"
                 "yaw_sigma=0.1\ndepth_rel_sigma=0.05\nseed=11\n")
 EXHAUSTED = "frames=10\nn_objects=10\ndepth_min=1\ndepth_max=3\nseed=3\n"
+FIT_WEIGHTS = ((1.0, 1.0), (2.0, 3.0), (0.0, 0.0))
 HEADMAP_BLOCKS = {
     "headmaps-16x5": "frames=16\nn_objects=5\nseed=42\nheadmaps=1\n",
     "headmaps-8x20": "frames=8\nn_objects=20\npixel_sigma=1.0\ndropout=0.1\nseed=7\nheadmaps=1\n",
@@ -94,6 +108,28 @@ def pipeline(out: Path, name: str, spec: str) -> dict:
         metrics = work / f"metrics{flag}.txt"
         code = run("eval", str(results), str(data), *args, "--out", str(metrics))
         groups[f"{name}-metrics{flag}"] = file_hash([metrics], work, code)
+    return groups
+
+
+def fit_hashes(name: str, data: Path) -> dict:
+    """SHA-256 of every field of the solve_arrays Fit of ``data``, per weight setting."""
+    parts = []
+    for priors in sorted((data / "priors").glob("*.txt")):
+        camera = kitti.to_camera_model(kitti.parse_calib_file(data / "calib" / priors.name))
+        parts.append(kitti.parse_solve_inputs(priors.read_text(), (data / "keypoints" / priors.name).read_text(),
+                                              camera))
+    inputs = SolveInputs(*map(np.concatenate, zip(*parts)))
+    groups = {}
+    for w_d, w_r in FIT_WEIGHTS:
+        fit = solve_arrays(inputs, EnergyWeights(w_d=w_d, w_r=w_r))
+        h = hashlib.sha256()
+        for field, a in zip(fit._fields, fit):
+            if field == "errors":
+                h.update("".join(f"{type(e).__name__} {e}\0" for e in a).encode())
+            else:
+                h.update(f"{field} {a.dtype.str} {a.shape}\0".encode())
+                h.update(a.tobytes())
+        groups[f"fit-{name}-w{w_d:g},{w_r:g}"] = h.hexdigest()
     return groups
 
 
@@ -145,6 +181,9 @@ def main(argv) -> int:
     for group, digest in groups.items():
         print(f"{group} {digest}")
     print(f"decoded-objects {count}")
+    for name in ("fixed", "sparse", "priors-noise", "exhausted"):
+        for group, digest in fit_hashes(name, out / name / "dataset").items():
+            print(f"{group} {digest}")
     return 0
 
 

@@ -9,14 +9,14 @@ bottom-center translation t, the yaw about the camera y axis, and the
 three dimensions.  That is the ground-plane subgroup of SE(3), so every
 step is additive and the state is the written box.
 
-This module holds the energy, its Jacobians and the LM; the input records
-(:class:`Priors`, :class:`SolveInputs`) are :mod:`rtm3d.geometry`'s.  One
-LM loop serves every caller.  :func:`solve_arrays`, the one batch API,
-fits N objects at once from one :class:`SolveInputs` (keypoints, priors
-and camera rows stacked), with states (N, 7) ordered (t, yaw, dims),
-residuals (N, 22), Jacobians (N, 22, 7) and normal equations (N, 7, 7)
-stacked along the first axis; :func:`solve` is its N = 1 case, reported
-as a :class:`SolveReport`.
+This module holds the energy, whose residual blocks ``_ENERGY`` lists, its
+Jacobians and the LM; the input records (:class:`Priors`,
+:class:`SolveInputs`) are :mod:`rtm3d.geometry`'s.  One LM loop serves
+every caller.  :func:`solve_arrays`, the one batch API, fits N objects at
+once from one :class:`SolveInputs` (keypoints, priors and camera rows
+stacked), with states (N, 7) ordered (t, yaw, dims) and their residuals,
+Jacobians and normal equations stacked along the first axis;
+:func:`solve` is its N = 1 case, reported as a :class:`SolveReport`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "initialize",
     "jacobian_camera_point",
     "residual_camera_point",
-    "residual_dimension",
     "residual_rotation",
     "solve",
     "solve_arrays",
@@ -145,14 +144,6 @@ def _root_weights(inputs: SolveInputs) -> np.ndarray:
 # Stacked residuals and Jacobians
 
 
-def _residual_cp(f, c, t_cam, kp, vis, pts) -> tuple[np.ndarray, np.ndarray]:
-    """Measured-minus-projected residuals (N, 18) with invisible rows zeroed,
-    and which objects have a visible keypoint behind the camera."""
-    uv, behind = pinhole(f, c, t_cam, pts)
-    res = np.where(vis[..., None], kp - uv, 0.0)
-    return res.reshape(len(pts), 18), (vis & behind).any(axis=1)
-
-
 def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Analytic (N, 18, 9) Jacobian of the reprojection residual.
 
@@ -171,39 +162,61 @@ def _jacobian_cp(f: np.ndarray, t_cam: np.ndarray, r: np.ndarray, pts: np.ndarra
     m[..., 0:3] = _I3
     m[..., 3:6] = _skew(-pts)
     m[..., 6:9] = r[:, None, :, _AXIS_OF_DIM] * _TEMPLATE_BY_DIM
-    return ((-jp) @ m).reshape(len(p), 18, 9)
+    return ((-jp) @ m).reshape(len(p), -1, 9)
+
+
+def _camera_point_jacobian(inputs, sqrt_w, weights, x, r, pts) -> np.ndarray:
+    """Weighted (N, 18, 7) Jacobian of the reprojection rows over (t, yaw, dims)."""
+    j = _jacobian_cp(inputs.cams[:, None, 0:2], inputs.cams[:, None, 4:7], r, pts)
+    # Turning by yaw about the bottom center is the twist w = e_y with
+    # v = -(e_y x t), which keeps t: the yaw column is J_wy - J_v (e_y x t).
+    j[..., 4] += x[:, None, 0] * j[..., 2] - x[:, None, 2] * j[..., 0]
+    return sqrt_w[..., None] * j[..., _STATE_COLS]
+
+
+# The energy as residual blocks in row order, (name, rows, residual, jacobian), each weighted.  A residual
+# maps (inputs, root confidence weights, weights, x, the keypoints projected from x) to N x rows values, and a
+# Jacobian maps (inputs, root confidence weights, weights, x, rotations, box points) to (N, rows, 7).
+_DIM_ROWS, _YAW_ROW = np.eye(7)[4:], np.eye(7)[3:4]  # dims and yaw of x, as rows over x
+_ENERGY = (
+    ("camera_point", 18,
+     lambda inputs, sqrt_w, weights, x, uv:
+         sqrt_w * np.where(inputs.vis[..., None], inputs.kp - uv, 0.0).reshape(sqrt_w.shape),
+     _camera_point_jacobian),
+    ("dimension", 3,
+     lambda inputs, sqrt_w, weights, x, uv: math.sqrt(weights.w_d) * (inputs.d_hat - x[:, 4:]),
+     lambda inputs, sqrt_w, weights, x, r, pts: -math.sqrt(weights.w_d) * _DIM_ROWS),
+    ("rotation", 1,
+     lambda inputs, sqrt_w, weights, x, uv: math.sqrt(weights.w_r) * residual_rotation(x[:, 3], inputs.theta_hat),
+     lambda inputs, sqrt_w, weights, x, r, pts: -math.sqrt(weights.w_r) * _YAW_ROW),
+)
+# Each block's name and first row, and the energy's row count.
+_NAMES = [name for name, _, _, _ in _ENERGY]
+*_OFFSETS, _ROWS = np.cumsum([0] + [rows for _, rows, _, _ in _ENERGY]).tolist()
 
 
 def _residuals(inputs: SolveInputs, sqrt_w: np.ndarray, weights: EnergyWeights, x: np.ndarray):
-    """Weighted residuals (N, 22) of states x = (t, yaw, dims), given the
+    """Weighted residuals (N, _ROWS) of states x = (t, yaw, dims), given the
     objects' root confidence weights (:func:`_root_weights`); which objects
     have a visible keypoint behind the camera; and the rotations (N, 3, 3)
     and box points (N, 9, 3) of x, which :func:`_jacobians` takes."""
-    res = np.empty((len(x), 22))
+    res = np.empty((len(x), _ROWS))
     r = rot_y(x[:, 3])
     pts = box_points(x[:, 4:], x[:, :3], r)
     cams = inputs.cams[:, None]
-    res_cp, behind = _residual_cp(cams[..., 0:2], cams[..., 2:4], cams[..., 4:7], inputs.kp, inputs.vis, pts)
-    res[:, :18] = sqrt_w * res_cp
-    res[:, 18:21] = math.sqrt(weights.w_d) * residual_dimension(x[:, 4:], inputs.d_hat)
-    res[:, 21] = math.sqrt(weights.w_r) * residual_rotation(x[:, 3], inputs.theta_hat)
-    return res, behind, r, pts
+    uv, behind = pinhole(cams[..., 0:2], cams[..., 2:4], cams[..., 4:7], pts)
+    for (_, rows, residual, _), a in zip(_ENERGY, _OFFSETS):
+        res[:, a:a + rows] = residual(inputs, sqrt_w, weights, x, uv).reshape(len(x), rows)
+    return res, (inputs.vis & behind).any(axis=1), r, pts
 
 
 def _jacobians(inputs: SolveInputs, sqrt_w: np.ndarray, weights: EnergyWeights, x: np.ndarray,
                r: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Weighted (N, 22, 7) Jacobian of :func:`_residuals` at states x, whose
+    """Weighted (N, _ROWS, 7) Jacobian of :func:`_residuals` at states x, whose
     rotations r and box points pts :func:`_residuals` returned."""
-    t = x[:, :3]
-    cams = inputs.cams[:, None]
-    j = _jacobian_cp(cams[..., 0:2], cams[..., 4:7], r, pts)
-    # Turning by yaw about the bottom center is the twist w = e_y with
-    # v = -(e_y x t), which keeps t: the yaw column is J_wy - J_v (e_y x t).
-    j[..., 4] += t[:, None, 0] * j[..., 2] - t[:, None, 2] * j[..., 0]
-    jac = np.zeros((len(x), 22, 7))
-    jac[:, :18] = sqrt_w[..., None] * j[..., _STATE_COLS]
-    jac[:, 18:21, 4:] = -math.sqrt(weights.w_d) * _I3
-    jac[:, 21, 3] = -math.sqrt(weights.w_r)
+    jac = np.empty((len(x), _ROWS, 7))
+    for (_, rows, _, jacobian), a in zip(_ENERGY, _OFFSETS):
+        jac[:, a:a + rows] = jacobian(inputs, sqrt_w, weights, x, r, pts)
     return jac
 
 
@@ -213,12 +226,11 @@ def _jacobians(inputs: SolveInputs, sqrt_w: np.ndarray, weights: EnergyWeights, 
 
 def residual_camera_point(box: Box3D, kps: KeypointSet, cam: CameraModel) -> np.ndarray:
     """Stacked measured-minus-projected keypoint residual, invisible rows zeroed."""
-    pts = box_points_3d(box)[None]
     f, c = np.array([cam.fx, cam.fy]), np.array([cam.cx, cam.cy])
-    res, behind = _residual_cp(f, c, cam.t_cam, kps.pts[None], kps.visible[None], pts)
-    if behind[0]:
+    uv, behind = pinhole(f, c, cam.t_cam, box_points_3d(box))
+    if (kps.visible & behind).any():
         raise BehindCamera("a visible keypoint projects behind the camera")
-    return res[0]
+    return np.where(kps.visible[:, None], kps.pts - uv, 0.0).ravel()
 
 
 def jacobian_camera_point(box: Box3D, cam: CameraModel) -> np.ndarray:
@@ -227,26 +239,10 @@ def jacobian_camera_point(box: Box3D, cam: CameraModel) -> np.ndarray:
     return _jacobian_cp(np.array([cam.fx, cam.fy]), cam.t_cam, rot_y(box.yaw)[None], pts)[0]
 
 
-def residual_dimension(dims: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
-    """Dimension prior minus dimensions: the solver's dimension residual
-    before weighting.  Takes (3,) or stacked (N, 3) arrays."""
-    return d_hat - dims
-
-
 def residual_rotation(yaw, theta_hat):
     """Yaw prior minus yaw wrapped to [-pi, pi): the solver's rotation
     residual before weighting.  Takes scalars or arrays."""
     return (theta_hat - yaw + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def _term_sums(res: np.ndarray) -> np.ndarray:
-    """Camera-point, dimension and rotation costs (N, 3) of weighted residuals (N, 22)."""
-    return np.add.reduceat(res * res, [0, 18, 21], axis=1)
-
-
-def _term_costs(sums: np.ndarray) -> list:
-    """The rows of :func:`_term_sums` as dicts by term name."""
-    return [dict(zip(("camera_point", "dimension", "rotation"), row)) for row in sums.tolist()]
 
 
 def total_energy(
@@ -257,12 +253,17 @@ def total_energy(
     res, behind, _, _ = _residuals(inputs, _root_weights(inputs), weights, np.r_[box.t, box.yaw, box.dims][None])
     if behind[0]:
         raise BehindCamera("a visible keypoint projects behind the camera")
-    (terms,) = _term_costs(_term_sums(res))
+    terms = dict(zip(_NAMES, np.add.reduceat(res * res, _OFFSETS, axis=1)[0].tolist()))
     return sum(terms.values()), terms
 
 
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt
+
+
+def _reduce_yaw_priors(inputs: SolveInputs) -> SolveInputs:
+    """Each yaw prior modulo 2 pi, exact and a no-op below 2 pi: a prior of 1e308 would absorb every step."""
+    return inputs._replace(theta_hat=np.fmod(inputs.theta_hat, 2.0 * math.pi))
 
 
 def _starts(inputs: SolveInputs, config: SolverConfig) -> np.ndarray:
@@ -293,8 +294,8 @@ def initialize(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Initial yaw, bottom-center translation and dimensions of one object:
     the N = 1 case of the solver's start."""
-    x = _starts(SolveInputs.stack([kps], [priors], [cam]), SolverConfig())[0]
-    return priors.theta_hat, x[:3], x[4:]
+    x = _starts(_reduce_yaw_priors(SolveInputs.stack([kps], [priors], [cam])), SolverConfig())[0]
+    return float(x[3]), x[:3], x[4:]
 
 
 def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -321,7 +322,7 @@ class Fit(NamedTuple):
     iterations: np.ndarray  # (N,) LM iterations
     cost: np.ndarray  # (N,) final costs
     converged: np.ndarray  # (N,) whether each stopped converged
-    terms: np.ndarray  # (N, 3) final camera-point, dimension and rotation costs
+    terms: np.ndarray  # (N, len(_ENERGY)) final costs, one column per block of _ENERGY
     errors: np.ndarray  # (N,) objects: what kept each from starting, else None
 
 
@@ -362,8 +363,7 @@ def solve_arrays(
         chunks = [solve_arrays(inputs.take(slice(i, i + SOLVE_CHUNK)), weights, config)
                   for i in range(0, n, SOLVE_CHUNK)]
         return Fit(*map(np.concatenate, zip(*chunks)))
-    # Each yaw prior modulo 2 pi, exact and a no-op below 2 pi: a prior of 1e308 would absorb every step.
-    inputs = inputs._replace(theta_hat=np.fmod(inputs.theta_hat, 2.0 * math.pi))
+    inputs = _reduce_yaw_priors(inputs)
     sqrt_w = _root_weights(inputs)
     with np.errstate(all="ignore"):
         x = _starts(inputs, config)
@@ -417,7 +417,7 @@ def solve_arrays(
             # anew.  The two sets are disjoint, so sorting merges them.
             live = np.sort(np.concatenate([i[~ok], begin(acc[~small])]))
 
-        terms = _term_sums(res)
+        terms = np.add.reduceat(res * res, _OFFSETS, axis=1)
     errors = np.full(n, None, dtype=object)
     for i in np.flatnonzero(stuck):
         errors[i] = _start_error(inputs, i, behind[i])
@@ -438,4 +438,4 @@ def solve(
         raise fit.errors[0]
     x = fit.x[0]
     return SolveReport(Box3D(dims=x[4:], t=x[:3], yaw=x[3]), int(fit.iterations[0]), float(fit.cost[0]),
-                       bool(fit.converged[0]), _term_costs(fit.terms)[0])
+                       bool(fit.converged[0]), dict(zip(_NAMES, fit.terms[0].tolist())))

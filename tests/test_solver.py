@@ -34,7 +34,6 @@ from rtm3d.solver import (
     initialize,
     jacobian_camera_point,
     residual_camera_point,
-    residual_dimension,
     residual_rotation,
     solve,
     solve_arrays,
@@ -145,14 +144,6 @@ def test_residual_rotation_is_wrapped_difference(yaw, theta):
     assert abs(wrap_to_pi(res - (theta - yaw))) < 1e-12
 
 
-def test_residual_dimension():
-    np.testing.assert_allclose(
-        residual_dimension(np.array([1.5, 1.6, 3.9]), np.array([1.4, 1.7, 3.8])),
-        [-0.1, 0.1, -0.1],
-        atol=1e-12,
-    )
-
-
 def test_initialize_backprojects_center():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -165,6 +156,13 @@ def test_initialize_backprojects_center():
         start = t - [0.0, dims[0] / 2.0, 0.0]
         np.testing.assert_allclose(start[2], center[2], atol=1e-9)
         np.testing.assert_allclose(start[:2], center[:2], atol=1e-6)
+
+
+def test_initialize_starts_from_the_reduced_yaw_prior():
+    # The LM starts from each yaw prior modulo 2 pi; initialize reports that start.
+    (obj,) = generate_scene(SceneSpec(n_objects=1, seed=3))
+    yaw, _, _ = initialize(replace(obj.priors, theta_hat=1e308), obj.kps, default_camera())
+    assert yaw == 5.720858487389101 == math.fmod(1e308, 2 * math.pi)
 
 
 def test_start_anchors_without_the_center_keypoint():
@@ -262,11 +260,17 @@ def test_mean_car_dims_constant():
     np.testing.assert_allclose(DIM_MEAN, [1.53, 1.62, 3.89])
 
 
+def test_energy_table_lists_its_blocks():
+    assert [(name, rows) for name, rows, _, _ in solver._ENERGY] == [
+        ("camera_point", 18), ("dimension", 3), ("rotation", 1)]
+
+
 def test_solver_jacobian_matches_finite_differences():
-    # The weighted (22, 7) Jacobian over states (t, yaw, dims) against central
-    # differences of the weighted residuals, with confidence weights, dropped
-    # keypoints and both priors on.  Yaw within 1e-7 of +-pi and priors across
-    # the wrap check that the rotation residual is smooth there.
+    # Each block's weighted Jacobian over states (t, yaw, dims) against central
+    # differences of its weighted residuals, at the rows the table gives it,
+    # with confidence weights, dropped keypoints and both priors on.  Yaw
+    # within 1e-7 of +-pi and priors across the wrap check that the rotation
+    # residual is smooth there.
     rng = np.random.default_rng(9)
     h = 1e-6
     cases = []
@@ -293,17 +297,21 @@ def test_solver_jacobian_matches_finite_differences():
     b = inputs, _root_weights(inputs), EnergyWeights(w_d=2.0, w_r=3.0)
     x = np.array([np.r_[t, yaw, dims] for dims, t, yaw, _ in cases])
     gap = np.array([wrap_to_pi(prior - yaw) for _, _, yaw, prior in cases])
-    np.testing.assert_allclose(_residuals(*b, x)[0][:, 21], math.sqrt(3.0) * gap, atol=1e-12)
-    jac = _jacobians(*b, x, *_residuals(*b, x)[2:])
-    assert jac.shape == (len(cases), 22, 7)
+    res = _residuals(*b, x)
+    jac = _jacobians(*b, x, *res[2:])
+    assert jac.shape == (len(cases), solver._ROWS, 7)
     fd = np.empty_like(jac)
     for k in range(7):
         dx = np.zeros(7)
         dx[k] = h
         fd[..., k] = (_residuals(*b, x + dx)[0] - _residuals(*b, x - dx)[0]) / (2 * h)
-    rel = np.abs(jac - fd) / np.maximum(np.abs(fd), 1.0)
-    assert rel.max() < 1e-5
-    np.testing.assert_array_equal(jac[:, 21, 3], -math.sqrt(3.0))
+    blocks = {}
+    for (name, rows, _, _), a in zip(solver._ENERGY, solver._OFFSETS):
+        rel = np.abs(jac[:, a:a + rows] - fd[:, a:a + rows]) / np.maximum(np.abs(fd[:, a:a + rows]), 1.0)
+        assert rel.max() < 1e-5, name
+        blocks[name] = res[0][:, a:a + rows], jac[:, a:a + rows]
+    np.testing.assert_allclose(blocks["rotation"][0][:, 0], math.sqrt(3.0) * gap, atol=1e-12)
+    np.testing.assert_array_equal(blocks["rotation"][1][:, 0, 3], -math.sqrt(3.0))
 
 
 def _noisy_objects(n, seed0):
