@@ -21,6 +21,12 @@ prints the same lines.  The groups are:
 - ``exhausted-*``: 10 frames x 10 cars at depths 1-3 m, seed 3, where every
   box runs out of its 200 draws: 38 keep a keypoint behind the camera at
   (0, 0), and solve skips 77 for too few visible keypoints;
+- ``crowded-*``: the inputs, and ``metrics.txt`` under the four flag sets of
+  eval alone, of 12 frames x 10 cars (seed 21) whose ground truth :func:`crowd`
+  rewrites: occlusion levels 0-2, truncation up to 0.45, every fifth car a
+  Van and a DontCare region per frame, with jittered results, some of them
+  Pedestrians or without a score, and a false positive on each DontCare
+  region;
 - ``headmaps-*``: the ``.rtmh`` files (the only files under ``headmaps/``)
   of two ``headmaps=1`` blocks (16 x 5, seed 42; 8 x 20, seed 7, sigma 1,
   dropout 0.1), so equal lines mean unchanged ``.rtmh`` bytes.  The
@@ -64,6 +70,7 @@ EMPTY = "frames=3\nn_objects=0\nseed=42\n"
 PRIORS_NOISE = ("frames=30\nn_objects=5\npixel_sigma=1.0\ndropout=0.1\ndim_sigma=0.1\n"
                 "yaw_sigma=0.1\ndepth_rel_sigma=0.05\nseed=11\n")
 EXHAUSTED = "frames=10\nn_objects=10\ndepth_min=1\ndepth_max=3\nseed=3\n"
+CROWDED = "frames=12\nn_objects=10\nseed=21\n"
 FIT_WEIGHTS = ((1.0, 1.0), (2.0, 3.0), (0.0, 0.0))
 HEADMAP_BLOCKS = {
     "headmaps-16x5": "frames=16\nn_objects=5\nseed=42\nheadmaps=1\n",
@@ -102,6 +109,12 @@ def pipeline(out: Path, name: str, spec: str) -> dict:
         f"{name}-synth": tree_hash(data, run("synth", str(work / "scenes.cfg"), str(data))),
         f"{name}-solve": tree_hash(results, run("solve", str(data), str(results))),
     }
+    return {**groups, **metrics_hashes(work, name, results, data)}
+
+
+def metrics_hashes(work: Path, name: str, results: Path, data: Path) -> dict:
+    """eval of ``results`` against ``data`` under four flag sets: each metrics.txt's hash."""
+    groups = {}
     for flag, args in (("", ()), ("-iou0.7", ("--iou", "0.7")),
                        ("-forty-point", ("--forty-point",)),
                        ("-easy", ("--difficulty", "easy"))):
@@ -109,6 +122,47 @@ def pipeline(out: Path, name: str, spec: str) -> dict:
         code = run("eval", str(results), str(data), *args, "--out", str(metrics))
         groups[f"{name}-metrics{flag}"] = file_hash([metrics], work, code)
     return groups
+
+
+def crowd(label_text: str, rng: np.random.Generator) -> tuple[str, str]:
+    """Ground truth and results of one frame from its synthetic label text:
+    the cars get occlusion levels 0-2 and some truncation, every fifth one
+    becomes a Van, and a DontCare region is added.  Most cars get a jittered
+    result, some of them a Pedestrian or without a score (15 fields), and a
+    false positive lies on the DontCare region."""
+    gt, det = [], []
+    for k, line in enumerate(label_text.splitlines()):
+        kind, *fields = line.split()
+        v = [float(x) for x in fields]
+        v[0], v[1] = (0.0, 0.1, 0.3, 0.45)[k % 4], k % 3
+        gt.append(("Van" if k % 5 == 4 else kind, v))
+        if rng.uniform() < 0.85:
+            d = [0.0, 0, v[2] + rng.normal(0.0, 0.2), *(b + rng.normal(0.0, 3.0) for b in v[3:7]),
+                 v[7] * rng.uniform(0.9, 1.1), *v[8:10], v[10] + rng.normal(0.0, 0.3), v[11] + rng.normal(0.0, 0.1),
+                 v[12] + rng.normal(0.0, 0.5), v[13] + rng.normal(0.0, 0.2)]
+            det.append(("Pedestrian" if k % 6 == 5 else "Car", d + ([] if k % 4 == 3 else [rng.uniform(0.05, 1.0)])))
+    left, top = rng.uniform(0.0, 1100.0), rng.uniform(120.0, 300.0)
+    gt.append(("DontCare", [-1, -1, -10, left, top, left + 80, top + 50, -1, -1, -1, -1000, -1000, -1000, -10]))
+    det.append(("Car", [0, 0, 0, left + 4, top + 4, left + 76, top + 46, 1.5, 1.6, 3.9, 40.0, 1.6, 70.0, 0.5, 0.5]))
+    return tuple("".join(f"{kind} {v[0]:.2f} {int(v[1])} " + " ".join(f"{x:.2f}" for x in v[2:]) + "\n"
+                         for kind, v in rows) for rows in (gt, det))
+
+
+def crowded(out: Path) -> dict:
+    """The ``crowded-*`` groups: synth, then :func:`crowd` on every frame, then eval."""
+    work = out / "crowded"
+    work.mkdir(parents=True)
+    (work / "scenes.cfg").write_text(CROWDED)
+    data, results = work / "dataset", work / "results"
+    code = run("synth", str(work / "scenes.cfg"), str(data))
+    (results / "data").mkdir(parents=True)
+    rng = np.random.default_rng(21)
+    for path in sorted((data / "label_2").glob("*.txt")):
+        gt, det = crowd(path.read_text(), rng)
+        path.write_text(gt)
+        (results / "data" / path.name).write_text(det)
+    inputs = file_hash(list(work.rglob("*.txt")), work, code)
+    return {"crowded-inputs": inputs, **metrics_hashes(work, "crowded", results, data)}
 
 
 def fit_hashes(name: str, data: Path) -> dict:
@@ -169,6 +223,7 @@ def main(argv) -> int:
     groups.update(pipeline(out, "empty", EMPTY))
     groups.update(pipeline(out, "priors-noise", PRIORS_NOISE))
     groups.update(pipeline(out, "exhausted", EXHAUSTED))
+    groups.update(crowded(out))
     blocks = []
     for name, spec in HEADMAP_BLOCKS.items():
         block = out / name

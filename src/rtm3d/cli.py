@@ -122,7 +122,7 @@ def cmd_solve(args) -> int:
         raise InputError(f"missing priors file for keypoint sidecar {orphans[0]}")
     # Parse every frame once into arrays, then solve all objects in one call.
     frames, parts = [], []  # frame ids and their inputs
-    cameras = {}  # calib path -> camera, so a shared --calib file is parsed once
+    cameras = {}  # calibration text -> camera, so that identical calibrations are parsed once
     for priors_path in priors_paths:
         frame = priors_path.stem
         kp_path = kp_dir / f"{frame}.txt"
@@ -131,10 +131,11 @@ def cmd_solve(args) -> int:
         calib_path = calib_dir if calib_dir.is_file() else calib_dir / f"{frame}.txt"
         if not calib_path.exists():
             raise InputError(f"missing calibration for frame {frame}")
-        if calib_path not in cameras:
-            cameras[calib_path] = kitti.to_camera_model(kitti.parse_calib_file(calib_path))
+        calib = calib_path.read_text()
+        if calib not in cameras:
+            cameras[calib] = kitti.to_camera_model(kitti.parse_calib(calib, calib_path))
         frames.append(frame)
-        parts.append(kitti.parse_solve_inputs(priors_path.read_text(), kp_path.read_text(), cameras[calib_path],
+        parts.append(kitti.parse_solve_inputs(priors_path.read_text(), kp_path.read_text(), cameras[calib],
                                               kp_path, priors_path))
     if not frames:
         raise InputError(f"no frames found under {priors_dir}")
@@ -170,10 +171,6 @@ def cmd_solve(args) -> int:
 # eval
 
 
-def _load_frames(directory: Path, parse):
-    return {path.stem: parse(path) for path in sorted(directory.glob("*.txt"))}
-
-
 def cmd_eval(args) -> int:
     from . import evaluation
 
@@ -188,22 +185,17 @@ def cmd_eval(args) -> int:
     if not gt_dir.is_dir():
         raise InputError(f"ground-truth dir {gt_dir} does not exist")
 
-    det_frames = _load_frames(
-        results_dir,
-        lambda p: [evaluation.DetectionRecord.from_label(lb) for lb in kitti.parse_label_file(p)],
-    )
-    gt_frames = _load_frames(gt_dir, kitti.parse_label_file)
-    missing = sorted(set(gt_frames) - set(det_frames))
-    extra = sorted(set(det_frames) - set(gt_frames))
-    for frame in missing:
+    results = kitti.read_labels(sorted(results_dir.glob("*.txt")))
+    truth = kitti.read_labels(sorted(gt_dir.glob("*.txt")))
+    for frame in sorted(set(truth.sources) - set(results.sources)):
         log.info("frame %s has ground truth but no results", frame)
-    for frame in extra:
+    for frame in sorted(set(results.sources) - set(truth.sources)):
         log.info("frame %s has results but no ground truth", frame)
 
     difficulties = [args.difficulty] if args.difficulty else ["easy", "moderate", "hard"]
     n_points = 40 if args.forty_point else 11
     filters = [evaluation.DifficultyFilter.by_name(name) for name in difficulties]
-    curves = evaluation.evaluate(det_frames, gt_frames, filters, args.iou, n_points=n_points)
+    curves = evaluation.evaluate_tables(results, truth, filters, args.iou, n_points=n_points)
     lines = [f"interpolation={n_points}point", f"iou_threshold={args.iou}"]
     for name in difficulties:
         for key, metric in (("ap_3d", "3d"), ("ap_bev", "bev"), ("aos", "aos"), ("ap_2d", "2d")):

@@ -3,25 +3,27 @@
 Bird's-eye-view IoU intersects the two yaw-rotated footprints by
 Sutherland-Hodgman polygon clipping, skipped when their circumcircles do not
 meet; 3D IoU multiplies that area by the vertical interval overlap.
-:func:`evaluate` scores a run in one pass: it lists every frame's detection
-x ground-truth pairs, computes their BEV, 3D and 2D IoUs as arrays with one
-batched clip over the run's candidate pairs (those whose circumcircles
-meet), then matches greedily per frame, difficulty and metric, with
-difficulties as lists of the ground-truth columns they count or ignore.  The one-pair functions
-(:func:`bev_iou`, :func:`iou_3d`, ...) are calls of the same kernels on one
-pair.  AP is 11-point interpolated (40-point behind a flag); DontCare
-regions and out-of-difficulty ground truth are ignored rather than counted.
+:func:`evaluate_tables` scores a run's label tables in one pass: it lists
+every frame's detection x ground-truth pairs, computes their BEV, 3D and 2D
+IoUs as arrays with one batched clip over the run's candidate pairs (those
+whose circumcircles meet), then matches greedily per difficulty and metric
+over the pairs that reach its threshold; :func:`evaluate` tabulates objects
+for it.  The one-pair functions (:func:`bev_iou`, :func:`iou_3d`, ...) are
+calls of the same kernels on one pair.  AP is 11-point interpolated
+(40-point behind a flag); DontCare regions and out-of-difficulty ground
+truth are ignored rather than counted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .geometry import Box3D, box_points, rot_y, wrap_to_pi
-from .kitti import CATEGORY, KittiLabel, label_to_box3d
+from .kitti import CATEGORY, KittiLabel, LabelTable, label_to_box3d
 
 __all__ = [
     "DetectionRecord",
@@ -33,6 +35,7 @@ __all__ = [
     "bev_iou",
     "box_2d_iou",
     "evaluate",
+    "evaluate_tables",
     "iou_3d",
 ]
 
@@ -49,10 +52,11 @@ class DifficultyFilter:
     max_truncation: float
 
     def accepts(self, label: KittiLabel) -> bool:
+        """Whether the gate admits a label; elementwise on arrays of those fields."""
         return (
-            label.bbox_height >= self.min_height
-            and label.occluded <= self.max_occlusion
-            and label.truncated <= self.max_truncation
+            (label.bbox_height >= self.min_height)
+            & (label.occluded <= self.max_occlusion)
+            & (label.truncated <= self.max_truncation)
         )
 
     @staticmethod
@@ -103,14 +107,14 @@ class DetectionRecord:
 
 
 def _box_rows(boxes) -> np.ndarray:
-    """(N, 7) rows (x, y, z, h, w, l, yaw) of Box3Ds."""
-    return np.array([(*b.t, *b.dims, b.yaw) for b in boxes], dtype=float).reshape(-1, 7)
+    """(N, 7) rows (h, w, l, x, y, z, yaw) of Box3Ds, in the column order of a label."""
+    return np.array([(*b.dims, *b.t, b.yaw) for b in boxes], dtype=float).reshape(-1, 7)
 
 
 def _footprints(rows: np.ndarray) -> np.ndarray:
     """Footprint corners (N, 4, 2) in the x-z ground plane, counterclockwise,
     of (N, 7) box rows: the box points' bottom corners 0, 3, 2, 1."""
-    pts = box_points(rows[:, 3:6], rows[:, :3], rot_y(rows[:, 6]))
+    pts = box_points(rows[:, :3], rows[:, 3:6], rot_y(rows[:, 6]))
     return pts[:, [0, 3, 2, 1]][:, :, [0, 2]]
 
 
@@ -181,8 +185,8 @@ def _pair_overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Footprint intersection areas, BEV IoUs and 3D IoUs (each (N,)) of the
     box row pairs a[k], b[k]; boxes are bottom-anchored with y pointing down.
     Pairs whose footprints' circumcircles do not meet are not clipped."""
-    xa, ya, za, ha, wa, la, _ = a.T
-    xb, yb, zb, hb, wb, lb, _ = b.T
+    ha, wa, la, xa, ya, za, _ = a.T
+    hb, wb, lb, xb, yb, zb, _ = b.T
     near = np.hypot(xa - xb, za - zb) <= 0.5 * (np.hypot(la, wa) + np.hypot(lb, wb))
     inter = np.zeros(len(a))
     inter[near] = _clip_areas(_footprints(a[near]), _footprints(b[near]))
@@ -214,62 +218,45 @@ def box_2d_iou(a, b) -> float:
     return float(_iou_2d(np.array([a], dtype=float), np.array([b], dtype=float))[0])
 
 
-def _run_overlaps(frames: list) -> list:
-    """Each frame's detection x ground-truth IoU rows per metric, from one
-    pass over the pairs of every frame of ``frames``, a list of
-    (detections, ground truths).  Ground truth of another category than
-    :data:`CATEGORY` gets no box and reads 0 in 3D and BEV."""
-    dets = [d for ds, _ in frames for d in ds]
-    gts = [g for _, gs in frames for g in gs]
-    is_box = np.array([g.type == CATEGORY for g in gts], dtype=bool)
-    gt_rows = np.zeros((len(gts), 7))
-    gt_rows[is_box] = _box_rows([label_to_box3d(g) for g in gts if g.type == CATEGORY])
+def _run_overlaps(det: LabelTable, gt: LabelTable) -> tuple:
+    """Every detection x ground-truth pair of each frame of two tables sorted
+    by frame, as (detection rows, ground-truth rows, {"bev" | "3d" | "2d":
+    IoUs}), from one pass over the run.  Ground truth of another category than
+    :data:`CATEGORY` reads 0 in 3D and BEV."""
+    n_frames = max(det.frame.max(initial=-1), gt.frame.max(initial=-1)) + 1
+    n_det, n_gt = np.bincount(det.frame, minlength=n_frames), np.bincount(gt.frame, minlength=n_frames)
     # Frame f's pair k is (its detection k // n_gt, its ground truth k % n_gt).
-    n_det, n_gt = np.array([(len(ds), len(gs)) for ds, gs in frames], dtype=int).reshape(-1, 2).T
     bounds = np.concatenate([[0], np.cumsum(n_det * n_gt)])
-    frame = np.repeat(np.arange(len(frames)), n_det * n_gt)
+    frame = np.repeat(np.arange(n_frames), n_det * n_gt)
     local, per_row = np.arange(bounds[-1]) - bounds[frame], np.maximum(n_gt, 1)[frame]
-    det = (np.cumsum(n_det) - n_det)[frame] + local // per_row
-    gt = (np.cumsum(n_gt) - n_gt)[frame] + local % per_row
-    boxed = is_box[gt]
-    bev, iou3d = np.zeros(len(gt)), np.zeros(len(gt))
-    _, bev[boxed], iou3d[boxed] = _pair_overlaps(_box_rows([d.box for d in dets])[det[boxed]], gt_rows[gt[boxed]])
-    bbox = [np.array([o.bbox for o in objs], dtype=float).reshape(-1, 4) for objs in (dets, gts)]
-    by_metric = {"bev": bev, "3d": iou3d, "2d": _iou_2d(bbox[0][det], bbox[1][gt])}
-    return [
-        {m: v[bounds[f]:bounds[f + 1]].reshape(n_det[f], n_gt[f]).tolist() for m, v in by_metric.items()}
-        for f in range(len(frames))
-    ]
+    d = (np.cumsum(n_det) - n_det)[frame] + local // per_row
+    g = (np.cumsum(n_gt) - n_gt)[frame] + local % per_row
+    boxed = gt.type[g] == CATEGORY
+    bev, iou3d = np.zeros(len(g)), np.zeros(len(g))
+    _, bev[boxed], iou3d[boxed] = _pair_overlaps(det.values[d[boxed], 7:14], gt.values[g[boxed], 7:14])
+    return d, g, {"bev": bev, "3d": iou3d, "2d": _iou_2d(det.values[d, 3:7], gt.values[g, 3:7])}
 
 
-def _match(dets, gts, overlap, counted, ignored_2d, threshold) -> list:
-    """Greedy matching of score-sorted detections (rows) to the counted
-    columns: the first largest unmatched overlap wins if it reaches
-    ``threshold``.  Returns (score, tp, orientation similarity) per detection,
-    leaving out an unmatched one whose largest 2D overlap with an ignored
-    column, ``ignored_2d``, reaches ``threshold``."""
-    free = list(counted)
-    outcomes = []
-    for i, det in enumerate(dets):
-        best_iou, best = 0.0, -1
-        for j in free:
-            if overlap[i][j] > best_iou:
-                best_iou, best = overlap[i][j], j
-        if best_iou >= threshold:
-            free.remove(best)
-            sim = 0.5 * (1.0 + math.cos(wrap_to_pi(det.alpha - gts[best].alpha)))
-            outcomes.append((det.score, 1.0, sim))
-        elif ignored_2d[i] < threshold:
-            outcomes.append((det.score, 0.0, 0.0))
-    return outcomes
+def _match(det, gt, iou, n_det: int) -> np.ndarray:
+    """The ground truth matched to each of ``n_det`` detections (-1 for none)
+    by greedy matching of the candidate pairs (det, gt, iou): in frame and
+    score order, each detection takes the free ground truth of its largest
+    overlap, the first on ties."""
+    match, taken = [-1] * n_det, set()
+    for d, g in zip(*(a[np.lexsort((gt, -iou, det))].tolist() for a in (det, gt))):
+        if match[d] < 0 and g not in taken:
+            match[d] = g
+            taken.add(g)
+    return np.array(match, dtype=int)
 
 
-def _curve(outcomes: list, n_gt: int, n_points: int, use_similarity=False) -> PRCurve:
-    """Interpolated PR curve of (score, tp, similarity) outcomes; with
-    ``use_similarity`` precision sums orientation similarity, as AOS does."""
-    if n_gt == 0 or not outcomes:
+def _curve(outcomes: np.ndarray, n_gt: int, n_points: int, use_similarity=False) -> PRCurve:
+    """Interpolated PR curve of (score, tp, similarity) outcomes, the rows of
+    an (N, 3) array; with ``use_similarity`` precision sums orientation
+    similarity, as AOS does."""
+    if n_gt == 0 or not len(outcomes):
         return PRCurve(recall=np.zeros(0), precision=np.zeros(0), ap=0.0)
-    _, tp, sim = np.array(sorted(outcomes, key=lambda o: -o[0])).T
+    _, tp, sim = outcomes[np.argsort(-outcomes[:, 0], kind="stable")].T
     recall = np.cumsum(tp) / n_gt
     precision = np.cumsum(sim if use_similarity else tp) / np.arange(1, len(tp) + 1)
     if n_points == 11:
@@ -298,32 +285,57 @@ def evaluate(
     is a sequence of :class:`DifficultyFilter`.  3D and BEV match at
     ``iou_threshold``; AP_2d and AOS share one matching by 2D IoU at ``iou_2d``.
     """
+    for label in (g for frame in sorted(ground_truths) for g in ground_truths[frame] if g.type == CATEGORY):
+        label_to_box3d(label)  # raises the error of a box it rejects
+    det = LabelTable.of_rows(list(detections), [
+        (f, 0, d.category, (0.0, 0.0, d.alpha, *d.bbox, *_box_rows([d.box])[0], d.score))
+        for f, dets in enumerate(detections.values()) for d in dets])
+    gt = LabelTable.of_rows(list(ground_truths), [
+        (f, 0, g.type, (g.truncated, g.occluded, g.alpha, *g.bbox, *g.dimensions, *g.location, g.rotation_y, math.nan))
+        for f, gts in enumerate(ground_truths.values()) for g in gts])
+    return evaluate_tables(det, gt, difficulties, iou_threshold, iou_2d, n_points)
+
+
+def evaluate_tables(results: LabelTable, labels: LabelTable, difficulties: list[DifficultyFilter],
+                    iou_threshold: float = 0.5, iou_2d: float = 0.7, n_points: int = 11) -> dict:
+    """:func:`evaluate` of a run's label tables, whose sources name its
+    frames.  A result without a score scores 1, and each yaw is wrapped as
+    Box3D wraps it, which leaves a wrapped yaw as it is."""
     thresholds = {"3d": iou_threshold, "bev": iou_threshold, "2d": iou_2d}
-    outcomes = {(diff.name, m): [] for diff in difficulties for m in thresholds}
-    n_gt = dict.fromkeys((diff.name for diff in difficulties), 0)
-    frames = []
-    for frame in sorted(set(detections) | set(ground_truths)):
-        dets = [d for d in detections.get(frame, []) if d.category == CATEGORY]
-        dets.sort(key=lambda d: -d.score)
-        frames.append((dets, ground_truths.get(frame, [])))
-    for (dets, gts), overlaps in zip(frames, _run_overlaps(frames)):
-        for diff in difficulties:
-            counted = [j for j, g in enumerate(gts) if g.type == CATEGORY and diff.accepts(g)]
-            ignored = [
-                j for j, g in enumerate(gts)
-                if g.is_dontcare or (g.type == CATEGORY and j not in counted)
-            ]
-            n_gt[diff.name] += len(counted)
-            ignored_2d = [max((row[j] for j in ignored), default=-math.inf) for row in overlaps["2d"]]
-            for m, threshold in thresholds.items():
-                outcomes[diff.name, m] += _match(
-                    dets, gts, overlaps[m], counted, ignored_2d, threshold
-                )
+    # Each row's frame, numbered in run order, and the Car results with their scores.
+    frame = np.unique([*results.sources, *labels.sources], return_inverse=True)[1]
+    det, gt = (LabelTable(t.sources, frame[start:][t.frame], t.line, t.type, t.values)
+               for t, start in ((results, 0), (labels, len(results.sources))))
+    det = det.take(det.type == CATEGORY)
+    det.values[:, 14] = np.where(np.isnan(det.values[:, 14]), 1.0, det.values[:, 14])
+    # By frame, then by descending score, ties in table order.
+    det = det.take(np.lexsort((-det.values[:, 14], det.frame)))
+    gt = gt.take(np.argsort(gt.frame, kind="stable"))
+    for table in (det, gt):
+        table.values[:, 13] = [wrap_to_pi(yaw) for yaw in table.values[:, 13].tolist()]
+    pair_det, pair_gt, ious = _run_overlaps(det, gt)
+    is_car, v = gt.type == CATEGORY, gt.values
+    # The occlusion level as KittiLabel reads it.
+    gate = SimpleNamespace(bbox_height=v[:, 6] - v[:, 4], occluded=np.trunc(v[:, 1]), truncated=v[:, 0])
     curves = {}
     for diff in difficulties:
-        n = n_gt[diff.name]
-        curves[diff.name] = {m: _curve(outcomes[diff.name, m], n, n_points) for m in thresholds}
-        curves[diff.name]["aos"] = _curve(outcomes[diff.name, "2d"], n, n_points, use_similarity=True)
+        counted = is_car & diff.accepts(gate)
+        ignored = (gt.type == "DontCare") | (is_car & ~counted)
+        curves[diff.name] = {}
+        for m, threshold in thresholds.items():
+            # Greedy matching takes only pairs whose overlap reaches the threshold.
+            cand = np.flatnonzero(counted[pair_gt] & (ious[m] >= threshold) & (ious[m] > 0))
+            matched = _match(pair_det[cand], pair_gt[cand], ious[m][cand], len(det.frame))
+            hit = matched >= 0
+            # An unmatched detection on an ignored box, by 2D overlap, is left out.
+            covered = np.bincount(pair_det[ignored[pair_gt] & (ious["2d"] >= threshold)], minlength=len(det.frame)) > 0
+            sim = np.zeros(len(det.frame))
+            error = det.values[hit, 2] - v[matched[hit], 2]
+            sim[hit] = [0.5 * (1.0 + math.cos(wrap_to_pi(e))) for e in error.tolist()]
+            outcomes = np.column_stack([det.values[:, 14], hit, sim])[hit | ~covered]
+            curves[diff.name][m] = _curve(outcomes, counted.sum(), n_points)
+        # AOS sums the similarity of the 2D matching, the last one.
+        curves[diff.name]["aos"] = _curve(outcomes, counted.sum(), n_points, use_similarity=True)
     return curves
 
 

@@ -1,9 +1,10 @@
 """Parsing and writing of KITTI object labels, calibration and results,
 and of the solver's inputs: priors files and keypoint sidecars.
 
-Label lines carry 15 space-delimited fields (16 with a detection score).
-Writers use the 2-decimal fixed formatting of the KITTI submission
-convention, so parse(write(x)) reproduces every field within 0.005.
+Label lines carry 15 space-delimited fields (16 with a detection score) and
+read into a :class:`LabelTable` of arrays.  Writers use the 2-decimal fixed
+formatting of the KITTI submission convention, so parse(write(x))
+reproduces every field within 0.005.
 Priors and sidecars are written at 6 decimals.
 """
 
@@ -22,6 +23,7 @@ __all__ = [
     "InputError",
     "KittiCalib",
     "KittiLabel",
+    "LabelTable",
     "MissingP2Error",
     "NumericParseError",
     "camera_to_calib",
@@ -36,6 +38,7 @@ __all__ = [
     "parse_labels",
     "parse_solve_inputs",
     "priors_text",
+    "read_labels",
     "sidecar_text",
     "to_camera_model",
     "write_calib",
@@ -127,52 +130,86 @@ def _is_finite_number(token: str) -> bool:
         return False
 
 
-def parse_label_values(text: str, source="label text") -> list[tuple[int, str, list[float]]]:
-    """(line number, type, the 14 or 15 numeric fields) of each label line;
-    a field that is not a finite number, or a line with the wrong field
-    count, raises an error carrying the line number, and ``source`` names
-    the file in its message."""
+class LabelTable:
+    """Label lines as arrays, one row per line: the index ``frame`` (N,) of
+    its text in ``sources``, its ``line`` number and ``type`` (N,), and
+    ``values`` (N, 15): truncated, occluded, alpha, bbox (4), dimensions
+    (h, w, l), location (x, y, z), rotation_y and score, NaN where none."""
+
+    __slots__ = ("sources", "frame", "line", "type", "values")
+
+    def __init__(self, sources, frame, line, type, values):
+        self.sources, self.frame, self.line, self.type, self.values = sources, frame, line, type, values
+
+    @staticmethod
+    def of_rows(sources, rows) -> "LabelTable":
+        """The table of ``rows``, (frame, line, type, values) tuples."""
+        frame, line, kind, values = zip(*rows) if rows else ((), (), (), ())
+        return LabelTable(sources, np.array(frame, dtype=int), np.array(line, dtype=int), np.array(kind, dtype=str),
+                          np.array(values, dtype=float).reshape(-1, 15))
+
+    def take(self, rows) -> "LabelTable":
+        """The table of the rows ``rows`` (indices or a mask)."""
+        return LabelTable(self.sources, self.frame[rows], self.line[rows], self.type[rows], self.values[rows])
+
+    def label(self, row: int) -> KittiLabel:
+        """The KittiLabel of a row, its origin naming the row's source and line."""
+        v = self.values[row].tolist()
+        return KittiLabel(type=str(self.type[row]), truncated=v[0], occluded=int(v[1]), alpha=v[2], bbox=tuple(v[3:7]),
+                          dimensions=tuple(v[7:10]), location=tuple(v[10:13]), rotation_y=v[13],
+                          score=None if math.isnan(v[14]) else v[14],
+                          origin=f"{self.sources[self.frame[row]]}, line {self.line[row]}")
+
+
+def parse_label_values(texts, sources, bounded=False) -> LabelTable:
+    """The label lines of each text of ``texts`` as one table, each row's
+    frame the index of its text; a field that is not a finite number, or a
+    line with the wrong field count, raises an error carrying the line
+    number, and the text's source names the file in its message.  With
+    ``bounded``, a bbox field beyond :data:`BBOX_LIMIT` in magnitude, on any
+    line, then raises an InputError naming the line."""
     rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) not in (15, 16):
-            raise FieldCountError(line_no, len(fields), source)
-        try:
-            vals = list(map(float, fields[1:]))
-            finite = all(map(math.isfinite, vals))
-        except ValueError:
-            finite = False
-        if not finite:
-            token = next(t for t in fields[1:] if not _is_finite_number(t))
-            raise NumericParseError(line_no, token, source)
-        rows.append((line_no, fields[0], vals))
-    return rows
+    for frame, (text, source) in enumerate(zip(texts, sources)):
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) not in (15, 16):
+                raise FieldCountError(line_no, len(fields), source)
+            try:
+                vals = list(map(float, fields[1:]))
+                finite = all(map(math.isfinite, vals))
+            except ValueError:
+                finite = False
+            if not finite:
+                token = next(t for t in fields[1:] if not _is_finite_number(t))
+                raise NumericParseError(line_no, token, source)
+            rows.append((frame, line_no, fields[0], vals if len(vals) == 15 else vals + [math.nan]))
+    table = LabelTable.of_rows(list(sources), rows)
+    wide = (np.abs(table.values[:, 3:7]) > BBOX_LIMIT).any(axis=1)
+    if bounded and wide.any():
+        label = table.label(int(wide.argmax()))
+        raise InputError(f"{label.origin}: 2D box fields must lie within {BBOX_LIMIT:g} px, got {label.bbox}")
+    return table
+
+
+def read_labels(paths) -> LabelTable:
+    """The label lines of the files ``paths``, one frame each, as one table
+    whose sources are the frames, named by the files' stems.  Each file is
+    checked as :func:`parse_labels` checks it, then each Car box as
+    :func:`label_to_box3d` checks it, an error naming file and line."""
+    table = parse_label_values([Path(p).read_text() for p in paths], paths, bounded=True)
+    v = table.values
+    bad = (table.type == CATEGORY) & ((v[:, 7:10] <= 0).any(axis=1) | (np.abs(v[:, 7:13]) > BOX_LIMIT).any(axis=1))
+    if bad.any():
+        label_to_box3d(table.label(int(bad.argmax())))  # raises the first box's error
+    return LabelTable([Path(p).stem for p in paths], table.frame, table.line, table.type, table.values)
 
 
 def parse_labels(text: str, source="label text") -> list[KittiLabel]:
-    """Parse label/result text, checked as :func:`parse_label_values` checks it;
-    a bbox field beyond :data:`BBOX_LIMIT` in magnitude, on any line, raises an
-    InputError naming the line."""
-    labels = []
-    for line_no, kind, v in parse_label_values(text, source):
-        bbox = tuple(v[3:7])
-        if max(map(abs, bbox)) > BBOX_LIMIT:
-            raise InputError(f"{source}, line {line_no}: 2D box fields must lie within {BBOX_LIMIT:g} px, got {bbox}")
-        labels.append(KittiLabel(
-            type=kind,
-            truncated=v[0],
-            occluded=int(v[1]),
-            alpha=v[2],
-            bbox=bbox,
-            dimensions=tuple(v[7:10]),
-            location=tuple(v[10:13]),
-            rotation_y=v[13],
-            score=v[14] if len(v) == 15 else None,
-            origin=f"{source}, line {line_no}",
-        ))
-    return labels
+    """Parse label/result text, checked as :func:`parse_label_values` checks it, bounded."""
+    table = parse_label_values([text], [source], bounded=True)
+    return [table.label(row) for row in range(len(table.frame))]
 
 
 def parse_label_file(path) -> list[KittiLabel]:
@@ -242,8 +279,7 @@ def parse_solve_inputs(priors: str, sidecar: str, camera: CameraModel, sidecar_s
     sidecar and camera: keypoints (n, 9, 2), confidences clipped to [0, 1],
     visibility (n, 9) where a confidence is positive, dimension (n, 3), yaw and
     depth (n,) priors, and the camera's row for every object.  Sources name files in errors."""
-    values = [v[:14] for _, _, v in parse_label_values(priors, priors_source)]
-    labels = np.array(values, dtype=float).reshape(-1, 14)
+    labels = parse_label_values([priors], [priors_source]).values
     rows = []
     for line_no, tokens in enumerate(map(str.split, sidecar.splitlines()), start=1):
         if not tokens:

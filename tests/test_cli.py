@@ -1,5 +1,6 @@
 """End-to-end command-line tests: synth, solve, eval, render-bev."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 
 import rtm3d
-from rtm3d import geometry, kitti, solver, synth
+from rtm3d import evaluation, geometry, kitti, solver, synth
 from rtm3d.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from rtm3d.config import Settings, load_config
 from rtm3d.geometry import wrap_to_pi, yaw_to_alpha
-from rtm3d.kitti import InputError, parse_label_file
+from rtm3d.kitti import InputError, KittiLabel, parse_label_file, parse_labels
 from rtm3d.solver import EnergyWeights, InsufficientConstraints, SolverConfig, solve
 
 
@@ -456,14 +457,24 @@ def test_solve_huge_depth_prior_fails_its_object_without_a_warning(two_frames, t
 
 
 def test_solve_parses_each_calibration_file_once(dataset, tmp_path, monkeypatch):
+    # Calibrations are parsed once per distinct text: synth writes the same
+    # text to every frame's file.
     calls = []
-    parse = kitti.parse_calib_file
-    monkeypatch.setattr(kitti, "parse_calib_file", lambda path: calls.append(path) or parse(path))
+    parse = kitti.parse_calib
+    monkeypatch.setattr(kitti, "parse_calib", lambda text, path: calls.append(path) or parse(text, path))
     calib = dataset / "calib" / "000000.txt"
     assert main(["solve", str(dataset), str(tmp_path / "a"), "--calib", str(calib)]) == EXIT_OK
     assert len(calls) == 1
     assert main(["solve", str(dataset), str(tmp_path / "b")]) == EXIT_OK
-    assert len(calls) == 1 + 3
+    assert calls[1:] == [calib]
+    # Another text is parsed once more; the results are the same.
+    other = dataset / "calib" / "000002.txt"
+    other.write_text("# the same camera\n" + other.read_text())
+    assert main(["solve", str(dataset), str(tmp_path / "c")]) == EXIT_OK
+    assert calls[2:] == [calib, other]
+    for frame in ("000000", "000001", "000002"):
+        assert (tmp_path / "c" / "data" / f"{frame}.txt").read_bytes() == \
+            (tmp_path / "a" / "data" / f"{frame}.txt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -603,6 +614,123 @@ def test_eval_is_unchanged_by_mirroring(tmp_path):
             reports.append(metrics.read_text().splitlines())
         assert reports[1] == reports[0]
         assert len({line.split("=")[1] for line in reports[0][2:]}) > 4  # the scores are not all alike
+
+
+_CAR = "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 0 10 0"
+_DONTCARE = "DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 -1000 -10"
+
+
+@pytest.mark.parametrize(
+    "which, text, message",
+    [
+        ("result", "Car 0 0 0\n", "line 1: expected 15 or 16 fields, got 4"),
+        ("label", _CAR[:-1] + "abc\n", "line 1: expected a finite number, got 'abc'"),
+        ("result", _CAR.replace("0 0 0 0 0 10", "0 0 nan 0 0 10") + " 0.9\n",
+         "line 1: expected a finite number, got 'nan'"),
+        ("label", _CAR.replace("1.5 1.6", "inf 1.6") + "\n", "line 1: expected a finite number, got 'inf'"),
+        ("result", _CAR.replace("10 10", "10 1e101") + " 0.9\n",
+         "line 1: 2D box fields must lie within 1e+100 px, got (0.0, 0.0, 10.0, 1e+101)"),
+        ("result", _CAR.replace("1.5 1.6", "0 1.6") + " 0.9\n",
+         "line 1: box dimensions must be positive, got h, w, l = (0.0, 1.6, 3.9)"),
+        ("result", _CAR.replace("3.9 0 0 10", "3.9 2e100 0 10") + " 0.9\n",
+         "line 1: box dimensions and location must lie within 1e+100 m, got h, w, l = (1.5, 1.6, 3.9), "
+         "x, y, z = (2e+100, 0.0, 10.0)"),
+        ("label", _CAR.replace("1.6 3.9", "1.6 -1") + "\n",
+         "line 1: box dimensions must be positive, got h, w, l = (1.5, 1.6, -1.0)"),
+        # Two faults in one file: a malformed line is named before a 2D box
+        # beyond the bound, that before a 3D box, and the first line at fault wins.
+        ("result", _CAR.replace("10 10", "10 1e200") + " 0.9\nCar 1 2\n", "line 2: expected 15 or 16 fields, got 3"),
+        ("label", f"{_CAR.replace('1.5 1.6', '0 1.6')}\n{_DONTCARE}\n{_CAR[:-1]}x\n",
+         "line 3: expected a finite number, got 'x'"),
+        ("result", f"{_CAR.replace('1.5 1.6', '0 1.6')} 0.9\n{_CAR.replace('0 0 10 0', '0 0 1e101 0')} 0.9\n",
+         "line 1: box dimensions must be positive, got h, w, l = (0.0, 1.6, 3.9)"),
+        ("label", f"{_CAR.replace('1.5 1.6', '0 1.6')}\n{_CAR.replace('0 0 10 10', '-1e101 0 10 10')}\n",
+         "line 2: 2D box fields must lie within 1e+100 px, got (-1e+101, 0.0, 10.0, 10.0)"),
+    ],
+)
+def test_eval_names_each_malformed_label_as_the_label_api_does(which, text, message, dataset, tmp_path, capsys):
+    # eval reads label tables, yet names the file, line and fault as
+    # parse_labels and label_to_box3d name them; the messages are pinned.
+    results = tmp_path / "results"
+    assert main(["solve", str(dataset), str(results)]) == EXIT_OK
+    bad = {"result": results / "data", "label": dataset / "label_2"}[which] / "000001.txt"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["eval", str(results), str(dataset)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"rtm3d: input error: {bad}, {message}\n"
+
+
+def test_eval_reads_dontcare_lines_blank_lines_and_crlf(dataset, tmp_path, capsys):
+    results = tmp_path / "results"
+    assert main(["solve", str(dataset), str(results)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", str(results), str(dataset)]) == EXIT_OK
+    before = capsys.readouterr().out
+    for path in (dataset / "label_2" / "000001.txt", results / "data" / "000001.txt"):
+        lines = path.read_text().splitlines()
+        if "label_2" in str(path):
+            lines.insert(1, _DONTCARE)  # far from every car: the scores stay
+        path.write_bytes(("\r\n\r\n".join(lines) + "\r\n  \r\n").encode())
+    assert main(["eval", str(results), str(dataset)]) == EXIT_OK
+    assert capsys.readouterr().out == before
+    labels = parse_labels(f"{_DONTCARE}\r\n\r\n{_CAR} 0.5\r\n \r\n", "labels.txt")
+    assert labels == [
+        KittiLabel("DontCare", -1.0, -1, -10.0, (0.0, 0.0, 10.0, 10.0), (-1.0, -1.0, -1.0), (-1000.0, -1000.0, -1000.0),
+                   -10.0, None),
+        KittiLabel("Car", 0.0, 0, 0.0, (0.0, 0.0, 10.0, 10.0), (1.5, 1.6, 3.9), (0.0, 0.0, 10.0), 0.0, 0.5),
+    ]
+    assert [lb.origin for lb in labels] == ["labels.txt, line 1", "labels.txt, line 3"]
+    assert all(type(v) is float for lb in labels for v in (lb.truncated, lb.alpha, *lb.bbox, lb.rotation_y))
+    assert type(labels[0].occluded) is int and labels[1].score == 0.5
+
+
+def _output_digest():
+    path = Path(__file__).parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("flags", [(), ("--iou", "0.7"), ("--forty-point", "--difficulty", "hard")])
+def test_eval_gives_the_curves_of_the_object_api_bit_for_bit(flags, tmp_path, monkeypatch):
+    # The crowded set of output_digest.py: occlusion levels, truncation, a
+    # Van, DontCare regions, Pedestrian results and results without a score.
+    data, results = tmp_path / "data", tmp_path / "results" / "data"
+    spec = tmp_path / "scenes.cfg"
+    spec.write_text("frames=6\nn_objects=10\nseed=8\n")
+    assert main(["synth", str(spec), str(data)]) == EXIT_OK
+    results.mkdir(parents=True)
+    rng, crowd = np.random.default_rng(8), _output_digest().crowd
+    for path in sorted((data / "label_2").glob("*.txt")):
+        gt, det = crowd(path.read_text(), rng)
+        path.write_text(gt)
+        (results / path.name).write_text(det)
+    got = []
+    evaluate_tables = evaluation.evaluate_tables
+    with monkeypatch.context() as m:
+        m.setattr(evaluation, "evaluate_tables", lambda *a, **k: got.append(evaluate_tables(*a, **k)) or got[-1])
+        assert main(["eval", str(results), str(data), *flags, "--out", str(tmp_path / "metrics.txt")]) == EXIT_OK
+    iou = float(flags[1]) if flags[:1] == ("--iou",) else 0.5
+    names = ["hard"] if "hard" in flags else ["easy", "moderate", "hard"]
+    want = evaluation.evaluate(
+        {p.stem: [evaluation.DetectionRecord.from_label(lb) for lb in parse_label_file(p)] for p in results.iterdir()},
+        {p.stem: parse_label_file(p) for p in (data / "label_2").iterdir()},
+        [evaluation.DifficultyFilter.by_name(name) for name in names], iou,
+        n_points=40 if "--forty-point" in flags else 11)
+    (curves,) = got
+    assert curves.keys() == want.keys()
+    for name in names:
+        assert list(curves[name]) == ["3d", "bev", "2d", "aos"] == list(want[name])
+        for metric, curve in curves[name].items():
+            other = want[name][metric]
+            assert curve.ap == other.ap
+            for a, b in ((curve.recall, other.recall), (curve.precision, other.precision)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert sum(curve.ap > 0 for c in curves.values() for curve in c.values()) >= 3
+    printed = (tmp_path / "metrics.txt").read_text()
+    for key, metric in (("ap_3d", "3d"), ("ap_bev", "bev"), ("aos", "aos"), ("ap_2d", "2d")):
+        assert f"{key}_hard={want['hard'][metric].ap:.6f}\n" in printed
 
 
 def test_eval_rejects_bad_iou(dataset, tmp_path):

@@ -1,5 +1,6 @@
 """Evaluation tests: rotated IoU, difficulty filters, AP and AOS."""
 
+import dataclasses
 import math
 import warnings
 
@@ -27,7 +28,7 @@ from rtm3d.evaluation import (
     iou_3d,
 )
 from rtm3d.geometry import Box3D, box_points_3d
-from rtm3d.kitti import KittiLabel
+from rtm3d.kitti import KittiLabel, parse_label_values
 
 
 def _box(x=0.0, z=10.0, w=1.6, l=3.9, h=1.5, yaw=0.0, y=1.5):
@@ -461,7 +462,7 @@ def test_curve_envelope_equals_per_sample_maximum():
         n_gt = int(rng.integers(1, 40)) + sum(o[1] > 0 for o in outcomes)
         for n_points in (11, 40):
             for use_similarity in (False, True):
-                curve = _curve(outcomes, n_gt, n_points, use_similarity)
+                curve = _curve(np.array(outcomes), n_gt, n_points, use_similarity)
                 _, tp, sim = np.array(sorted(outcomes, key=lambda o: -o[0])).T
                 recall = np.cumsum(tp) / n_gt
                 precision = np.cumsum(sim if use_similarity else tp) / np.arange(1, n + 1)
@@ -531,16 +532,30 @@ def test_evaluate_edge_frames(case, ap, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-def test_run_overlaps_non_car_columns_read_zero_in_3d_and_bev():
+@pytest.mark.parametrize("alphas, similarity", [((0.0, math.pi / 2), 1.0), ((math.pi / 2, 0.0), 0.5)])
+def test_matching_takes_the_first_of_tied_ground_truths(alphas, similarity):
+    # One detection overlaps two identical cars alike: it matches the first,
+    # whose alpha sets its orientation similarity.
     car = _box()
-    dets = [_det(car, 0.9), _det(_box(x=1.0), 0.8)]
-    gts = [_gt_label(car, category="Pedestrian"), _DONTCARE, _gt_label(car)]
-    (rows,) = _run_overlaps([(dets, gts)])
+    gts = {"0": [dataclasses.replace(_gt_label(car), alpha=alpha) for alpha in alphas]}
+    aos_val, ap2d = aos({"0": [_det(car, 0.9)]}, gts)
+    assert ap2d == 6.0 / 11.0 and aos_val == similarity * ap2d
+
+
+def test_run_overlaps_non_car_columns_read_zero_in_3d_and_bev():
+    car = "0 0 0 100 100 200 160 1.5 1.6 3.9 0 1.5 10 0"
+    dets = f"Car {car} 0.9\nCar 0 0 0 100 100 200 160 1.5 1.6 3.9 1 1.5 10 0 0.8\n"
+    gts = f"Pedestrian {car}\nDontCare -1 -1 -10 400 100 500 160 -1 -1 -1 -1000 -1000 -1000 -10\nCar {car}\n"
+    det, gt = parse_label_values([dets], ["results"]), parse_label_values([gts], ["labels"])
+    pair_det, pair_gt, ious = _run_overlaps(det, gt)
+    assert pair_det.tolist() == [0, 0, 0, 1, 1, 1] and pair_gt.tolist() == [0, 1, 2, 0, 1, 2]
+    rows = {m: v.reshape(2, 3).tolist() for m, v in ious.items()}
     assert [r[:2] for r in rows["bev"]] == [[0.0, 0.0], [0.0, 0.0]]
     assert [r[:2] for r in rows["3d"]] == [[0.0, 0.0], [0.0, 0.0]]
     assert rows["bev"][0][2] == 1.0 and rows["3d"][0][2] == 1.0
     assert rows["2d"][0] == [1.0, 0.0, 1.0]
-    assert _run_overlaps([([], gts), (dets, [])]) == [
-        {"bev": [], "3d": [], "2d": []},
-        {"bev": [[], []], "3d": [[], []], "2d": [[], []]},
-    ]
+    # Frame 0 has ground truth only, frame 1 detections only: no pairs.
+    det.frame[:] = 1
+    pair_det, pair_gt, ious = _run_overlaps(det, gt)
+    assert len(pair_det) == len(pair_gt) == 0
+    assert {m: v.tolist() for m, v in ious.items()} == {"bev": [], "3d": [], "2d": []}
