@@ -21,6 +21,9 @@ prints the same lines.  The groups are:
 - ``exhausted-*``: 10 frames x 10 cars at depths 1-3 m, seed 3, where every
   box runs out of its 200 draws: 38 keep a keypoint behind the camera at
   (0, 0), and solve skips 77 for too few visible keypoints;
+- ``mixed-*``: 10 frames x 10 cars at depths 2-6 m, seed 0, where 96 boxes
+  run out of their draws and 4 frames hold both placed boxes and boxes that
+  ran out;
 - ``crowded-*``: the inputs, and ``metrics.txt`` under the four flag sets of
   eval alone, of 12 frames x 10 cars (seed 21) whose ground truth :func:`crowd`
   rewrites: occlusion levels 0-2, truncation up to 0.45, every fifth car a
@@ -70,6 +73,7 @@ EMPTY = "frames=3\nn_objects=0\nseed=42\n"
 PRIORS_NOISE = ("frames=30\nn_objects=5\npixel_sigma=1.0\ndropout=0.1\ndim_sigma=0.1\n"
                 "yaw_sigma=0.1\ndepth_rel_sigma=0.05\nseed=11\n")
 EXHAUSTED = "frames=10\nn_objects=10\ndepth_min=1\ndepth_max=3\nseed=3\n"
+MIXED = "frames=10\nn_objects=10\ndepth_min=2\ndepth_max=6\nseed=0\n"
 CROWDED = "frames=12\nn_objects=10\nseed=21\n"
 FIT_WEIGHTS = ((1.0, 1.0), (2.0, 3.0), (0.0, 0.0))
 HEADMAP_BLOCKS = {
@@ -223,6 +227,7 @@ def main(argv) -> int:
     groups.update(pipeline(out, "empty", EMPTY))
     groups.update(pipeline(out, "priors-noise", PRIORS_NOISE))
     groups.update(pipeline(out, "exhausted", EXHAUSTED))
+    groups.update(pipeline(out, "mixed", MIXED))
     groups.update(crowded(out))
     blocks = []
     for name, spec in HEADMAP_BLOCKS.items():

@@ -42,6 +42,18 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, created or truncated: the one
+    text-file writer of the commands, an open, a write and a close."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        data = memoryview(text.encode())
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -59,22 +71,25 @@ def cmd_synth(args) -> int:
     # One set of float32 planes, the file's dtype, for every frame: each is drawn,
     # written without a cast, and zeroed again only where it drew (README "Head maps").
     unplaced, maps = 0, (heatmaps.HeadMaps.zeros(*synth.GRID, np.float32) if with_headmaps else None)
-    for frame in range(frames):
-        seed = scene_spec.seed + frame
-        scene = synth.SceneArrays.draw(replace(scene_spec, seed=seed), camera)
+    n = scene_spec.n_objects
+    # A block of frames at a time: frame f draws its scene from seed + f and its noise from seed + f + 1_000_003.
+    for block in synth.blocks(frames, n):
+        seed = scene_spec.seed + block.start
+        scene = synth.SceneArrays.draw(replace(scene_spec, seed=seed), camera, len(block))
         unplaced += scene.unplaced()
-        noisy = scene.noisy(noise, seed=seed + 1_000_003)
-        name = f"{frame:06d}"
-        (out / "calib" / f"{name}.txt").write_text(calib_text)
-        (out / "label_2" / f"{name}.txt").write_text(scene.gt_text())
-        (out / "priors" / f"{name}.txt").write_text(noisy.priors_text())
-        (out / "keypoints" / f"{name}.txt").write_text(noisy.sidecar_text())
-        if with_headmaps:
-            heatmaps.write_headmaps(out / "headmaps" / f"{name}.rtmh", scene.headmaps(maps))
-            maps.clear()
+        noisy = scene.noisy(noise, seed + 1_000_003, len(block))
+        files = {"label_2": scene.gt_lines(), "priors": noisy.priors_lines(), "keypoints": noisy.sidecar_lines()}
+        for k, frame in enumerate(block):
+            rows = slice(k * n, (k + 1) * n)
+            _write(out / "calib" / f"{frame:06d}.txt", calib_text)
+            for sub, lines in files.items():
+                _write(out / sub / f"{frame:06d}.txt", "".join(lines[rows]))
+            if with_headmaps:
+                heatmaps.write_headmaps(out / "headmaps" / f"{frame:06d}.rtmh", scene.take(rows).headmaps(maps))
+                maps.clear()
     print(f"wrote {frames} synthetic frame(s) to {out}")
     if unplaced:
-        print(f"rtm3d: {unplaced} of {frames * scene_spec.n_objects} box(es) ran out of draws: not all nine "
+        print(f"rtm3d: {unplaced} of {frames * n} box(es) ran out of draws: not all nine "
               "keypoints visible on distinct head-map cells", file=sys.stderr)
     return EXIT_OK
 
@@ -154,11 +169,11 @@ def cmd_solve(args) -> int:
     ends = np.cumsum([0] + [len(p.kp) for p in parts])
     written = np.r_[0, np.cumsum(ok)][ends].tolist()
     for frame, start, end in zip(frames, written, written[1:]):
-        (out / "data" / f"{frame}.txt").write_text("".join(results[start:end]))
+        _write(out / "data" / f"{frame}.txt", "".join(results[start:end]))
     names = (f"{frame} object {i}" for frame, p in zip(frames, parts) for i in range(len(p.kp)))
     entries = map(_log_entry, fit.errors, skipped, fit.iterations.tolist(), fit.cost.tolist(),
                   fit.converged.tolist())
-    (out / "solve_log.txt").write_text("".join(f"{name}: {e}\n" for name, e in zip(names, entries)))
+    _write(out / "solve_log.txt", "".join(f"{name}: {e}\n" for name, e in zip(names, entries)))
     ms = 1000.0 * solve_s / fitted if fitted else 0.0
     print(f"solved {len(frames)} frame(s); solve time {ms:.3f} ms/object (over fitted objects)")
     if failed:
@@ -203,7 +218,7 @@ def cmd_eval(args) -> int:
     report = "".join(line + "\n" for line in lines)
     print(report, end="")
     if args.out:
-        Path(args.out).write_text(report)
+        _write(args.out, report)
     return EXIT_OK
 
 
@@ -223,7 +238,7 @@ def cmd_render_bev(args) -> int:
     results = boxes_of(args.results) if args.results else []
     gts = boxes_of(args.gt) if args.gt else []
     svg = bev_svg.render_bev_svg(results, gts)
-    Path(args.out).write_text(svg)
+    _write(args.out, svg)
     print(f"wrote {args.out}")
     return EXIT_OK
 

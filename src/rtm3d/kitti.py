@@ -37,9 +37,9 @@ __all__ = [
     "parse_label_values",
     "parse_labels",
     "parse_solve_inputs",
-    "priors_text",
+    "priors_lines",
     "read_labels",
-    "sidecar_text",
+    "sidecar_lines",
     "to_camera_model",
     "write_calib",
     "write_result_file",
@@ -255,22 +255,24 @@ def keypoint_boxes(pts: np.ndarray, visible: np.ndarray) -> np.ndarray:
     return np.concatenate([np.where(use, pts, np.inf).min(axis=1), np.where(use, pts, -np.inf).max(axis=1)], axis=1)
 
 
-def priors_text(d_hat, theta_hat, z_hat, bbox) -> str:
-    """A priors file: label lines at 6 decimals whose dimensions carry the
-    dimension priors (n, 3), rotation_y the (wrapped) yaw priors (n,) and
-    location z the depth priors (n,), with image boxes bbox (n, 4)."""
+def priors_lines(d_hat, theta_hat, z_hat, bbox) -> list[str]:
+    """The lines of a priors file, one per object: label lines at 6 decimals
+    whose dimensions carry the dimension priors (n, 3), rotation_y the
+    (wrapped) yaw priors (n,) and location z the depth priors (n,), with
+    image boxes bbox (n, 4)."""
     t = np.column_stack([np.zeros((len(z_hat), 2)), z_hat])
     yaw = [wrap_to_pi(v) for v in np.asarray(theta_hat, dtype=float).tolist()]
-    return "".join(car_lines(d_hat, t, yaw, bbox, decimals=6))
+    return car_lines(d_hat, t, yaw, bbox, decimals=6)
 
 
-def sidecar_text(pts, conf, visible) -> str:
-    """A keypoint sidecar: per object, nine 'u v conf' triples of keypoints
-    (n, 9, 2) and confidences (n, 9); conf 0 marks an invisible one."""
+def sidecar_lines(pts, conf, visible) -> list[str]:
+    """The lines of a keypoint sidecar, one per object: nine 'u v conf'
+    triples of keypoints (n, 9, 2) and confidences (n, 9); conf 0 marks an
+    invisible one."""
     conf = np.where(visible, conf, 0.0)[..., None]
     rows = np.concatenate([pts, conf], axis=2).reshape(-1, 27)
     line = " ".join(["%.6f"] * 27) + "\n"
-    return "".join(line % tuple(row) for row in rows.tolist())
+    return [line % tuple(row) for row in rows.tolist()]
 
 
 def parse_solve_inputs(priors: str, sidecar: str, camera: CameraModel, sidecar_source="keypoint sidecar",

@@ -112,6 +112,36 @@ def test_synth_reports_boxes_that_ran_out_of_draws(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("spec", [
+    # Every noise key set, over more boxes than one block; then a frame whose
+    # boxes partly run out of draws, and head maps.
+    "frames=13\nn_objects=7\npixel_sigma=1.0\ndropout=0.1\ndim_sigma=0.1\nyaw_sigma=0.1\n"
+    "depth_rel_sigma=0.05\nseed=5\n",
+    "frames=4\nn_objects=10\ndepth_min=2\ndepth_max=6\npixel_sigma=1.0\ndropout=0.1\nseed=0\n",
+    "frames=7\nn_objects=5\npixel_sigma=1.0\ndropout=0.1\nyaw_sigma=0.1\nseed=42\nheadmaps=1\n",
+], ids=["noise", "partly-exhausted", "headmaps"])
+def test_synth_block_size_changes_no_byte(spec, tmp_path, monkeypatch, capsys):
+    # One frame per block, the default, and the whole run as one block write
+    # the same bytes and report the same count of boxes that ran out of draws.
+    (tmp_path / "scenes.cfg").write_text(spec)
+    keys = dict(line.split("=") for line in spec.split())
+    assert len(synth.blocks(int(keys["frames"]), int(keys["n_objects"]))) > 1
+    trees, reports = [], []
+    for size in (synth.BLOCK_OBJECTS, 1, 10_000):
+        monkeypatch.setattr(synth, "BLOCK_OBJECTS", size)
+        assert main(["synth", str(tmp_path / "scenes.cfg"), str(tmp_path / f"d{size}")]) == EXIT_OK
+        trees.append(_tree(tmp_path / f"d{size}"))
+        reports.append(capsys.readouterr().err)
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+    assert ("ran out of draws" in reports[0]) == ("depth_min" in keys)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 _SYNTH_KEYS = ["frames", "headmaps", "n_objects", "seed", "depth_min", "depth_max", "lateral_min",
                "lateral_max", "pixel_sigma", "dropout", "dim_sigma", "yaw_sigma", "depth_rel_sigma"]
 
@@ -522,6 +552,24 @@ def test_eval_missing_input_is_input_error(missing, dataset, tmp_path, capsys):
         argv, message = [results, nope], f"ground-truth dir {nope} does not exist"
     assert main(["eval", *map(str, argv)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"rtm3d: input error: {message}\n"
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("synth", "label_2/000001.txt"), ("synth", "calib/000000.txt"), ("solve", "data/000001.txt"),
+    ("solve", "solve_log.txt"), ("eval", "metrics.txt"), ("render-bev", "bev.svg"),
+])
+def test_unwritable_output_exits_2_naming_the_path(command, blocked, dataset, tmp_path, capsys):
+    # A directory where an output file goes: the command exits 2 and names it.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = {
+        "synth": ["synth", str(tmp_path / "scenes.cfg"), str(out)],
+        "solve": ["solve", str(dataset), str(out)],
+        "eval": ["eval", str(dataset), str(dataset), "--out", str(out / blocked)],
+        "render-bev": ["render-bev", "--gt", str(dataset / "label_2" / "000000.txt"), str(out / blocked)],
+    }[command]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"rtm3d: input error: [Errno 21] Is a directory: '{out / blocked}'\n"
 
 
 def test_solve_reads_config_file(dataset, tmp_path):

@@ -20,8 +20,8 @@ from rtm3d.kitti import (
     parse_calib,
     parse_labels,
     parse_solve_inputs,
-    priors_text,
-    sidecar_text,
+    priors_lines,
+    sidecar_lines,
     to_camera_model,
     write_calib,
     write_result_file,
@@ -230,7 +230,8 @@ def test_solve_inputs_round_trip_through_priors_and_sidecar(n):
     conf = rng.uniform(0.05, 1.0, size=(n, 9))
     visible = rng.uniform(size=(n, 9)) > 0.3
     d_hat, theta_hat, z_hat = rng.uniform(0.5, 5.0, size=(n, 3)), rng.uniform(-3.1, 3.1, n), rng.uniform(5.0, 60.0, n)
-    text = priors_text(d_hat, theta_hat, z_hat, keypoint_boxes(pts, visible)), sidecar_text(pts, conf, visible)
+    text = ("".join(priors_lines(d_hat, theta_hat, z_hat, keypoint_boxes(pts, visible))),
+            "".join(sidecar_lines(pts, conf, visible)))
     cam = CameraModel(fx=700.0, fy=710.0, cx=600.0, cy=170.0, t_cam=np.array([0.06, 0.0, 0.003]))
     back = parse_solve_inputs(*text, cam)
     assert isinstance(back, SolveInputs)
