@@ -24,12 +24,12 @@ prints the same lines.  The groups are:
 - ``mixed-*``: 10 frames x 10 cars at depths 2-6 m, seed 0, where 96 boxes
   run out of their draws and 4 frames hold both placed boxes and boxes that
   ran out;
-- ``crowded-*``: the inputs, and ``metrics.txt`` under the four flag sets of
-  eval alone, of 12 frames x 10 cars (seed 21) whose ground truth :func:`crowd`
-  rewrites: occlusion levels 0-2, truncation up to 0.45, every fifth car a
-  Van and a DontCare region per frame, with jittered results, some of them
-  Pedestrians or without a score, and a false positive on each DontCare
-  region;
+- ``crowded-*``: the inputs, ``metrics.txt`` under the four flag sets of
+  eval alone, and the render-bev SVG of frame 000000, of 12 frames x 10 cars
+  (seed 21) whose ground truth :func:`crowd` rewrites: occlusion levels 0-2,
+  truncation up to 0.45, every fifth car a Van and a DontCare region per
+  frame, with jittered results, some of them Pedestrians or without a
+  score, and a false positive on each DontCare region;
 - ``headmaps-*``: the ``.rtmh`` files (the only files under ``headmaps/``)
   of two ``headmaps=1`` blocks (16 x 5, seed 42; 8 x 20, seed 7, sigma 1,
   dropout 0.1), so equal lines mean unchanged ``.rtmh`` bytes.  The
@@ -153,7 +153,8 @@ def crowd(label_text: str, rng: np.random.Generator) -> tuple[str, str]:
 
 
 def crowded(out: Path) -> dict:
-    """The ``crowded-*`` groups: synth, then :func:`crowd` on every frame, then eval."""
+    """The ``crowded-*`` groups: synth, then :func:`crowd` on every frame, then
+    eval, and render-bev of frame 000000."""
     work = out / "crowded"
     work.mkdir(parents=True)
     (work / "scenes.cfg").write_text(CROWDED)
@@ -166,7 +167,11 @@ def crowded(out: Path) -> dict:
         path.write_text(gt)
         (results / "data" / path.name).write_text(det)
     inputs = file_hash(list(work.rglob("*.txt")), work, code)
-    return {"crowded-inputs": inputs, **metrics_hashes(work, "crowded", results, data)}
+    svg = work / "frame000000_bev.svg"
+    code = run("render-bev", "--results", str(results / "data" / "000000.txt"),
+               "--gt", str(data / "label_2" / "000000.txt"), str(svg))
+    return {"crowded-inputs": inputs, **metrics_hashes(work, "crowded", results, data),
+            "crowded-bev": file_hash([svg], work, code)}
 
 
 def fit_hashes(name: str, data: Path) -> dict:

@@ -1,6 +1,8 @@
 """Deterministic bird's-eye-view SVG rendering.
 
-Ground-truth boxes are drawn green, results blue, each with a heading
+Ground-truth boxes are drawn green, results blue, from (N, 7) box rows
+(h, w, l, x, y, z, yaw) such as :meth:`rtm3d.kitti.LabelTable.boxes`
+returns, each with a heading
 tick from the footprint center toward the box front.  The canvas is a
 fixed 800 x 800 px at 10 px per meter, with x right, z up and the camera
 at the bottom center, and a grid line every 10 m; all coordinates are
@@ -11,8 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .evaluation import bev_corners
-from .geometry import Box3D
+from .evaluation import _footprints
 
 __all__ = ["render_bev_svg"]
 
@@ -32,12 +33,13 @@ def _to_svg(x: float, z: float):
     return WIDTH / 2.0 + x * SCALE, HEIGHT - z * SCALE
 
 
-def _box_svg(box: Box3D, color: str) -> str:
-    pts = " ".join(f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in map(_to_svg, *bev_corners(box).T))
-    cx, cz = box.t[0], box.t[2]
+def _box_svg(row: list, corners: list, color: str) -> str:
+    """One box row and its footprint corners (4, 2), drawn."""
+    pts = " ".join(f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in map(_to_svg, *zip(*corners)))
+    _, _, length, cx, _, cz, yaw = row
     # Heading tick: footprint center toward the front face (+length axis).
-    hx = cx + (box.l / 2.0) * math.cos(box.yaw)
-    hz = cz - (box.l / 2.0) * math.sin(box.yaw)
+    hx = cx + (length / 2.0) * math.cos(yaw)
+    hz = cz - (length / 2.0) * math.sin(yaw)
     sx0, sy0 = _to_svg(cx, cz)
     sx1, sy1 = _to_svg(hx, hz)
     return (
@@ -47,8 +49,8 @@ def _box_svg(box: Box3D, color: str) -> str:
     )
 
 
-def render_bev_svg(results: list[Box3D], ground_truths: list[Box3D]) -> str:
-    """Standalone SVG text for one frame's boxes."""
+def render_bev_svg(results, ground_truths) -> str:
+    """Standalone SVG text for one frame's (N, 7) box rows."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -56,21 +58,15 @@ def render_bev_svg(results: list[Box3D], ground_truths: list[Box3D]) -> str:
     ]
     x = WIDTH / 2.0 % GRID_STEP
     while x <= WIDTH:
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="0" x2="{_fmt(x)}" y2="{HEIGHT}" '
-            f'stroke="{GRID_COLOR}" stroke-width="0.5"/>'
-        )
+        parts.append(f'<line x1="{_fmt(x)}" y1="0" x2="{_fmt(x)}" y2="{HEIGHT}" '
+                     f'stroke="{GRID_COLOR}" stroke-width="0.5"/>')
         x += GRID_STEP
     y = HEIGHT % GRID_STEP
     while y <= HEIGHT:
-        parts.append(
-            f'<line x1="0" y1="{_fmt(y)}" x2="{WIDTH}" y2="{_fmt(y)}" '
-            f'stroke="{GRID_COLOR}" stroke-width="0.5"/>'
-        )
+        parts.append(f'<line x1="0" y1="{_fmt(y)}" x2="{WIDTH}" y2="{_fmt(y)}" '
+                     f'stroke="{GRID_COLOR}" stroke-width="0.5"/>')
         y += GRID_STEP
-    for box in ground_truths:
-        parts.append(_box_svg(box, GT_COLOR))
-    for box in results:
-        parts.append(_box_svg(box, RESULT_COLOR))
+    for rows, color in ((ground_truths, GT_COLOR), (results, RESULT_COLOR)):
+        parts += map(_box_svg, rows.tolist(), _footprints(rows).tolist(), [color] * len(rows))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -189,19 +189,14 @@ def cmd_solve(args) -> int:
 def cmd_eval(args) -> int:
     from . import evaluation
 
-    results_dir = Path(args.results)
-    if (results_dir / "data").is_dir():
-        results_dir = results_dir / "data"
-    gt_dir = Path(args.gt)
-    if (gt_dir / "label_2").is_dir():
-        gt_dir = gt_dir / "label_2"
-    if not results_dir.is_dir():
-        raise InputError(f"results dir {results_dir} does not exist")
-    if not gt_dir.is_dir():
-        raise InputError(f"ground-truth dir {gt_dir} does not exist")
-
-    results = kitti.read_labels(sorted(results_dir.glob("*.txt")))
-    truth = kitti.read_labels(sorted(gt_dir.glob("*.txt")))
+    dirs = []
+    for name, arg, sub in (("results", args.results, "data"), ("ground-truth", args.gt, "label_2")):
+        path = Path(arg) / sub if (Path(arg) / sub).is_dir() else Path(arg)
+        if not path.is_dir():
+            raise InputError(f"{name} dir {path} does not exist")
+        dirs.append(path)
+    # Eval scores only Car rows, so only their boxes are checked.
+    results, truth = (kitti.read_labels(sorted(d.glob("*.txt")), lambda kind: kind == kitti.CATEGORY) for d in dirs)
     for frame in sorted(set(truth.sources) - set(results.sources)):
         log.info("frame %s has ground truth but no results", frame)
     for frame in sorted(set(results.sources) - set(truth.sources)):
@@ -230,14 +225,15 @@ def cmd_render_bev(args) -> int:
     from . import bev_svg
 
     def boxes_of(path):
+        if not path:
+            return np.zeros((0, 7))
         p = Path(path)
         if not p.exists():
             raise InputError(f"{p} does not exist")
-        return [kitti.label_to_box3d(lb) for lb in kitti.parse_label_file(p) if not lb.is_dontcare]
+        table = kitti.read_labels([p], lambda kind: kind != "DontCare")  # checks every box it draws
+        return table.take(table.type != "DontCare").boxes()
 
-    results = boxes_of(args.results) if args.results else []
-    gts = boxes_of(args.gt) if args.gt else []
-    svg = bev_svg.render_bev_svg(results, gts)
+    svg = bev_svg.render_bev_svg(boxes_of(args.results), boxes_of(args.gt))
     _write(args.out, svg)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .geometry import Box3D, box_points, rot_y, wrap_to_pi
-from .kitti import CATEGORY, KittiLabel, LabelTable, label_to_box3d
+from .kitti import ALPHA, BBOX, CATEGORY, OCCLUDED, SCORE, TRUNCATED, KittiLabel, LabelTable, label_to_box3d
 
 __all__ = [
     "DetectionRecord",
@@ -51,12 +50,14 @@ class DifficultyFilter:
     max_occlusion: int
     max_truncation: float
 
-    def accepts(self, label: KittiLabel) -> bool:
-        """Whether the gate admits a label; elementwise on arrays of those fields."""
+    def accepts(self, table: LabelTable) -> np.ndarray:
+        """Which rows of a label table the gate admits, each occlusion level
+        read as KittiLabel reads it (truncated to an integer)."""
+        v, bbox = table.values, table.values[:, BBOX]
         return (
-            (label.bbox_height >= self.min_height)
-            & (label.occluded <= self.max_occlusion)
-            & (label.truncated <= self.max_truncation)
+            (bbox[:, 3] - bbox[:, 1] >= self.min_height)
+            & (np.trunc(v[:, OCCLUDED]) <= self.max_occlusion)
+            & (v[:, TRUNCATED] <= self.max_truncation)
         )
 
     @staticmethod
@@ -221,8 +222,9 @@ def box_2d_iou(a, b) -> float:
 def _run_overlaps(det: LabelTable, gt: LabelTable) -> tuple:
     """Every detection x ground-truth pair of each frame of two tables sorted
     by frame, as (detection rows, ground-truth rows, {"bev" | "3d" | "2d":
-    IoUs}), from one pass over the run.  Ground truth of another category than
-    :data:`CATEGORY` reads 0 in 3D and BEV."""
+    IoUs}), from one pass over the run, of the tables' wrapped boxes
+    (:meth:`~rtm3d.kitti.LabelTable.boxes`).  Ground truth of another
+    category than :data:`CATEGORY` reads 0 in 3D and BEV."""
     n_frames = max(det.frame.max(initial=-1), gt.frame.max(initial=-1)) + 1
     n_det, n_gt = np.bincount(det.frame, minlength=n_frames), np.bincount(gt.frame, minlength=n_frames)
     # Frame f's pair k is (its detection k // n_gt, its ground truth k % n_gt).
@@ -233,8 +235,8 @@ def _run_overlaps(det: LabelTable, gt: LabelTable) -> tuple:
     g = (np.cumsum(n_gt) - n_gt)[frame] + local % per_row
     boxed = gt.type[g] == CATEGORY
     bev, iou3d = np.zeros(len(g)), np.zeros(len(g))
-    _, bev[boxed], iou3d[boxed] = _pair_overlaps(det.values[d[boxed], 7:14], gt.values[g[boxed], 7:14])
-    return d, g, {"bev": bev, "3d": iou3d, "2d": _iou_2d(det.values[d, 3:7], gt.values[g, 3:7])}
+    _, bev[boxed], iou3d[boxed] = _pair_overlaps(det.boxes()[d[boxed]], gt.boxes()[g[boxed]])
+    return d, g, {"bev": bev, "3d": iou3d, "2d": _iou_2d(det.values[d, BBOX], gt.values[g, BBOX])}
 
 
 def _match(det, gt, iou, n_det: int) -> np.ndarray:
@@ -269,14 +271,8 @@ def _curve(outcomes: np.ndarray, n_gt: int, n_points: int, use_similarity=False)
     return PRCurve(recall=samples, precision=interp, ap=float(interp.mean()))
 
 
-def evaluate(
-    detections: dict,
-    ground_truths: dict,
-    difficulties: list[DifficultyFilter],
-    iou_threshold: float = 0.5,
-    iou_2d: float = 0.7,
-    n_points: int = 11,
-) -> dict:
+def evaluate(detections: dict, ground_truths: dict, difficulties: list[DifficultyFilter],
+             iou_threshold: float = 0.5, iou_2d: float = 0.7, n_points: int = 11) -> dict:
     """Every curve of a run in one pass over the frames, as
     ``{difficulty name: {"3d" | "bev" | "2d" | "aos": PRCurve}}``.
 
@@ -287,39 +283,33 @@ def evaluate(
     """
     for label in (g for frame in sorted(ground_truths) for g in ground_truths[frame] if g.type == CATEGORY):
         label_to_box3d(label)  # raises the error of a box it rejects
-    det = LabelTable.of_rows(list(detections), [
-        (f, 0, d.category, (0.0, 0.0, d.alpha, *d.bbox, *_box_rows([d.box])[0], d.score))
-        for f, dets in enumerate(detections.values()) for d in dets])
-    gt = LabelTable.of_rows(list(ground_truths), [
-        (f, 0, g.type, (g.truncated, g.occluded, g.alpha, *g.bbox, *g.dimensions, *g.location, g.rotation_y, math.nan))
-        for f, gts in enumerate(ground_truths.values()) for g in gts])
-    return evaluate_tables(det, gt, difficulties, iou_threshold, iou_2d, n_points)
+    det = LabelTable.of_labels({frame: [
+        KittiLabel(d.category, 0.0, 0, d.alpha, d.bbox, tuple(d.box.dims), tuple(d.box.t), d.box.yaw, d.score)
+        for d in dets] for frame, dets in detections.items()})
+    return evaluate_tables(det, LabelTable.of_labels(ground_truths), difficulties, iou_threshold, iou_2d, n_points)
 
 
 def evaluate_tables(results: LabelTable, labels: LabelTable, difficulties: list[DifficultyFilter],
                     iou_threshold: float = 0.5, iou_2d: float = 0.7, n_points: int = 11) -> dict:
     """:func:`evaluate` of a run's label tables, whose sources name its
     frames.  A result without a score scores 1, and each yaw is wrapped as
-    Box3D wraps it, which leaves a wrapped yaw as it is."""
+    Box3D wraps it."""
     thresholds = {"3d": iou_threshold, "bev": iou_threshold, "2d": iou_2d}
     # Each row's frame, numbered in run order, and the Car results with their scores.
     frame = np.unique([*results.sources, *labels.sources], return_inverse=True)[1]
     det, gt = (LabelTable(t.sources, frame[start:][t.frame], t.line, t.type, t.values)
                for t, start in ((results, 0), (labels, len(results.sources))))
     det = det.take(det.type == CATEGORY)
-    det.values[:, 14] = np.where(np.isnan(det.values[:, 14]), 1.0, det.values[:, 14])
+    score = det.values[:, SCORE]  # a view of the values take copied
+    score[np.isnan(score)] = 1.0
     # By frame, then by descending score, ties in table order.
-    det = det.take(np.lexsort((-det.values[:, 14], det.frame)))
+    det = det.take(np.lexsort((-score, det.frame)))
     gt = gt.take(np.argsort(gt.frame, kind="stable"))
-    for table in (det, gt):
-        table.values[:, 13] = [wrap_to_pi(yaw) for yaw in table.values[:, 13].tolist()]
     pair_det, pair_gt, ious = _run_overlaps(det, gt)
-    is_car, v = gt.type == CATEGORY, gt.values
-    # The occlusion level as KittiLabel reads it.
-    gate = SimpleNamespace(bbox_height=v[:, 6] - v[:, 4], occluded=np.trunc(v[:, 1]), truncated=v[:, 0])
+    is_car = gt.type == CATEGORY
     curves = {}
     for diff in difficulties:
-        counted = is_car & diff.accepts(gate)
+        counted = is_car & diff.accepts(gt)
         ignored = (gt.type == "DontCare") | (is_car & ~counted)
         curves[diff.name] = {}
         for m, threshold in thresholds.items():
@@ -330,9 +320,9 @@ def evaluate_tables(results: LabelTable, labels: LabelTable, difficulties: list[
             # An unmatched detection on an ignored box, by 2D overlap, is left out.
             covered = np.bincount(pair_det[ignored[pair_gt] & (ious["2d"] >= threshold)], minlength=len(det.frame)) > 0
             sim = np.zeros(len(det.frame))
-            error = det.values[hit, 2] - v[matched[hit], 2]
+            error = det.values[hit, ALPHA] - gt.values[matched[hit], ALPHA]
             sim[hit] = [0.5 * (1.0 + math.cos(wrap_to_pi(e))) for e in error.tolist()]
-            outcomes = np.column_stack([det.values[:, 14], hit, sim])[hit | ~covered]
+            outcomes = np.column_stack([det.values[:, SCORE], hit, sim])[hit | ~covered]
             curves[diff.name][m] = _curve(outcomes, counted.sum(), n_points)
         # AOS sums the similarity of the 2D matching, the last one.
         curves[diff.name]["aos"] = _curve(outcomes, counted.sum(), n_points, use_similarity=True)

@@ -2,10 +2,10 @@
 and of the solver's inputs: priors files and keypoint sidecars.
 
 Label lines carry 15 space-delimited fields (16 with a detection score) and
-read into a :class:`LabelTable` of arrays.  Writers use the 2-decimal fixed
-formatting of the KITTI submission convention, so parse(write(x))
-reproduces every field within 0.005.
-Priors and sidecars are written at 6 decimals.
+read into a :class:`LabelTable` of arrays, whose columns are named here.
+:meth:`LabelTable.lines` writes every label line, at the KITTI submission's
+2 decimals, so parse(write(x)) reproduces every field within 0.005, or at
+the 6 of priors.  Sidecars are written at 6 decimals too.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ BOX_LIMIT = 1e100
 # Largest |bbox field| (px) of a label line: a 2D box area, and the sum of two, is finite.
 BBOX_LIMIT = 1e100
 
+# The columns of LabelTable.values, a label line's numeric fields in order: the bbox (left, top, right,
+# bottom) in px, the dims (h, w, l) and bottom-center location (x, y, z) in m, and the score, NaN where a
+# line has none.  BOX spans the dims, location and rotation_y of a box row (h, w, l, x, y, z, yaw).
+TRUNCATED, OCCLUDED, ALPHA, BBOX, DIMS = 0, 1, 2, slice(3, 7), slice(7, 10)
+LOCATION, ROTATION_Y, SCORE, BOX = slice(10, 13), 13, 14, slice(7, 14)
+
 
 class InputError(ValueError):
     """Malformed or missing input, named by file and line where known; the
@@ -93,10 +99,6 @@ class KittiLabel:
     def is_dontcare(self) -> bool:
         return self.type == "DontCare"
 
-    @property
-    def bbox_height(self) -> float:
-        return self.bbox[3] - self.bbox[1]
-
 
 @dataclass
 class KittiCalib:
@@ -133,8 +135,7 @@ def _is_finite_number(token: str) -> bool:
 class LabelTable:
     """Label lines as arrays, one row per line: the index ``frame`` (N,) of
     its text in ``sources``, its ``line`` number and ``type`` (N,), and
-    ``values`` (N, 15): truncated, occluded, alpha, bbox (4), dimensions
-    (h, w, l), location (x, y, z), rotation_y and score, NaN where none."""
+    ``values`` (N, 15), the numeric fields in the columns named above."""
 
     __slots__ = ("sources", "frame", "line", "type", "values")
 
@@ -148,6 +149,15 @@ class LabelTable:
         return LabelTable(sources, np.array(frame, dtype=int), np.array(line, dtype=int), np.array(kind, dtype=str),
                           np.array(values, dtype=float).reshape(-1, 15))
 
+    @staticmethod
+    def of_labels(frames: dict) -> "LabelTable":
+        """The table of the KittiLabels that ``frames`` maps each source to,
+        each row's line number its place in its list: the inverse of :meth:`label`."""
+        return LabelTable.of_rows(list(frames), [
+            (f, k, lb.type, (lb.truncated, lb.occluded, lb.alpha, *lb.bbox, *lb.dimensions, *lb.location,
+                             lb.rotation_y, math.nan if lb.score is None else lb.score))
+            for f, labels in enumerate(frames.values()) for k, lb in enumerate(labels, start=1)])
+
     def take(self, rows) -> "LabelTable":
         """The table of the rows ``rows`` (indices or a mask)."""
         return LabelTable(self.sources, self.frame[rows], self.line[rows], self.type[rows], self.values[rows])
@@ -155,19 +165,35 @@ class LabelTable:
     def label(self, row: int) -> KittiLabel:
         """The KittiLabel of a row, its origin naming the row's source and line."""
         v = self.values[row].tolist()
-        return KittiLabel(type=str(self.type[row]), truncated=v[0], occluded=int(v[1]), alpha=v[2], bbox=tuple(v[3:7]),
-                          dimensions=tuple(v[7:10]), location=tuple(v[10:13]), rotation_y=v[13],
-                          score=None if math.isnan(v[14]) else v[14],
+        return KittiLabel(type=str(self.type[row]), truncated=v[TRUNCATED], occluded=int(v[OCCLUDED]),
+                          alpha=v[ALPHA], bbox=tuple(v[BBOX]), dimensions=tuple(v[DIMS]),
+                          location=tuple(v[LOCATION]), rotation_y=v[ROTATION_Y],
+                          score=None if math.isnan(v[SCORE]) else v[SCORE],
                           origin=f"{self.sources[self.frame[row]]}, line {self.line[row]}")
 
+    def boxes(self) -> np.ndarray:
+        """The (N, 7) box rows of the table, each yaw wrapped as Box3D wraps
+        it, which leaves a wrapped yaw as it is."""
+        rows = self.values[:, BOX].copy()
+        rows[:, -1] = [wrap_to_pi(yaw) for yaw in rows[:, -1].tolist()]
+        return rows
 
-def parse_label_values(texts, sources, bounded=False) -> LabelTable:
+    def lines(self, decimals: int = 2) -> list[str]:
+        """Each row as a newline-terminated label line at ``decimals``, with
+        its score where it has one: the one writer of label lines."""
+        f = f"%.{decimals}f"
+        line = " ".join(["%s", f, "%d"] + [f] * 12)
+        scored, line = f"{line} {f}\n", line + "\n"
+        return [line % (kind, *v[:SCORE]) if math.isnan(v[SCORE]) else scored % (kind, *v)
+                for kind, v in zip(self.type.tolist(), self.values.tolist())]
+
+
+def parse_label_values(texts, sources) -> LabelTable:
     """The label lines of each text of ``texts`` as one table, each row's
-    frame the index of its text; a field that is not a finite number, or a
-    line with the wrong field count, raises an error carrying the line
-    number, and the text's source names the file in its message.  With
-    ``bounded``, a bbox field beyond :data:`BBOX_LIMIT` in magnitude, on any
-    line, then raises an InputError naming the line."""
+    frame the index of its text; a field that is not a finite number, a
+    line with the wrong field count, or then a bbox field beyond
+    :data:`BBOX_LIMIT` in magnitude on any line, raises an InputError
+    naming the text's source and the line."""
     rows = []
     for frame, (text, source) in enumerate(zip(texts, sources)):
         for line_no, line in enumerate(text.splitlines(), start=1):
@@ -186,29 +212,30 @@ def parse_label_values(texts, sources, bounded=False) -> LabelTable:
                 raise NumericParseError(line_no, token, source)
             rows.append((frame, line_no, fields[0], vals if len(vals) == 15 else vals + [math.nan]))
     table = LabelTable.of_rows(list(sources), rows)
-    wide = (np.abs(table.values[:, 3:7]) > BBOX_LIMIT).any(axis=1)
-    if bounded and wide.any():
+    wide = (np.abs(table.values[:, BBOX]) > BBOX_LIMIT).any(axis=1)
+    if wide.any():
         label = table.label(int(wide.argmax()))
         raise InputError(f"{label.origin}: 2D box fields must lie within {BBOX_LIMIT:g} px, got {label.bbox}")
     return table
 
 
-def read_labels(paths) -> LabelTable:
+def read_labels(paths, boxed) -> LabelTable:
     """The label lines of the files ``paths``, one frame each, as one table
     whose sources are the frames, named by the files' stems.  Each file is
-    checked as :func:`parse_labels` checks it, then each Car box as
-    :func:`label_to_box3d` checks it, an error naming file and line."""
-    table = parse_label_values([Path(p).read_text() for p in paths], paths, bounded=True)
+    checked as :func:`parse_labels` checks it, then the box of each row
+    that ``boxed`` picks from the types (N,) as :func:`label_to_box3d`
+    checks it, an error naming file and line."""
+    table = parse_label_values([Path(p).read_text() for p in paths], paths)
     v = table.values
-    bad = (table.type == CATEGORY) & ((v[:, 7:10] <= 0).any(axis=1) | (np.abs(v[:, 7:13]) > BOX_LIMIT).any(axis=1))
+    bad = boxed(table.type) & ((v[:, DIMS] <= 0).any(axis=1) | (np.abs(v[:, BOX][:, :6]) > BOX_LIMIT).any(axis=1))
     if bad.any():
         label_to_box3d(table.label(int(bad.argmax())))  # raises the first box's error
     return LabelTable([Path(p).stem for p in paths], table.frame, table.line, table.type, table.values)
 
 
 def parse_labels(text: str, source="label text") -> list[KittiLabel]:
-    """Parse label/result text, checked as :func:`parse_label_values` checks it, bounded."""
-    table = parse_label_values([text], [source], bounded=True)
+    """Parse label/result text, checked as :func:`parse_label_values` checks it."""
+    table = parse_label_values([text], [source])
     return [table.label(row) for row in range(len(table.frame))]
 
 
@@ -216,21 +243,9 @@ def parse_label_file(path) -> list[KittiLabel]:
     return parse_labels(Path(path).read_text(), path)
 
 
-def _label_format(decimals: int) -> str:
-    """printf template of a label line's fields after its type, up to the
-    score: truncated, occluded, alpha, bbox, dimensions, location and
-    rotation_y."""
-    f = f"%.{decimals}f"
-    return " ".join([f, "%d"] + [f] * 12)
-
-
 def format_label(label: KittiLabel) -> str:
     """One label line, at the KITTI submission's 2 decimals."""
-    line = f"{label.type} " + _label_format(2) % (
-        label.truncated, int(label.occluded), label.alpha,
-        *label.bbox, *label.dimensions, *label.location, label.rotation_y,
-    )
-    return line if label.score is None else f"{line} {label.score:.2f}"
+    return LabelTable.of_labels({"label": [label]}).lines()[0][:-1]
 
 
 def car_lines(dims, t, yaw, bbox, score=None, decimals: int = 2) -> list[str]:
@@ -240,12 +255,14 @@ def car_lines(dims, t, yaw, bbox, score=None, decimals: int = 2) -> list[str]:
     scores (N,).  Truncated and occluded are 0 and alpha is computed from
     each yaw and position.  At 2 decimals a line is what :func:`format_label`
     writes; synthetic ground truth and priors use 6."""
-    line = f"{CATEGORY} " + _label_format(decimals)
-    rows = zip(*(np.asarray(v, dtype=float).tolist() for v in (dims, t, yaw, bbox)))
-    lines = [line % (0.0, 0, yaw_to_alpha(y, p), *b, *d, *p, y) for d, p, y, b in rows]
-    if score is not None:
-        lines = [f"{text} {s:.{decimals}f}" for text, s in zip(lines, score)]
-    return [text + "\n" for text in lines]
+    t, yaw = np.asarray(t, dtype=float), np.asarray(yaw, dtype=float)
+    n = len(yaw)
+    values = np.zeros((n, 15))
+    values[:, ALPHA] = [yaw_to_alpha(y, p) for y, p in zip(yaw.tolist(), t.tolist())]
+    values[:, BBOX], values[:, DIMS], values[:, LOCATION], values[:, ROTATION_Y] = bbox, dims, t, yaw
+    values[:, SCORE] = math.nan if score is None else score
+    return LabelTable([CATEGORY], np.zeros(n, dtype=int), np.arange(1, n + 1), np.full(n, CATEGORY),
+                      values).lines(decimals)
 
 
 def keypoint_boxes(pts: np.ndarray, visible: np.ndarray) -> np.ndarray:
@@ -295,7 +312,7 @@ def parse_solve_inputs(priors: str, sidecar: str, camera: CameraModel, sidecar_s
     triples = np.array(rows, dtype=float).reshape(-1, 9, 3)
     if len(labels) != len(triples):
         raise InputError(f"{sidecar_source}: {len(triples)} objects, but the priors file has {len(labels)}")
-    d_hat, z_hat, theta_hat = labels[:, 7:10], labels[:, 12], labels[:, 13]
+    d_hat, z_hat, theta_hat = labels[:, DIMS], labels[:, LOCATION][:, 2], labels[:, ROTATION_Y]
     if fault := nonpositive_prior(d_hat, z_hat):
         raise InputError(f"{priors_source}, object {fault[0]}: {fault[1]}")
     return SolveInputs(triples[..., :2], np.clip(triples[..., 2], 0.0, 1.0), triples[..., 2] > 0.0, d_hat, theta_hat,
@@ -304,9 +321,7 @@ def parse_solve_inputs(priors: str, sidecar: str, camera: CameraModel, sidecar_s
 
 def write_result_file(labels: list[KittiLabel]) -> str:
     """Serialize labels/results; empty list yields an empty string."""
-    if not labels:
-        return ""
-    return "\n".join(format_label(lb) for lb in labels) + "\n"
+    return "".join(LabelTable.of_labels({"results": labels}).lines())
 
 
 def parse_calib(text: str, source="calibration") -> KittiCalib:

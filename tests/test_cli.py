@@ -486,6 +486,20 @@ def test_solve_huge_depth_prior_fails_its_object_without_a_warning(two_frames, t
     assert "000001 object 0: failed (" in log and "000001 object 1: iters=" in log
 
 
+@pytest.mark.parametrize("value, code", [("1e101", EXIT_INPUT), ("-1e100", EXIT_OK)])
+def test_solve_bounds_priors_2d_boxes_as_it_bounds_labels(value, code, two_frames, tmp_path, capsys):
+    # A priors line is a label line and follows the one parse rule: a 2D box
+    # field beyond 1e100 px is malformed, named by file and line; at the bound
+    # it is read, and the solver never reads the box.
+    bad = two_frames / "priors" / "000001.txt"
+    _set_field(bad, 1, 6, value)
+    capsys.readouterr()
+    assert main(["solve", str(two_frames), str(tmp_path / "out")]) == code
+    bbox = ", ".join(repr(float(v)) for v in bad.read_text().splitlines()[1].split()[4:8])
+    want = f"rtm3d: input error: {bad}, line 2: 2D box fields must lie within 1e+100 px, got ({bbox})\n"
+    assert capsys.readouterr().err == (want if code == EXIT_INPUT else "")
+
+
 def test_solve_parses_each_calibration_file_once(dataset, tmp_path, monkeypatch):
     # Calibrations are parsed once per distinct text: synth writes the same
     # text to every frame's file.
@@ -708,6 +722,58 @@ def test_eval_names_each_malformed_label_as_the_label_api_does(which, text, mess
     assert capsys.readouterr().err == f"rtm3d: input error: {bad}, {message}\n"
 
 
+_VAN, _PEDESTRIAN = _CAR.replace("Car", "Van"), _CAR.replace("Car", "Pedestrian")
+
+
+@pytest.mark.parametrize(
+    "which, text, message",
+    [
+        # render-bev draws every row but DontCare, so it checks the box of a Van
+        # or a Pedestrian too, where eval, which scores only Cars, reads the file.
+        ("label", _VAN.replace("1.6 3.9", "0 3.9") + "\n",
+         "line 1: box dimensions must be positive, got h, w, l = (1.5, 0.0, 3.9)"),
+        ("result", _PEDESTRIAN.replace("1.6 3.9", "-0.5 3.9") + " 0.9\n",
+         "line 1: box dimensions must be positive, got h, w, l = (1.5, -0.5, 3.9)"),
+        ("label", _PEDESTRIAN.replace("3.9 0 0 10", "3.9 2e100 0 10") + "\n",
+         "line 1: box dimensions and location must lie within 1e+100 m, got h, w, l = (1.5, 1.6, 3.9), "
+         "x, y, z = (2e+100, 0.0, 10.0)"),
+        ("result", _VAN.replace("3.9 0 0 10", "3.9 -1e101 0 10") + "\n",
+         "line 1: box dimensions and location must lie within 1e+100 m, got h, w, l = (1.5, 1.6, 3.9), "
+         "x, y, z = (-1e+101, 0.0, 10.0)"),
+        # A DontCare region carries -1 dims and is not drawn.
+        ("label", f"{_DONTCARE}\n{_VAN}\n", None),
+        ("result", f"{_DONTCARE} 0.5\n{_PEDESTRIAN}\n", None),
+        # A 2D box beyond 1e100 px is malformed on any line, DontCare included.
+        ("label", _DONTCARE.replace("0 0 10 10", "0 0 10 1e101") + "\n",
+         "line 1: 2D box fields must lie within 1e+100 px, got (0.0, 0.0, 10.0, 1e+101)"),
+        ("result", _CAR.replace("0 0 10 10", "-2e100 0 10 10") + " 0.9\n",
+         "line 1: 2D box fields must lie within 1e+100 px, got (-2e+100, 0.0, 10.0, 10.0)"),
+        # Two faults in one file: a 2D box is named before a 3D box, and of two
+        # 3D boxes the first line at fault.
+        ("result", f"{_VAN.replace('1.5 1.6', '0 1.6')} 0.9\n{_CAR.replace('10 10', '10 1e200')} 0.9\n",
+         "line 2: 2D box fields must lie within 1e+100 px, got (0.0, 0.0, 10.0, 1e+200)"),
+        ("label", f"{_DONTCARE}\n{_VAN.replace('1.6 3.9', '1.6 -1')}\n{_PEDESTRIAN.replace('1.5 1.6', '0 1.6')}\n",
+         "line 2: box dimensions must be positive, got h, w, l = (1.5, 1.6, -1.0)"),
+    ],
+)
+def test_render_bev_names_each_malformed_label_as_the_label_api_does(which, text, message, dataset, tmp_path,
+                                                                     capsys):
+    # render-bev reads label tables, and names the file, line and fault as
+    # parse_labels and label_to_box3d name them; the messages are pinned.
+    results = tmp_path / "results"
+    assert main(["solve", str(dataset), str(results)]) == EXIT_OK
+    files = {"result": results / "data" / "000001.txt", "label": dataset / "label_2" / "000001.txt"}
+    files[which].write_text(text)
+    capsys.readouterr()
+    code = main(["render-bev", "--results", str(files["result"]), "--gt", str(files["label"]),
+                 str(tmp_path / "bev.svg")])
+    assert capsys.readouterr().err == ("" if message is None else f"rtm3d: input error: {files[which]}, {message}\n")
+    assert code == (EXIT_OK if message is None else EXIT_INPUT)
+    if message and "2D box" not in message:
+        # Each 3D box at fault is a Van's or a Pedestrian's, which eval never scores.
+        assert main(["eval", str(results), str(dataset)]) == EXIT_OK
+
+
 def test_eval_reads_dontcare_lines_blank_lines_and_crlf(dataset, tmp_path, capsys):
     results = tmp_path / "results"
     assert main(["solve", str(dataset), str(results)]) == EXIT_OK
@@ -845,6 +911,48 @@ def test_load_config_overrides(tmp_path):
         path.write_text(f"{key}=1\n")
         with pytest.raises(InputError, match=f"line 1: unknown config key '{key}'"):
             load_config(path)
+
+
+def _outputs(root: Path) -> dict:
+    """synth (plain and with head maps), solve, then eval and render-bev of
+    the results and of the crowded set of output_digest.py, each exiting 0,
+    under root: every file's bytes by its path under root."""
+    root.mkdir()
+    (root / "scenes.cfg").write_text("frames=3\nn_objects=6\nseed=5\npixel_sigma=1\ndropout=0.1\n")
+    (root / "scenes_hm.cfg").write_text("frames=2\nn_objects=3\nseed=5\nheadmaps=1\n")
+    data, results, crowded = root / "data", root / "results", root / "crowded"
+    for argv in (["synth", root / "scenes.cfg", data], ["synth", root / "scenes_hm.cfg", root / "data_hm"],
+                 ["solve", data, results]):
+        assert main(list(map(str, argv))) == EXIT_OK, argv
+    (crowded / "label_2").mkdir(parents=True)
+    (crowded / "data").mkdir()
+    rng = np.random.default_rng(3)
+    for path in sorted((data / "label_2").glob("*.txt")):
+        gt, det = _output_digest().crowd(path.read_text(), rng)
+        (crowded / "label_2" / path.name).write_text(gt)
+        (crowded / "data" / path.name).write_text(det)
+    sets = {"plain": (results / "data", data / "label_2"), "crowded": (crowded / "data", crowded / "label_2")}
+    for name, (res, gt) in sets.items():
+        for argv in (["eval", res, gt, "--out", root / f"metrics_{name}.txt"],
+                     ["render-bev", "--results", res / "000000.txt", "--gt", gt / "000000.txt", root / f"{name}.svg"]):
+            assert main(list(map(str, argv))) == EXIT_OK, argv
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_no_command_builds_a_record_per_line(tmp_path, monkeypatch):
+    # Each command reads and writes its lines as arrays: with the per-object
+    # records made unconstructible, every run still exits 0 and writes the same bytes.
+    want = _outputs(tmp_path / "free")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a command built a {type(self).__name__}")
+
+    for record in (kitti.KittiLabel, geometry.Box3D, evaluation.DetectionRecord, synth.SceneObject,
+                   geometry.KeypointSet):
+        monkeypatch.setattr(record, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a Box3D"):
+        geometry.Box3D(np.ones(3), np.zeros(3), 0.0)
+    assert _outputs(tmp_path / "refused") == want
 
 
 def test_import_loads_no_scipy():

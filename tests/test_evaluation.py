@@ -349,7 +349,9 @@ def _reference_ap(dets, gts, thr, metric="bev", difficulty=None):
         return (iou_3d if metric == "3d" else bev_iou)(det.box, _boxof(lb))
 
     def counts(lb):
-        return lb.type == "Car" and (difficulty is None or difficulty.accepts(lb))
+        return lb.type == "Car" and (difficulty is None or (
+            lb.bbox[3] - lb.bbox[1] >= difficulty.min_height and lb.occluded <= difficulty.max_occlusion
+            and lb.truncated <= difficulty.max_truncation))
 
     scored = []
     n_gt = 0

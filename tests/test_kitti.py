@@ -1,5 +1,7 @@
 """KITTI label and calibration I/O tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from rtm3d.kitti import (
     FieldCountError,
     InputError,
     KittiLabel,
+    LabelTable,
     MissingP2Error,
     NumericParseError,
     camera_to_calib,
@@ -44,7 +47,6 @@ def test_parse_single_label():
     assert lb.location == pytest.approx((-0.65, 1.71, 46.70))
     assert lb.rotation_y == pytest.approx(-1.59)
     assert lb.score is None
-    assert lb.bbox_height == pytest.approx(200.12 - 173.33)
 
 
 def test_parse_label_with_score():
@@ -110,6 +112,27 @@ def test_label_roundtrip_random():
     rng = np.random.default_rng(0)
     labels = [_random_label(rng) for _ in range(200)]
     assert parse_labels(write_result_file(labels)) == labels
+
+
+def test_of_labels_is_the_inverse_of_label():
+    rng = np.random.default_rng(1)
+    frames = {"a.txt": [_random_label(rng) for _ in range(4)], "b.txt": [], "c.txt": [_random_label(rng)]}
+    table = LabelTable.of_labels(frames)
+    labels = [table.label(row) for row in range(len(table.frame))]
+    assert labels == frames["a.txt"] + frames["c.txt"]
+    assert [lb.origin for lb in labels] == [f"a.txt, line {k}" for k in range(1, 5)] + ["c.txt, line 1"]
+    # Each row is written as format_label writes its label, and reads back as it.
+    assert table.lines() == [format_label(lb) + "\n" for lb in labels]
+    assert parse_labels("".join(table.lines())) == labels
+
+
+def test_table_boxes_are_the_boxes_of_its_labels():
+    # Yaws beyond pi are wrapped once, as Box3D wraps them, bit for bit.
+    rng = np.random.default_rng(2)
+    labels = [replace(_random_label(rng), rotation_y=float(v)) for v in rng.uniform(-20.0, 20.0, 50)]
+    boxes = [label_to_box3d(lb) for lb in labels]
+    want = np.array([(*b.dims, *b.t, b.yaw) for b in boxes])
+    assert LabelTable.of_labels({"labels": labels}).boxes().tobytes() == want.tobytes()
 
 
 @given(st.text(max_size=200))

@@ -533,3 +533,51 @@ def test_lm_steps_isolate_a_singular_system():
     np.testing.assert_allclose(steps[0], -1.0)
     assert np.isnan(steps[1]).all()
     np.testing.assert_allclose(steps[2], -0.5)
+
+
+@pytest.mark.parametrize("spec", [
+    # The fixed workload's first 20 frames, and a loose-yaw spec whose yaw priors are off by up to half a turn.
+    "frames=20\nn_objects=5\npixel_sigma=1.0\ndropout=0.1\nseed=42\n",
+    "frames=20\nn_objects=5\npixel_sigma=3.0\ndropout=0.2\ndim_sigma=0.1\nyaw_sigma=0.8\ndepth_rel_sigma=0.05\nseed=12\n",
+])
+def test_each_converged_object_is_a_minimum_of_its_energy(spec, tmp_path):
+    # An optimality oracle: at each converged object's end the gradient J^T r
+    # is below the damping stop's bar, sqrt(g_tol), and MINPACK's LM, started
+    # there on the solver's own residuals and Jacobian, lowers the cost by at
+    # most 1e-9 relative.
+    from scipy.optimize import least_squares
+
+    from rtm3d import kitti
+    from rtm3d.cli import main
+
+    (tmp_path / "scenes.cfg").write_text(spec)
+    assert main(["synth", str(tmp_path / "scenes.cfg"), str(tmp_path / "data")]) == 0
+    parts = []
+    for priors in sorted((tmp_path / "data" / "priors").glob("*.txt")):
+        camera = kitti.to_camera_model(kitti.parse_calib_file(tmp_path / "data" / "calib" / priors.name))
+        parts.append(kitti.parse_solve_inputs(priors.read_text(),
+                                              (tmp_path / "data" / "keypoints" / priors.name).read_text(), camera))
+    inputs, weights, config = SolveInputs(*map(np.concatenate, zip(*parts))), EnergyWeights(), SolverConfig()
+    fit = solve_arrays(inputs, weights, config)
+    done = np.flatnonzero(fit.converged & np.equal(fit.errors, None))
+    assert len(done) >= 90
+    # The energy as solve_arrays minimizes it: yaw priors reduced, confidence weights fixed.
+    inputs = solver._reduce_yaw_priors(inputs).take(done)
+    sqrt_w, x = _root_weights(inputs), fit.x[done]
+    res, _, r, pts = _residuals(inputs, sqrt_w, weights, x)
+    grad = np.einsum("nrk,nr->nk", _jacobians(inputs, sqrt_w, weights, x, r, pts), res)
+    assert np.abs(grad).max() < math.sqrt(config.g_tol)
+    np.testing.assert_allclose((res * res).sum(axis=1), fit.cost[done], rtol=1e-12)
+    for k in range(len(done)):
+        one = inputs.take([k])
+
+        def residuals(z):
+            return _residuals(one, sqrt_w[[k]], weights, z[None])[0][0]
+
+        def jacobian(z):
+            _, _, rz, ptz = _residuals(one, sqrt_w[[k]], weights, z[None])
+            return _jacobians(one, sqrt_w[[k]], weights, z[None], rz, ptz)[0]
+
+        with np.errstate(all="ignore"):
+            minpack = least_squares(residuals, x[k], jac=jacobian, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert fit.cost[done[k]] - 2.0 * minpack.cost <= 1e-9 * fit.cost[done[k]]
